@@ -51,31 +51,23 @@ uint64_t TotalWorkloadAbove(int m, int d) {
   return sum;
 }
 
-void ForEachMaskOfLevel(int d, int m,
-                        const std::function<void(uint64_t)>& fn) {
+std::vector<uint64_t> MasksOfLevel(int d, int m) {
   assert(d >= 1 && d <= 62);
   assert(m >= 0 && m <= d);
-  if (m == 0) {
-    fn(0);
-    return;
-  }
+  if (m == 0) return {0};
+  std::vector<uint64_t> out;
+  out.reserve(Binomial(d, m));
   // Counting down C(d, m) iterations (rather than comparing against
   // 1 << d) keeps the final Gosper step from overflowing at d = 62.
   uint64_t mask = (uint64_t{1} << m) - 1;
   for (uint64_t remaining = Binomial(d, m); remaining > 0; --remaining) {
-    fn(mask);
+    out.push_back(mask);
     if (remaining == 1) break;
     // Gosper's hack: next integer with the same popcount.
     const uint64_t c = mask & (~mask + 1);
     const uint64_t r = mask + c;
     mask = (((r ^ mask) >> 2) / c) | r;
   }
-}
-
-std::vector<uint64_t> MasksOfLevel(int d, int m) {
-  std::vector<uint64_t> out;
-  out.reserve(m == 0 ? 1 : Binomial(d, m));
-  ForEachMaskOfLevel(d, m, [&out](uint64_t mask) { out.push_back(mask); });
   return out;
 }
 

@@ -5,7 +5,6 @@
 #define HOS_COMMON_COMBINATORICS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace hos {
@@ -30,15 +29,8 @@ uint64_t TotalWorkloadBelow(int m, int d);
 /// Used as C_up(m) in the f_up fraction of Definition 3.
 uint64_t TotalWorkloadAbove(int m, int d);
 
-/// Calls `fn` for each of the C(d, m) bitmasks over d dimensions with
-/// exactly m bits set, in ascending numeric order (Gosper's hack). The
-/// lazy form MasksOfLevel materialises — used directly when a level is too
-/// large to hold in memory (the sparse lattice backend).
-void ForEachMaskOfLevel(int d, int m,
-                        const std::function<void(uint64_t)>& fn);
-
 /// All C(d, m) bitmasks over d dimensions with exactly m bits set,
-/// in ascending numeric order.
+/// in ascending numeric order (Gosper's hack).
 std::vector<uint64_t> MasksOfLevel(int d, int m);
 
 /// Number of set bits.

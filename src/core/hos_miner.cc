@@ -34,8 +34,9 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
     return Status::InvalidArgument(
         "HOS-Miner supports 1.." + std::to_string(lattice::kMaxLatticeDims) +
         " dimensions (d <= " + std::to_string(lattice::kDenseMaxDims) +
-        " on the dense lattice backend, above that the sparse backend is "
-        "selected automatically); got d=" + std::to_string(d));
+        " on the dense lattice backend, which must be asked for; the "
+        "default sparse backend covers the whole range); got d=" +
+        std::to_string(d));
   }
   if (dataset.live_size() == 0) {
     return Status::InvalidArgument("dataset is empty");

@@ -123,11 +123,11 @@ struct QueryOptions {
   /// width, <= 1 with a pool still evaluates sequentially. Ignored without
   /// search_pool. Answers are identical at any setting.
   int search_threads = 0;
-  /// Lattice storage backend for this query's search. kAuto picks the flat
-  /// dense array for d <= lattice::kDenseMaxDims and the hash-map sparse
-  /// store above (the only way to search d in 23..kMaxLatticeDims); both
-  /// produce bit-identical answers. Forcing kDense past its cap makes the
-  /// query return InvalidArgument.
+  /// Lattice storage backend for this query's search. kAuto picks the
+  /// hash-map sparse store at every d (the only backend for d in
+  /// 23..kMaxLatticeDims); kDense forces the flat array. Both produce
+  /// bit-identical answers. Forcing kDense past its cap makes the query
+  /// return InvalidArgument.
   lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;
   /// Work budget: maximum fresh OD evaluations one query may spend; 0 is
   /// unlimited. A query whose next lattice level would exceed it returns

@@ -1,8 +1,8 @@
 // Closed-form per-level counting of seed closures in the subspace lattice.
 //
-// The sparse lattice backend cannot enumerate a level with C(d, m) masks to
-// tally how many of them the pruning seeds have decided — at d = 32 the
-// middle levels alone hold ~6e8 subspaces. But the decided region is fully
+// The sparse lattice backend tallies how many masks of each level the
+// pruning seeds have decided without enumerating any level — at d = 32 the
+// middle levels alone hold ~6e8 subspaces. The decided region is fully
 // described by the two seed antichains (Properties 1-2: the outlying set is
 // the up-closure of the minimal outlier seeds, the non-outlying set the
 // down-closure of the maximal non-outlier seeds), so the per-level tallies

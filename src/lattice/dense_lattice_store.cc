@@ -57,8 +57,7 @@ void DenseLatticeStore::Propagate() {
     }
     masks.resize(write);
   }
-  pending_outlier_seeds_.clear();
-  pending_non_outlier_seeds_.clear();
+  ClearPendingSeeds();
 }
 
 void DenseLatticeStore::ForEachUndecided(

@@ -1,8 +1,8 @@
 // DenseLatticeStore: the flat-array lattice backend — one byte of state per
 // subspace (2^d total) plus materialised per-level undecided vectors.
-// Constant-time state lookup and linear propagation sweeps make it the
-// right choice whenever the whole lattice fits comfortably in memory, which
-// is the d <= kDenseMaxDims regime MakeLatticeStore selects it for.
+// Constant-time state lookup, but every propagation sweeps the undecided
+// vectors and construction materialises all 2^d masks, so MakeLatticeStore
+// builds it only when asked for (LatticeBackend::kDense, d <= kDenseMaxDims).
 
 #ifndef HOS_LATTICE_DENSE_LATTICE_STORE_H_
 #define HOS_LATTICE_DENSE_LATTICE_STORE_H_

@@ -23,50 +23,78 @@ LatticeStore::LatticeStore(int num_dims) : num_dims_(num_dims) {
   evaluated_non_outliers_.assign(num_dims + 1, 0);
   inferred_outliers_.assign(num_dims + 1, 0);
   inferred_non_outliers_.assign(num_dims + 1, 0);
+  outlier_seeds_per_level_.assign(num_dims + 1, 0);
+  non_outlier_seeds_per_level_.assign(num_dims + 1, 0);
+  ClearPendingSeeds();
 }
 
 void LatticeStore::MarkEvaluated(const Subspace& s, bool outlier) {
   assert(StateOf(s) == SubspaceState::kUndecided);
   const int m = s.Dimensionality();
+  const auto any_at = [](const std::vector<uint64_t>& per_level, int lo,
+                         int hi) {
+    return std::any_of(per_level.begin() + lo, per_level.begin() + hi,
+                       [](uint64_t n) { return n != 0; });
+  };
+  // Both seed lists are kept antichains. `s` is undecided, so no seed
+  // applied at the last Propagate nests it: only a seed marked since, on
+  // a strictly lower (outlier) or higher (non-outlier) level, can dominate
+  // it, and only seeds on the far side of level m can be dropped. The
+  // level bounds skip both scans for a single-level wave.
   if (outlier) {
     RecordEvaluated(s.mask(), SubspaceState::kEvaluatedOutlier);
     ++evaluated_outliers_[m];
     evaluated_outlier_list_.push_back(s);
-    // Keep the outlier seed set minimal: skip if a known seed is already a
-    // subset; drop known seeds that are supersets of the new one.
     bool dominated = false;
-    for (const Subspace& seed : minimal_outlier_seeds_) {
-      if (seed.IsSubsetOf(s)) {
-        dominated = true;
-        break;
-      }
+    if (pending_outlier_min_level_ < m) {
+      dominated = std::any_of(
+          minimal_outlier_seeds_.begin(), minimal_outlier_seeds_.end(),
+          [&](const Subspace& seed) { return seed.IsSubsetOf(s); });
     }
     if (!dominated) {
-      std::erase_if(minimal_outlier_seeds_, [&](const Subspace& seed) {
-        return s.IsProperSubsetOf(seed);
-      });
+      if (any_at(outlier_seeds_per_level_, m + 1, num_dims_ + 1)) {
+        std::erase_if(minimal_outlier_seeds_, [&](const Subspace& seed) {
+          if (!s.IsProperSubsetOf(seed)) return false;
+          --outlier_seeds_per_level_[seed.Dimensionality()];
+          return true;
+        });
+      }
       minimal_outlier_seeds_.push_back(s);
+      ++outlier_seeds_per_level_[m];
     }
     pending_outlier_seeds_.push_back(s.mask());
+    pending_outlier_min_level_ = std::min(pending_outlier_min_level_, m);
   } else {
     RecordEvaluated(s.mask(), SubspaceState::kEvaluatedNonOutlier);
     ++evaluated_non_outliers_[m];
     bool dominated = false;
-    for (const Subspace& seed : maximal_non_outlier_seeds_) {
-      if (s.IsSubsetOf(seed)) {
-        dominated = true;
-        break;
-      }
+    if (pending_non_outlier_max_level_ > m) {
+      dominated = std::any_of(
+          maximal_non_outlier_seeds_.begin(), maximal_non_outlier_seeds_.end(),
+          [&](const Subspace& seed) { return s.IsSubsetOf(seed); });
     }
     if (!dominated) {
-      std::erase_if(maximal_non_outlier_seeds_, [&](const Subspace& seed) {
-        return seed.IsProperSubsetOf(s);
-      });
+      if (any_at(non_outlier_seeds_per_level_, 1, m)) {
+        std::erase_if(maximal_non_outlier_seeds_, [&](const Subspace& seed) {
+          if (!seed.IsProperSubsetOf(s)) return false;
+          --non_outlier_seeds_per_level_[seed.Dimensionality()];
+          return true;
+        });
+      }
       maximal_non_outlier_seeds_.push_back(s);
+      ++non_outlier_seeds_per_level_[m];
     }
     pending_non_outlier_seeds_.push_back(s.mask());
+    pending_non_outlier_max_level_ = std::max(pending_non_outlier_max_level_, m);
   }
   --undecided_count_[m];
+}
+
+void LatticeStore::ClearPendingSeeds() {
+  pending_outlier_seeds_.clear();
+  pending_non_outlier_seeds_.clear();
+  pending_outlier_min_level_ = num_dims_ + 1;
+  pending_non_outlier_max_level_ = 0;
 }
 
 void LatticeStore::MarkEvaluatedBatch(std::span<const uint64_t> masks,
@@ -134,13 +162,12 @@ Result<std::unique_ptr<LatticeStore>> MakeLatticeStore(
     int num_dims, LatticeBackend backend) {
   Status valid = ValidateLatticeStoreConfig(num_dims, backend);
   if (!valid.ok()) return valid;
-  if (backend == LatticeBackend::kSparse ||
-      (backend == LatticeBackend::kAuto && num_dims > kDenseMaxDims)) {
+  if (backend == LatticeBackend::kDense) {
     return std::unique_ptr<LatticeStore>(
-        std::make_unique<SparseLatticeStore>(num_dims));
+        std::make_unique<DenseLatticeStore>(num_dims));
   }
   return std::unique_ptr<LatticeStore>(
-      std::make_unique<DenseLatticeStore>(num_dims));
+      std::make_unique<SparseLatticeStore>(num_dims));
 }
 
 }  // namespace hos::lattice

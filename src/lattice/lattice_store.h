@@ -21,13 +21,14 @@
 //  * SparseLatticeStore — a hash map holding only explicitly evaluated
 //    masks; everything else is classified on demand against the seed
 //    closures, undecided sets are enumerated lazily, and per-level tallies
-//    come from closed-form C(d, m) minus seed-closure counts. Memory scales
-//    with the frontier the search touches, lifting the cap to
-//    kMaxLatticeDims (58).
+//    come from closed-form C(d, m) minus seed-closure counts, at a cost
+//    set by the seeds rather than by the lattice. Memory scales with the
+//    frontier the search touches, lifting the cap to kMaxLatticeDims (58).
 //
-// MakeLatticeStore picks the dense backend automatically for d <= 22 and
-// the sparse one above; both are answer-identical on every search strategy
-// (held bitwise by tests/search/strategy_differential_test.cc).
+// MakeLatticeStore picks the sparse backend automatically at every d; the
+// dense one is used only when asked for. Both are answer-identical on every
+// search strategy (held bitwise by
+// tests/search/strategy_differential_test.cc).
 
 #ifndef HOS_LATTICE_LATTICE_STORE_H_
 #define HOS_LATTICE_LATTICE_STORE_H_
@@ -60,7 +61,7 @@ bool IsDecided(SubspaceState s);
 /// Which storage backend a search's lattice uses. Never changes answers,
 /// only memory footprint and the reachable dimensionality range.
 enum class LatticeBackend {
-  kAuto,    ///< dense for d <= kDenseMaxDims, sparse above
+  kAuto,    ///< sparse at every d
   kDense,   ///< flat 2^d array; rejects d > kDenseMaxDims
   kSparse,  ///< hash-map frontier band; any d up to kMaxLatticeDims
 };
@@ -172,6 +173,10 @@ class LatticeStore {
   /// handles seeds, tallies and the undecided count.
   virtual void RecordEvaluated(uint64_t mask, SubspaceState state) = 0;
 
+  /// Empties the pending-seed queues; Propagate calls it once it has
+  /// applied them.
+  void ClearPendingSeeds();
+
   int num_dims_;
   std::vector<uint64_t> undecided_count_;  // per level
   std::vector<uint64_t> evaluated_outliers_;
@@ -183,6 +188,15 @@ class LatticeStore {
   std::vector<Subspace> evaluated_outlier_list_;
   std::vector<uint64_t> pending_outlier_seeds_;
   std::vector<uint64_t> pending_non_outlier_seeds_;
+
+ private:
+  /// Seeds per level in each antichain, and the lowest (highest) level of
+  /// the outliers (non-outliers) pending since the last Propagate; they
+  /// let MarkEvaluated skip seed scans that cannot find a nesting pair.
+  std::vector<uint64_t> outlier_seeds_per_level_;
+  std::vector<uint64_t> non_outlier_seeds_per_level_;
+  int pending_outlier_min_level_ = 0;
+  int pending_non_outlier_max_level_ = 0;
 };
 
 /// Validates a (dimensionality, backend) pair without constructing a
@@ -193,8 +207,8 @@ class LatticeStore {
 Status ValidateLatticeStoreConfig(int num_dims, LatticeBackend backend);
 
 /// Constructs the lattice store for a d-dimensional search. kAuto picks
-/// dense for d <= kDenseMaxDims and sparse above; invalid configurations
-/// fail per ValidateLatticeStoreConfig.
+/// the sparse backend; invalid configurations fail per
+/// ValidateLatticeStoreConfig.
 Result<std::unique_ptr<LatticeStore>> MakeLatticeStore(
     int num_dims, LatticeBackend backend = LatticeBackend::kAuto);
 

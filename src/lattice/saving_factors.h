@@ -8,6 +8,8 @@
 #ifndef HOS_LATTICE_SAVING_FACTORS_H_
 #define HOS_LATTICE_SAVING_FACTORS_H_
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/combinatorics.h"
@@ -28,6 +30,22 @@ struct PruningPriors {
   /// p_up(d) = 0, p_down(d) = 1.
   static PruningPriors Flat(int d);
 };
+
+/// The terms of Definition 3 that depend only on (m, d), indexed by level
+/// m in 1..d: DSF(m), USF(m, d) and the total workloads C_down(m) and
+/// C_up(m). Every entry equals its Binomial-sum definition in
+/// combinatorics.h exactly in uint64.
+struct LevelConstants {
+  using PerLevel = std::array<uint64_t, kMaxLatticeDims + 1>;
+  PerLevel dsf{};             ///< DownwardSavingFactor(m)
+  PerLevel usf{};             ///< UpwardSavingFactor(m, d)
+  PerLevel workload_below{};  ///< TotalWorkloadBelow(m, d)
+  PerLevel workload_above{};  ///< TotalWorkloadAbove(m, d)
+};
+
+/// The constants for d in 1..kMaxLatticeDims. Built once per process, on
+/// first use, for every d together; safe to call from any thread.
+const LevelConstants& LevelConstantsFor(int d);
 
 /// TSF(m, p) of Definition 3, combining DSF/USF with the priors and the
 /// fractions f_down/f_up of remaining (undecided) workload in the lattice.

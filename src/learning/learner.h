@@ -41,8 +41,8 @@ struct LearnerOptions {
   int k = 5;
   /// Outlier threshold T.
   double threshold = 1.0;
-  /// Lattice storage for the sample searches; kAuto picks dense/sparse by
-  /// dimensionality. A backend invalid for the dataset's d falls back to
+  /// Lattice storage for the sample searches; kAuto picks the sparse
+  /// store at every d. A backend invalid for the dataset's d falls back to
   /// kAuto rather than failing the learning phase.
   lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;
 };

@@ -98,8 +98,8 @@ struct SearchExecution {
   uint64_t max_od_evaluations = 0;
 
   /// Which lattice storage backend the search builds its state in. kAuto
-  /// picks dense for d <= lattice::kDenseMaxDims and the hash-map sparse
-  /// store above; both are answer-identical (held bitwise by
+  /// picks the hash-map sparse store at every d; kDense forces the flat
+  /// array. Both are answer-identical (held bitwise by
   /// tests/search/strategy_differential_test.cc), differing only in memory
   /// footprint and the reachable dimensionality. Forcing kDense past its
   /// cap makes the search return InvalidArgument.

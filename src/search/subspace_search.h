@@ -17,8 +17,9 @@
 // embarrassingly parallel, and verdicts are merged into the lattice in
 // mask order so the pruning seed sequence is identical to the sequential
 // walk's. The lattice itself lives behind lattice::LatticeStore
-// (SearchExecution::lattice_backend: flat-array dense for d <= 22, lazy
-// hash-map sparse above). tests/search/strategy_differential_test.cc holds
+// (SearchExecution::lattice_backend: lazy hash-map sparse by default at
+// every d, flat-array dense on request up to d = 22).
+// tests/search/strategy_differential_test.cc holds
 // every strategy × execution mode × backend to bitwise-identical answers
 // against the exhaustive oracle.
 

@@ -147,7 +147,7 @@ struct QueryServiceConfig {
   bool enable_od_cache = true;
   OdCacheConfig cache;
   /// Lattice storage backend for every query this service runs; kAuto
-  /// picks dense/sparse by the miner's dimensionality. Answers are
+  /// picks the sparse store at every d. Answers are
   /// identical either way; per-query memory is 2^d bytes on dense vs the
   /// touched frontier band on sparse.
   lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;

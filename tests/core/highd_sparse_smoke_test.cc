@@ -10,9 +10,10 @@
 // ranks first, the search only ever evaluates the boundary band — the
 // full space and/or the 32 singletons — and one propagation prunes the
 // remaining ~2^32 subspaces. For a cluster point the full space itself is
-// non-outlying, so downward pruning decides the whole lattice at once.
-// Learning is disabled (each sample would cost a full lattice search) and
-// the threshold is explicit.
+// non-outlying, so downward pruning decides the whole lattice at once —
+// also at d = 58 (kMaxLatticeDims), where the lattice holds 2^58 - 1
+// subspaces. Learning is disabled (each sample would cost a full lattice
+// search) and the threshold is explicit.
 
 #include <gtest/gtest.h>
 
@@ -20,26 +21,27 @@
 
 #include "src/core/hos_miner.h"
 #include "src/data/dataset.h"
+#include "src/lattice/lattice_store.h"
 
 namespace hos::core {
 namespace {
 
 constexpr int kDims = 32;
 
-data::Dataset MakeHighDimDataset() {
-  data::Dataset ds(kDims);
+data::Dataset MakeHighDimDataset(int dims = kDims) {
+  data::Dataset ds(dims);
   // 120 points in a very tight cluster around 0.2 (deterministic jitter of
   // 1% of the eventual normalised range, so even the *full-space* OD of a
   // cluster point stays far below the threshold), plus one outlier at 1.0
   // in every dimension.
   for (int i = 0; i < 120; ++i) {
-    std::vector<double> row(kDims);
-    for (int j = 0; j < kDims; ++j) {
+    std::vector<double> row(dims);
+    for (int j = 0; j < dims; ++j) {
       row[j] = 0.2 + 0.008 * (((i * 31 + j * 17) % 10) / 10.0);
     }
     ds.Append(row);
   }
-  ds.Append(std::vector<double>(kDims, 1.0));
+  ds.Append(std::vector<double>(dims, 1.0));
   return ds;
 }
 
@@ -92,6 +94,26 @@ TEST(HighDimSparseSmokeTest, D32QueryCompletesOnTheSparseBackend) {
                 inlier->outcome.counters.pruned_upward +
                 inlier->outcome.counters.pruned_downward,
             (uint64_t{1} << kDims) - 1);
+}
+
+TEST(HighDimSparseSmokeTest, CapDimensionalityInlierQueryIsOneEvaluation) {
+  // d = kMaxLatticeDims: the cluster point's full-space OD (<= k * sqrt(58)
+  // * jitter ~= 0.3) stays below T, so the full space is the one subspace
+  // evaluated and downward pruning decides the other 2^58 - 2.
+  const int d = lattice::kMaxLatticeDims;
+  auto miner = HosMiner::Build(MakeHighDimDataset(d), HighDimConfig());
+  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+  ASSERT_EQ(miner->num_dims(), d);
+
+  auto inlier = miner->Query(0);
+  ASSERT_TRUE(inlier.ok()) << inlier.status().ToString();
+  EXPECT_FALSE(inlier->is_outlier_anywhere());
+  const auto& counters = inlier->outcome.counters;
+  EXPECT_EQ(counters.od_evaluations, 1u);
+  EXPECT_EQ(counters.pruned_upward, 0u);
+  EXPECT_EQ(counters.od_evaluations + counters.pruned_upward +
+                counters.pruned_downward,
+            (uint64_t{1} << d) - 1);
 }
 
 TEST(HighDimSparseSmokeTest, ForcedDenseBackendIsRejected) {

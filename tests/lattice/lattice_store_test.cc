@@ -238,11 +238,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, LatticeStoreTest,
                                       : "sparse";
                          });
 
-TEST(MakeLatticeStoreTest, AutoSelectsByDimensionality) {
-  EXPECT_EQ(MakeLatticeStore(4).value()->name(), "dense");
-  EXPECT_EQ(MakeLatticeStore(kDenseMaxDims).value()->name(), "dense");
-  EXPECT_EQ(MakeLatticeStore(kDenseMaxDims + 1).value()->name(), "sparse");
-  EXPECT_EQ(MakeLatticeStore(32).value()->name(), "sparse");
+TEST(MakeLatticeStoreTest, AutoSelectsSparseAtEveryDimensionality) {
+  for (int d : {1, 4, kDenseMaxDims, kDenseMaxDims + 1, 32, kMaxLatticeDims}) {
+    EXPECT_EQ(MakeLatticeStore(d).value()->name(), "sparse") << "d=" << d;
+  }
 }
 
 TEST(MakeLatticeStoreTest, ForcedBackendsRespected) {
@@ -326,6 +325,54 @@ TEST(SparseLatticeStoreTest, HighDimensionalMixedSeeds) {
   EXPECT_EQ(state->StateOf(Subspace::FromOneBased({1, 7})),
             SubspaceState::kUndecided);
 }
+
+// The two seed shapes a high-d inlier or all-singleton outlier query
+// leaves after one wave, up to the kMaxLatticeDims cap. Each decides the
+// whole lattice in one Propagate, and every per-level tally is a plain
+// binomial.
+class HighDimSeedShapeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(HighDimSeedShapeTest, FullSpaceNonOutlierDecidesEveryLevel) {
+  const int d = GetParam();
+  auto state = MakeLatticeStore(d).value();
+  state->MarkEvaluated(Subspace::Full(d), /*outlier=*/false);
+  state->Propagate();
+  ASSERT_TRUE(state->AllDecided());
+  for (int m = 1; m < d; ++m) {
+    EXPECT_EQ(state->InferredNonOutliers(m), Binomial(d, m)) << "m=" << m;
+    EXPECT_EQ(state->InferredOutliers(m), 0u) << "m=" << m;
+    EXPECT_EQ(state->UndecidedCount(m), 0u) << "m=" << m;
+  }
+  EXPECT_EQ(state->EvaluatedNonOutliers(d), 1u);
+  EXPECT_EQ(state->InferredNonOutliers(d), 0u);
+  EXPECT_EQ(state->StateOf(Subspace::FromOneBased({1, d})),
+            SubspaceState::kInferredNonOutlier);
+}
+
+TEST_P(HighDimSeedShapeTest, AllSingletonsOutlyingDecideEveryLevel) {
+  const int d = GetParam();
+  auto state = MakeLatticeStore(d).value();
+  for (uint64_t mask : state->UndecidedMasks(1)) {
+    state->MarkEvaluated(Subspace(mask), /*outlier=*/true);
+  }
+  state->Propagate();
+  ASSERT_TRUE(state->AllDecided());
+  EXPECT_EQ(state->EvaluatedOutliers(1), static_cast<uint64_t>(d));
+  EXPECT_EQ(state->InferredOutliers(1), 0u);
+  for (int m = 2; m <= d; ++m) {
+    EXPECT_EQ(state->InferredOutliers(m), Binomial(d, m)) << "m=" << m;
+    EXPECT_EQ(state->InferredNonOutliers(m), 0u) << "m=" << m;
+    EXPECT_EQ(state->UndecidedCount(m), 0u) << "m=" << m;
+  }
+  EXPECT_EQ(state->minimal_outlier_seeds().size(), static_cast<size_t>(d));
+  EXPECT_TRUE(state->IsOutlying(Subspace::Full(d)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, HighDimSeedShapeTest,
+                         ::testing::Values(23, 32, kMaxLatticeDims),
+                         [](const auto& info) {
+                           return "d" + std::to_string(info.param);
+                         });
 
 TEST(IsOutlierStateTest, Classification) {
   EXPECT_TRUE(IsOutlierState(SubspaceState::kEvaluatedOutlier));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/common/combinatorics.h"
 #include "src/common/rng.h"
@@ -25,6 +27,65 @@ TEST(PruningPriorsTest, FlatMatchesPaperSection32) {
     EXPECT_DOUBLE_EQ(priors.up[m], 0.5);
     EXPECT_DOUBLE_EQ(priors.down[m], 0.5);
   }
+}
+
+TEST(LevelConstantsTest, EqualBinomialSumDefinitionsUpToTheCap) {
+  // The once-per-d table uses closed forms and prefix sums; every entry
+  // must equal the Binomial-sum definition exactly, so level choices are
+  // unchanged at every reachable d.
+  for (int d = 1; d <= kMaxLatticeDims; ++d) {
+    const LevelConstants& c = LevelConstantsFor(d);
+    for (int m = 1; m <= d; ++m) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " m=" + std::to_string(m));
+      ASSERT_EQ(c.dsf[m], DownwardSavingFactor(m));
+      ASSERT_EQ(c.usf[m], UpwardSavingFactor(m, d));
+      ASSERT_EQ(c.workload_below[m], TotalWorkloadBelow(m, d));
+      ASSERT_EQ(c.workload_above[m], TotalWorkloadAbove(m, d));
+    }
+  }
+}
+
+/// Definition 3 computed straight from the Binomial-sum definitions: the
+/// reference the tabulated TotalSavingFactor must match bit for bit.
+double ReferenceTsf(int m, const PruningPriors& priors,
+                    const LatticeStore& state) {
+  const int d = state.num_dims();
+  if (state.UndecidedCount(m) == 0) return 0.0;
+  double tsf = 0.0;
+  if (m > 1) {
+    const uint64_t c_down = TotalWorkloadBelow(m, d);
+    const double f_down =
+        c_down == 0 ? 0.0
+                    : static_cast<double>(state.RemainingWorkloadBelow(m)) /
+                          static_cast<double>(c_down);
+    tsf += priors.down[m] * f_down *
+           static_cast<double>(DownwardSavingFactor(m));
+  }
+  if (m < d) {
+    const uint64_t c_up = TotalWorkloadAbove(m, d);
+    const double f_up =
+        c_up == 0 ? 0.0
+                  : static_cast<double>(state.RemainingWorkloadAbove(m)) /
+                        static_cast<double>(c_up);
+    tsf += priors.up[m] * f_up *
+           static_cast<double>(UpwardSavingFactor(m, d));
+  }
+  return tsf;
+}
+
+int ReferenceBestLevel(const PruningPriors& priors, const LatticeStore& state,
+                       int exclude) {
+  int best = 0;
+  double best_tsf = -1.0;
+  for (int m = 1; m <= state.num_dims(); ++m) {
+    if (m == exclude || state.UndecidedCount(m) == 0) continue;
+    const double tsf = ReferenceTsf(m, priors, state);
+    if (best == 0 || tsf > best_tsf) {
+      best = m;
+      best_tsf = tsf;
+    }
+  }
+  return best;
 }
 
 // The TSF inputs come entirely from the lattice store's per-level tallies,
@@ -183,6 +244,52 @@ TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
       }
     }
     ASSERT_TRUE(state->AllDecided());
+  }
+}
+
+TEST_P(SavingFactorsTest, BestLevelMatchesDefinitionReferenceOnRandomWalks) {
+  // Random priors (learned ones are arbitrary in [0, 1]) and a random
+  // monotone truth; at every step of a TSF-driven walk, BestLevel (with
+  // and without an excluded level) and every level's TSF must equal the
+  // definition-based reference bit for bit.
+  Rng rng(4242);
+  for (int d : {2, 5, 8, 11, 13}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      PruningPriors priors = PruningPriors::Flat(d);
+      if (trial > 0) {
+        for (int m = 1; m <= d; ++m) {
+          priors.up[m] = rng.Uniform();
+          priors.down[m] = rng.Uniform();
+        }
+      }
+      std::vector<uint64_t> seeds;
+      for (int i = static_cast<int>(rng.UniformInt(0, 4)); i > 0; --i) {
+        seeds.push_back(static_cast<uint64_t>(
+            rng.UniformInt(1, static_cast<int64_t>((uint64_t{1} << d) - 1))));
+      }
+      auto state = Make(d);
+      while (true) {
+        const int exclude = static_cast<int>(rng.UniformInt(0, d));
+        ASSERT_EQ(BestLevel(priors, *state, exclude),
+                  ReferenceBestLevel(priors, *state, exclude))
+            << "d=" << d << " exclude=" << exclude;
+        for (int m = 1; m <= d; ++m) {
+          ASSERT_EQ(TotalSavingFactor(m, priors, *state),
+                    ReferenceTsf(m, priors, *state))
+              << "d=" << d << " m=" << m;
+        }
+        const int m = BestLevel(priors, *state);
+        ASSERT_EQ(m, ReferenceBestLevel(priors, *state, 0));
+        if (m == 0) break;
+        for (uint64_t mask : state->UndecidedMasks(m)) {
+          bool outlier = false;
+          for (uint64_t seed : seeds) outlier |= (mask & seed) == seed;
+          state->MarkEvaluated(Subspace(mask), outlier);
+        }
+        state->Propagate();
+      }
+      ASSERT_TRUE(state->AllDecided());
+    }
   }
 }
 
