@@ -1,6 +1,9 @@
 #include "src/core/hos_miner.h"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "src/core/threshold.h"
@@ -16,6 +19,53 @@ namespace {
 /// amortising one traversal/sweep over a full kernel query tile
 /// (kernels::kQueryBlock = 8) twice over.
 constexpr size_t kScreenBlock = 16;
+
+/// The first dimension of `row` holding NaN or ±Inf, or -1.
+int FirstNonFinite(std::span<const double> row) {
+  for (size_t dim = 0; dim < row.size(); ++dim) {
+    if (!std::isfinite(row[dim])) return static_cast<int>(dim);
+  }
+  return -1;
+}
+
+/// InvalidArgument for a non-finite coordinate. A NaN breaks the X-tree
+/// bulk load's sort order and the density grid's cell arithmetic, and an
+/// Inf makes every distance to its row infinite, so neither may enter.
+/// `normalized` says whether the raw value or its normalized image (a
+/// finite value far outside a near-constant column's fitted range
+/// normalizes to ±Inf) failed.
+Status NonFinite(const std::string& row_name, int dim, double value,
+                 bool normalized) {
+  return Status::InvalidArgument(
+      row_name + ", dimension " + std::to_string(dim) +
+      (normalized ? " normalizes to " : " is ") + std::to_string(value) +
+      "; coordinates must be finite");
+}
+
+/// Checks every live row of `dataset` (rows are named by id).
+Status CheckRowsFinite(const data::Dataset& dataset, bool normalized) {
+  for (data::PointId id = 0; id < dataset.size(); ++id) {
+    if (!dataset.IsLive(id)) continue;
+    const std::span<const double> row = dataset.Row(id);
+    if (const int dim = FirstNonFinite(row); dim >= 0) {
+      return NonFinite("row " + std::to_string(id), dim, row[dim],
+                       normalized);
+    }
+  }
+  return Status::OK();
+}
+
+/// Checks each row of a batch (rows are named by batch index).
+Status CheckBatchFinite(const std::vector<std::vector<double>>& rows,
+                        const char* what, bool normalized) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (const int dim = FirstNonFinite(rows[i]); dim >= 0) {
+      return NonFinite(std::string(what) + " " + std::to_string(i), dim,
+                       rows[i][dim], normalized);
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -49,11 +99,14 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
         "k must be smaller than the dataset size");
   }
 
+  HOS_RETURN_IF_ERROR(CheckRowsFinite(dataset, /*normalized=*/false));
+
   // 1. Normalise (a fitted, invertible transform shared with queries).
   data::Normalizer normalizer =
       data::Normalizer::Fit(dataset, config.normalization);
   auto owned = std::make_unique<data::Dataset>(std::move(dataset));
   normalizer.Apply(owned.get());
+  HOS_RETURN_IF_ERROR(CheckRowsFinite(*owned, /*normalized=*/true));
 
   HosMiner miner(std::move(config), std::move(owned), std::move(normalizer));
 
@@ -130,7 +183,13 @@ Result<QueryResult> HosMiner::QueryPoint(std::vector<double> raw_point) const {
         "query point has " + std::to_string(raw_point.size()) +
         " dimensions, dataset has " + std::to_string(dataset_->num_dims()));
   }
+  if (const int dim = FirstNonFinite(raw_point); dim >= 0) {
+    return NonFinite("query point", dim, raw_point[dim], false);
+  }
   normalizer_.ApplyToPoint(&raw_point);
+  if (const int dim = FirstNonFinite(raw_point); dim >= 0) {
+    return NonFinite("query point", dim, raw_point[dim], true);
+  }
   return RunSearch(raw_point, std::nullopt, QueryOptions{});
 }
 
@@ -387,10 +446,14 @@ Result<std::vector<std::vector<double>>> HosMiner::PrepareAppend(
           std::to_string(d));
     }
   }
+  HOS_RETURN_IF_ERROR(
+      CheckBatchFinite(raw_rows, "appended row", /*normalized=*/false));
   std::vector<std::vector<double>> normalized = raw_rows;
   for (std::vector<double>& row : normalized) {
     normalizer_.ApplyToPoint(&row);
   }
+  HOS_RETURN_IF_ERROR(
+      CheckBatchFinite(normalized, "appended row", /*normalized=*/true));
   return normalized;
 }
 
@@ -470,31 +533,28 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
   // below; the commit records them as sealed so churn_fraction() resets.
   artifacts.folded_tombstones =
       artifacts.rows - dataset_->CountLiveBefore(artifacts.rows);
-  artifacts.view = std::make_shared<const kernels::DatasetView>(
-      kernels::DatasetView::Build(*dataset_));
   if (config_.index == IndexKind::kXTree) {
     auto built = config_.bulk_load
                      ? index::XTree::BulkLoad(*dataset_, config_.metric,
-                                              config_.xtree, artifacts.view)
+                                              config_.xtree)
                      : index::XTree::BuildByInsertion(*dataset_,
                                                       config_.metric,
-                                                      config_.xtree,
-                                                      artifacts.view);
+                                                      config_.xtree);
     if (!built.ok()) return built.status();
     artifacts.xtree =
         std::make_unique<index::XTree>(std::move(built).value());
     artifacts.engine = std::make_unique<index::XTreeKnn>(*artifacts.xtree);
   } else if (config_.index == IndexKind::kVaFile) {
-    auto built = index::VaFile::Build(*dataset_, config_.metric,
-                                      config_.va_file, artifacts.view);
+    auto built =
+        index::VaFile::Build(*dataset_, config_.metric, config_.va_file);
     if (!built.ok()) return built.status();
     artifacts.va_file =
         std::make_unique<index::VaFile>(std::move(built).value());
     artifacts.engine =
         std::make_unique<index::VaFileKnn>(*artifacts.va_file);
   } else {
-    artifacts.engine = std::make_unique<knn::LinearScanKnn>(
-        *dataset_, config_.metric, artifacts.view);
+    artifacts.engine =
+        std::make_unique<knn::LinearScanKnn>(*dataset_, config_.metric);
   }
   // The pre-filter rides every rebuild: a VA-file index re-exports its own
   // approximation file (no second quantization pass), every other backend
@@ -509,7 +569,6 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
 }
 
 void HosMiner::CommitRebuild(RebuildArtifacts artifacts) {
-  soa_view_ = std::move(artifacts.view);
   xtree_ = std::move(artifacts.xtree);
   va_file_ = std::move(artifacts.va_file);
   engine_ = std::move(artifacts.engine);

@@ -26,7 +26,6 @@
 #include "src/filter/filter_gate.h"
 #include "src/index/va_file.h"
 #include "src/index/xtree.h"
-#include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/linear_scan.h"
 #include "src/learning/learner.h"
@@ -177,6 +176,9 @@ class HosMiner {
  public:
   /// Builds the whole system: normalises `dataset`, constructs the index,
   /// estimates T when requested, and runs the learning process.
+  /// InvalidArgument (naming the row and dimension) when a live row holds
+  /// NaN or ±Inf, raw or after normalization; QueryPoint and PrepareAppend
+  /// apply the same check to their rows.
   static Result<HosMiner> Build(data::Dataset dataset,
                                 HosMinerConfig config = {});
 
@@ -378,7 +380,6 @@ class HosMiner {
   /// touching the served state so queries can continue meanwhile; swapped
   /// in by CommitRebuild in O(1).
   struct RebuildArtifacts {
-    std::shared_ptr<const kernels::DatasetView> view;
     std::unique_ptr<index::XTree> xtree;
     std::unique_ptr<index::VaFile> va_file;
     std::unique_ptr<knn::KnnEngine> engine;
@@ -413,10 +414,6 @@ class HosMiner {
   const HosMinerConfig& config() const { return config_; }
   /// The normalised dataset the system operates on.
   const data::Dataset& dataset() const { return *dataset_; }
-  /// The column-major SoA snapshot of dataset() that the batched distance
-  /// kernel sweeps; built once at Build and shared by the kNN backend (and
-  /// so by every QueryService worker serving this miner snapshot).
-  const kernels::DatasetView& soa_view() const { return *soa_view_; }
   const knn::KnnEngine& engine() const { return *engine_; }
   const learning::LearningReport& learning_report() const {
     return learning_report_;
@@ -459,7 +456,6 @@ class HosMiner {
 
   HosMinerConfig config_;
   std::unique_ptr<data::Dataset> dataset_;  // normalised copy
-  std::shared_ptr<const kernels::DatasetView> soa_view_;
   data::Normalizer normalizer_;
   std::unique_ptr<index::XTree> xtree_;      // when index == kXTree
   std::unique_ptr<index::VaFile> va_file_;   // when index == kVaFile

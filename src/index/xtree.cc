@@ -6,6 +6,8 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <span>
+#include <utility>
 
 #include "src/kernels/batched_distance.h"
 #include "src/knn/delta_scan.h"
@@ -25,6 +27,9 @@ struct XTree::Node {
   Mbr mbr;
   std::vector<std::unique_ptr<Node>> children;  // directory entries
   std::vector<data::PointId> points;            // leaf entries
+  /// Leaves: the snapshot position of points[0]; the leaf owns positions
+  /// [first, first + points.size()). Set by RefreshKernelView.
+  size_t first = 0;
 
   size_t NumEntries() const {
     return is_leaf ? points.size() : children.size();
@@ -461,12 +466,33 @@ std::unique_ptr<XTree::Node> XTree::SplitDirectory(Node* node) {
 }
 
 void XTree::RefreshKernelView() {
+  const size_t n = dataset_->size();
+  std::vector<data::PointId> order;
+  order.reserve(n);
+  std::vector<bool> placed(n, false);
+  std::function<void(Node*)> lay_out = [&](Node* node) {
+    if (!node->is_leaf) {
+      for (const auto& child : node->children) lay_out(child.get());
+      return;
+    }
+    node->first = order.size();
+    for (data::PointId id : node->points) {
+      order.push_back(id);
+      placed[id] = true;
+    }
+  };
+  if (root_ != nullptr) lay_out(root_.get());
+  // Rows outside the tree (dead at build, removed, or appended since)
+  // still get positions, so the snapshot covers [0, n) like any other.
+  for (size_t id = 0; id < n; ++id) {
+    if (!placed[id]) order.push_back(static_cast<data::PointId>(id));
+  }
   view_ = std::make_shared<const kernels::DatasetView>(
-      kernels::DatasetView::Build(*dataset_));
+      kernels::DatasetView::BuildInOrder(*dataset_, std::move(order)));
 }
 
-Status XTree::Rebuild(std::shared_ptr<const kernels::DatasetView> view) {
-  auto built = BulkLoad(*dataset_, metric_, config_, std::move(view));
+Status XTree::Rebuild() {
+  auto built = BulkLoad(*dataset_, metric_, config_);
   if (!built.ok()) return built.status();
   // Preserve the monotonic query tallies across the swap so monitoring
   // deltas computed around a rebuild stay meaningful.
@@ -486,19 +512,15 @@ Status XTree::Rebuild(std::shared_ptr<const kernels::DatasetView> view) {
   return Status::OK();
 }
 
-Result<XTree> XTree::BuildByInsertion(
-    const data::Dataset& dataset, knn::MetricKind metric, XTreeConfig config,
-    std::shared_ptr<const kernels::DatasetView> view) {
+Result<XTree> XTree::BuildByInsertion(const data::Dataset& dataset,
+                                      knn::MetricKind metric,
+                                      XTreeConfig config) {
   XTree tree(dataset, metric, config);
   for (data::PointId id = 0; id < dataset.size(); ++id) {
     if (!dataset.IsLive(id)) continue;  // tombstones fold out at build
     HOS_RETURN_IF_ERROR(tree.Insert(id));
   }
-  if (view != nullptr) {
-    tree.view_ = std::move(view);
-  } else {
-    tree.RefreshKernelView();
-  }
+  tree.RefreshKernelView();
   return tree;
 }
 
@@ -509,12 +531,15 @@ Result<XTree> XTree::BuildByInsertion(
 namespace {
 
 // Recursively tiles `ids` into chunks of at most `cap` items, sorting by
-// successive dimensions (STR). Appends chunks to `out`.
-void StrTile(std::vector<size_t> ids, int dim, int num_dims, size_t cap,
-             const std::function<double(size_t, int)>& coord,
-             std::vector<std::vector<size_t>>* out) {
+// successive dimensions (STR). Appends chunks to `out`. Each level reads
+// key(id, dim) once per item and sorts (key, id) pairs on the key alone:
+// std::sort then sees the same comparison outcomes in the same order as a
+// comparator calling key() on both sides, so the tiles are the same.
+template <typename KeyFn>
+void StrTile(std::span<size_t> ids, int dim, int num_dims, size_t cap,
+             const KeyFn& key, std::vector<std::vector<size_t>>* out) {
   if (ids.size() <= cap) {
-    if (!ids.empty()) out->push_back(std::move(ids));
+    if (!ids.empty()) out->emplace_back(ids.begin(), ids.end());
     return;
   }
   const size_t num_chunks = (ids.size() + cap - 1) / cap;
@@ -528,18 +553,23 @@ void StrTile(std::vector<size_t> ids, int dim, int num_dims, size_t cap,
                            1.0 / static_cast<double>(remaining))));
     slabs = std::max<size_t>(2, slabs);
   }
-  std::sort(ids.begin(), ids.end(), [&](size_t a, size_t b) {
-    return coord(a, dim) < coord(b, dim);
-  });
+  std::vector<std::pair<double, size_t>> keyed(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) keyed[i] = {key(ids[i], dim), ids[i]};
+  std::sort(keyed.begin(), keyed.end(),
+            [](const std::pair<double, size_t>& a,
+               const std::pair<double, size_t>& b) {
+              return a.first < b.first;
+            });
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = keyed[i].second;
   const size_t slab_size = (ids.size() + slabs - 1) / slabs;
   for (size_t start = 0; start < ids.size(); start += slab_size) {
-    size_t end = std::min(start + slab_size, ids.size());
-    std::vector<size_t> slab(ids.begin() + start, ids.begin() + end);
+    const std::span<size_t> slab =
+        ids.subspan(start, std::min(slab_size, ids.size() - start));
     if (remaining <= 1) {
       // Final dimension: each slab is already a chunk of size <= cap.
-      out->push_back(std::move(slab));
+      out->emplace_back(slab.begin(), slab.end());
     } else {
-      StrTile(std::move(slab), dim + 1, num_dims, cap, coord, out);
+      StrTile(slab, dim + 1, num_dims, cap, key, out);
     }
   }
 }
@@ -547,14 +577,8 @@ void StrTile(std::vector<size_t> ids, int dim, int num_dims, size_t cap,
 }  // namespace
 
 Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
-                              knn::MetricKind metric, XTreeConfig config,
-                              std::shared_ptr<const kernels::DatasetView> view) {
+                              knn::MetricKind metric, XTreeConfig config) {
   XTree tree(dataset, metric, config);
-  if (view != nullptr) {
-    tree.view_ = std::move(view);
-  } else {
-    tree.RefreshKernelView();
-  }
   const size_t n = dataset.size();
   const int dims = dataset.num_dims();
   const size_t cap = std::max<size_t>(
@@ -567,9 +591,12 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
     if (dataset.IsLive(static_cast<data::PointId>(i))) ids.push_back(i);
   }
   tree.num_points_ = ids.size();
-  if (ids.empty()) return tree;
+  if (ids.empty()) {
+    tree.RefreshKernelView();
+    return tree;
+  }
   std::vector<std::vector<size_t>> tiles;
-  StrTile(std::move(ids), 0, dims, cap,
+  StrTile(std::span<size_t>(ids), 0, dims, cap,
           [&](size_t id, int dim) {
             return dataset.At(static_cast<data::PointId>(id), dim);
           },
@@ -592,7 +619,7 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
     std::vector<size_t> node_ids(level.size());
     for (size_t i = 0; i < level.size(); ++i) node_ids[i] = i;
     std::vector<std::vector<size_t>> groups;
-    StrTile(std::move(node_ids), 0, dims, cap,
+    StrTile(std::span<size_t>(node_ids), 0, dims, cap,
             [&](size_t id, int dim) {
               const Mbr& box = level[id]->mbr;
               return 0.5 * (box.min(dim) + box.max(dim));
@@ -610,6 +637,7 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
     level = std::move(parents);
   }
   tree.root_ = std::move(level.front());
+  tree.RefreshKernelView();
   return tree;
 }
 
@@ -619,20 +647,14 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
 
 namespace {
 
-struct QueueItem {
-  double dist;
-  bool is_point;
-  data::PointId pid;
+struct NodeItem {
+  double dist;  // the node's MBR min-distance to the query
   const XTree::Node* node;
 };
 
-// Min-heap ordering over (dist, nodes-before-points, id): nodes pop before
-// equal-distance points so ties are resolved exactly like the linear scan.
-struct QueueGreater {
-  bool operator()(const QueueItem& a, const QueueItem& b) const {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    if (a.is_point != b.is_point) return a.is_point && !b.is_point;
-    return a.pid > b.pid;
+struct NodeGreater {
+  bool operator()(const NodeItem& a, const NodeItem& b) const {
+    return a.dist > b.dist;
   }
 };
 
@@ -661,208 +683,60 @@ std::vector<knn::Neighbor> XTree::Knn(const knn::KnnQuery& query) const {
 }
 
 std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
-  std::vector<knn::Neighbor> out;
-  if (root_ == nullptr || query.k <= 0) return out;
-  out.reserve(query.k);
-
-  std::priority_queue<QueueItem, std::vector<QueueItem>, QueueGreater> heap;
-  heap.push({root_->mbr.MinDistance(query.point, query.subspace, metric_),
-             false, 0, root_.get()});
-
-  // Kernel path state: leaf points flow through the batched kernel, with
-  // `seen` tracking the k smallest (distance, id) point tuples enqueued so
-  // far. A leaf candidate proven strictly farther than seen.bound() can
-  // never displace those k tuples from the final answer, so it is safe to
-  // drop instead of enqueue — the best-first pop order of the survivors is
-  // unchanged.
+  if (root_ == nullptr || query.k <= 0) return {};
   const kernels::DatasetView* view = kernel_view();
   if (view != nullptr) {
     ++kernel_scans_;
   } else {
     ++scalar_scans_;
   }
-  // Rows tombstoned after the tree was built are still in its leaves;
-  // filter them before they can enter the candidate heap (so they neither
-  // reach the answer nor tighten the seen-bound).
+  // Rows tombstoned after the tree was built are still in its leaves; the
+  // collector rejects them at admission, so they neither reach the answer
+  // nor tighten its bound.
   const bool filter_dead = dataset_->num_tombstones() > 0;
+  kernels::TopKCollector collector(static_cast<size_t>(query.k),
+                                   filter_dead ? dataset_ : nullptr);
   const std::vector<int> dims = query.subspace.Dims();
-  kernels::TopKCollector seen(static_cast<size_t>(query.k));
-  std::vector<data::PointId> leaf_ids;
-  double leaf_dist[kernels::kDistanceBlock];
 
+  // Nodes pop in ascending min-distance. Every point of a node is at least
+  // its min-distance away, and the collector's bound only falls towards
+  // the final k-th distance, so the first node strictly beyond the bound
+  // ends the search; a node exactly at the bound is still scanned, since
+  // it may hold a tie with a smaller id.
+  std::priority_queue<NodeItem, std::vector<NodeItem>, NodeGreater> heap;
+  heap.push({root_->mbr.MinDistance(query.point, query.subspace, metric_),
+             root_.get()});
+  uint64_t nodes = 0;
+  uint64_t computed = 0;
   while (!heap.empty()) {
-    QueueItem item = heap.top();
+    const NodeItem item = heap.top();
+    if (item.dist > collector.bound()) break;
     heap.pop();
-    if (item.is_point) {
-      out.push_back({item.pid, item.dist});
-      if (static_cast<int>(out.size()) == query.k) break;
-      continue;
-    }
     const Node* node = item.node;
-    ++node_access_count_;
-    if (node->is_leaf) {
-      if (view != nullptr) {
-        leaf_ids.clear();
-        for (data::PointId id : node->points) {
-          if (query.exclude && *query.exclude == id) continue;
-          leaf_ids.push_back(id);
-        }
-        for (size_t start = 0; start < leaf_ids.size();
-             start += kernels::kDistanceBlock) {
-          const size_t m =
-              std::min(kernels::kDistanceBlock, leaf_ids.size() - start);
-          const std::span<const data::PointId> block(&leaf_ids[start], m);
-          kernels::BatchedSubspaceDistance(*view, query.point, dims, metric_,
-                                           block, seen.bound(),
-                                           {leaf_dist, m});
-          distance_count_ += m;
-          for (size_t j = 0; j < m; ++j) {
-            if (leaf_dist[j] == kernels::kPrunedDistance) continue;
-            if (filter_dead && !dataset_->IsLive(block[j])) continue;
-            heap.push({leaf_dist[j], true, block[j], nullptr});
-            seen.Offer(block[j], leaf_dist[j]);
-          }
-        }
-      } else {
-        for (data::PointId id : node->points) {
-          if (query.exclude && *query.exclude == id) continue;
-          if (filter_dead && !dataset_->IsLive(id)) continue;
-          double dist = knn::SubspaceDistance(query.point, dataset_->Row(id),
-                                              query.subspace, metric_);
-          ++distance_count_;
-          heap.push({dist, true, id, nullptr});
-        }
-      }
-    } else {
+    ++nodes;
+    if (!node->is_leaf) {
       for (const auto& child : node->children) {
-        double dist =
-            child->mbr.MinDistance(query.point, query.subspace, metric_);
-        heap.push({dist, false, 0, child.get()});
+        heap.push({child->mbr.MinDistance(query.point, query.subspace, metric_),
+                   child.get()});
       }
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
-    std::span<const knn::BatchPointQuery> points, const Subspace& subspace,
-    int k) const {
-  const size_t nb = points.size();
-  std::vector<std::vector<knn::Neighbor>> results(nb);
-  if (nb == 0 || k <= 0) return results;
-  const kernels::DatasetView* view = kernel_view();
-  if (view == nullptr || root_ == nullptr) {
-    // Scalar fallback (or empty tree): the per-point query loop.
-    for (size_t q = 0; q < nb; ++q) {
-      results[q] = Knn({points[q].point, subspace, k, points[q].exclude});
-    }
-    return results;
-  }
-
-  kernel_scans_ += nb;
-  // Tombstoned rows are still in the leaves; the collectors reject them at
-  // admission, exactly like the sequential path's pre-offer filter.
-  const data::Dataset* live_filter =
-      dataset_->num_tombstones() > 0 ? dataset_ : nullptr;
-  std::vector<kernels::TopKCollector> collectors;
-  collectors.reserve(nb);
-  for (size_t q = 0; q < nb; ++q) {
-    collectors.emplace_back(static_cast<size_t>(k), live_filter);
-  }
-  std::vector<kernels::MultiPointQuery> queries(nb);
-  for (size_t q = 0; q < nb; ++q) {
-    queries[q] = {points[q].point.data(), points[q].exclude, &collectors[q]};
-  }
-
-  // Shared best-first traversal with shrinking active sets: each queue
-  // entry carries only the queries its parent had not already pruned (and
-  // their MBR min-distances), ordered by the carried minimum so the
-  // batch's most promising subtree is expanded first and every collector's
-  // bound tightens as early as possible. A query q is dropped from a
-  // subtree once mindist_q exceeds q's full-collector bound — bounds only
-  // tighten and child mindists dominate the parent's, so nothing inside
-  // can ever enter q's answer. This keeps the traversal arithmetic
-  // proportional to the per-query node sets (plus sharing where they
-  // overlap) instead of B min-distances on every node the union touches.
-  // Queue entries are PODs pointing into shared member/mindist arenas
-  // (append-only for the duration of the traversal), so pushing a node
-  // costs no allocation and popping no vector copy.
-  struct BatchItem {
-    double key;
-    const Node* node;
-    uint32_t offset;  // segment start in the arenas
-    uint32_t count;   // segment length
-  };
-  struct BatchGreater {
-    bool operator()(const BatchItem& a, const BatchItem& b) const {
-      return a.key > b.key;
-    }
-  };
-  std::vector<uint32_t> arena_members;
-  std::vector<double> arena_mindist;
-  arena_members.reserve(nb * 16);
-  arena_mindist.reserve(nb * 16);
-  std::priority_queue<BatchItem, std::vector<BatchItem>, BatchGreater> heap;
-  const auto push_node = [&](const Node* node, const uint32_t* candidates,
-                             size_t num_candidates) {
-    const auto offset = static_cast<uint32_t>(arena_members.size());
-    double key = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < num_candidates; ++i) {
-      const uint32_t q = candidates[i];
-      const double md =
-          node->mbr.MinDistance(points[q].point, subspace, metric_);
-      // Prune at push time too: the bound can only be tighter by the time
-      // the node is popped, so this discards exactly what the pop-time
-      // check would.
-      if (md > collectors[q].bound()) continue;
-      arena_members.push_back(q);
-      arena_mindist.push_back(md);
-      key = std::min(key, md);
-    }
-    const auto count = static_cast<uint32_t>(arena_members.size()) - offset;
-    if (count == 0) return;
-    heap.push({key, node, offset, count});
-  };
-  std::vector<uint32_t> all(nb);
-  for (size_t q = 0; q < nb; ++q) all[q] = static_cast<uint32_t>(q);
-  push_node(root_.get(), all.data(), all.size());
-
-  std::vector<kernels::MultiPointQuery> active;
-  std::vector<uint32_t> active_members;
-  while (!heap.empty()) {
-    const BatchItem item = heap.top();
-    heap.pop();
-    active.clear();
-    active_members.clear();
-    for (size_t i = 0; i < item.count; ++i) {
-      const uint32_t q = arena_members[item.offset + i];
-      if (arena_mindist[item.offset + i] <= collectors[q].bound()) {
-        active.push_back(queries[q]);
-        active_members.push_back(q);
-      }
-    }
-    if (active.empty()) continue;
-    ++node_access_count_;
-    if (item.node->is_leaf) {
-      distance_count_ += kernels::ScanIdsForTopKMulti(
-          *view, active, subspace, metric_, item.node->points);
+    } else if (view != nullptr) {
+      computed += kernels::ScanRangeForTopK(*view, query.point, dims, metric_,
+                                            node->first, node->points.size(),
+                                            query.exclude, &collector);
     } else {
-      for (const auto& child : item.node->children) {
-        push_node(child.get(), active_members.data(), active_members.size());
+      for (data::PointId id : node->points) {
+        if (query.exclude && *query.exclude == id) continue;
+        if (filter_dead && !dataset_->IsLive(id)) continue;
+        ++computed;
+        collector.Offer(id, knn::SubspaceDistance(query.point,
+                                                  dataset_->Row(id),
+                                                  query.subspace, metric_));
       }
     }
   }
-
-  const auto live = static_cast<data::PointId>(dataset_->size());
-  if (live > base_rows_) delta_merges_ += nb;
-  for (size_t q = 0; q < nb; ++q) {
-    distance_count_ += knn::DeltaScanTopK(
-        *dataset_, metric_, points[q].point, subspace,
-        static_cast<data::PointId>(base_rows_), live, points[q].exclude,
-        &collectors[q]);
-    results[q] = collectors[q].TakeSorted();
-  }
-  return results;
+  node_access_count_ += nodes;
+  distance_count_ += computed;
+  return collector.TakeSorted();
 }
 
 std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
@@ -896,14 +770,17 @@ std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
     ++node_access_count_;
     if (node->is_leaf) {
       if (view != nullptr) {
-        leaf_dist.resize(node->points.size());
-        kernels::BatchedSubspaceDistance(*view, point, dims, metric_,
-                                         node->points, radius, leaf_dist);
-        distance_count_ += node->points.size();
-        for (size_t j = 0; j < node->points.size(); ++j) {
+        const size_t count = node->points.size();
+        leaf_dist.resize(count);
+        kernels::BatchedSubspaceDistanceRange(
+            *view, point, dims, metric_,
+            static_cast<data::PointId>(node->first), count, radius, leaf_dist);
+        distance_count_ += count;
+        for (size_t j = 0; j < count; ++j) {
           if (leaf_dist[j] <= radius) {
-            if (filter_dead && !dataset_->IsLive(node->points[j])) continue;
-            out.push_back({node->points[j], leaf_dist[j]});
+            const data::PointId id = view->RowAt(node->first + j);
+            if (filter_dead && !dataset_->IsLive(id)) continue;
+            out.push_back({id, leaf_dist[j]});
           }
         }
         return;

@@ -64,7 +64,9 @@ struct XTreeStats {
 };
 
 /// The index. Bound to a Dataset (not owned) whose rows provide the point
-/// coordinates; the tree stores only point ids and boxes.
+/// coordinates; the tree stores point ids and boxes, plus a SoA snapshot of
+/// the rows laid out leaf by leaf (kernels::DatasetView::BuildInOrder), so
+/// each leaf scan is one contiguous kernel sweep.
 class XTree {
  public:
   /// Empty tree over `dataset`'s dimensionality. Points are added with
@@ -84,22 +86,19 @@ class XTree {
   /// shrunk when it degenerates). NotFound if the id is not in the tree.
   Status Remove(data::PointId id);
 
-  /// Builds by repeated insertion over all current dataset rows. `view`
-  /// optionally shares a prebuilt SoA snapshot for the leaf-scan kernel;
-  /// when null a private one is built.
-  static Result<XTree> BuildByInsertion(
-      const data::Dataset& dataset, knn::MetricKind metric,
-      XTreeConfig config = {},
-      std::shared_ptr<const kernels::DatasetView> view = nullptr);
+  /// Builds by repeated insertion over all current dataset rows.
+  static Result<XTree> BuildByInsertion(const data::Dataset& dataset,
+                                        knn::MetricKind metric,
+                                        XTreeConfig config = {});
 
   /// Sort-Tile-Recursive bulk load over all current dataset rows — much
   /// faster than repeated insertion and produces a well-packed tree.
-  static Result<XTree> BulkLoad(
-      const data::Dataset& dataset, knn::MetricKind metric,
-      XTreeConfig config = {},
-      std::shared_ptr<const kernels::DatasetView> view = nullptr);
+  static Result<XTree> BulkLoad(const data::Dataset& dataset,
+                                knn::MetricKind metric,
+                                XTreeConfig config = {});
 
-  /// Rebuilds the SoA snapshot serving the batched leaf-scan kernel.
+  /// Re-snapshots the rows leaf by leaf (depth-first leaf order, then the
+  /// rows the tree does not hold) and records each leaf's position range.
   /// The Build factories call this; Insert/Remove invalidate the snapshot
   /// (queries then fall back to the scalar metric path), so call it again
   /// after a batch of hand-driven mutations to restore the kernel path.
@@ -107,10 +106,10 @@ class XTree {
   void RefreshKernelView();
 
   /// Streaming-ingest rebuild: re-bulk-loads the tree over all current
-  /// dataset rows and re-snapshots the SoA view (sharing `view` when
-  /// given), folding the append delta back into the index. Query counters
-  /// survive the rebuild. Not thread-safe with concurrent queries.
-  Status Rebuild(std::shared_ptr<const kernels::DatasetView> view = nullptr);
+  /// dataset rows and re-snapshots them, folding the append delta back
+  /// into the index. Query counters survive the rebuild. Not thread-safe
+  /// with concurrent queries.
+  Status Rebuild();
 
   /// Rows covered by the tree itself; rows appended after the tree was
   /// (re)built — [base_rows(), dataset.size()) — are the delta, which Knn
@@ -121,22 +120,13 @@ class XTree {
   /// attached (in-place overwrite since the snapshot was taken).
   uint64_t stale_fallbacks() const { return stale_fallbacks_; }
 
-  /// Exact k nearest neighbours in `query.subspace` (best-first search).
-  /// Ordering matches LinearScanKnn: ascending (distance, id).
+  /// Exact k nearest neighbours in `query.subspace`: nodes are visited in
+  /// ascending MBR min-distance and their points collected into a top-k
+  /// collector, stopping at the first node strictly beyond its k-th
+  /// distance — so the visited nodes are exactly those with min-distance
+  /// <= the k-th neighbour distance. Ordering matches LinearScanKnn:
+  /// ascending (distance, id).
   std::vector<knn::Neighbor> Knn(const knn::KnnQuery& query) const;
-
-  /// Batched exact kNN for B query points sharing one subspace and k: a
-  /// single shared best-first traversal ordered by the batch-minimum MBR
-  /// distance. Each queue entry carries per-point min-distances; a node is
-  /// expanded when at least one point's collector could still admit a
-  /// point from it, and leaves are scanned once through the fused
-  /// multi-point kernel into per-point collectors. A subtree is skipped
-  /// for a point only when its min-distance strictly exceeds that point's
-  /// full-collector bound — provably outside the answer — so results[i]
-  /// is bitwise identical to Knn({points[i], subspace, k, excludes[i]}).
-  std::vector<std::vector<knn::Neighbor>> KnnBatch(
-      std::span<const knn::BatchPointQuery> points, const Subspace& subspace,
-      int k) const;
 
   /// All points within `radius` (inclusive), ascending (distance, id).
   std::vector<knn::Neighbor> RangeSearch(std::span<const double> point,
@@ -176,8 +166,8 @@ class XTree {
   static void CollectPoints(const Node* node,
                             std::vector<data::PointId>* out);
 
-  /// Best-first kNN over the tree (the base rows only); Knn merges the
-  /// append delta into its result.
+  /// kNN over the tree (the base rows only); Knn merges the append delta
+  /// into its result.
   std::vector<knn::Neighbor> KnnBase(const knn::KnnQuery& query) const;
 
   Node* ChooseSubtree(Node* node, std::span<const double> point) const;
@@ -215,18 +205,15 @@ class XTree {
 };
 
 /// KnnEngine adapter so the OD evaluator can use the X-tree
-/// interchangeably with LinearScanKnn.
+/// interchangeably with LinearScanKnn. Batches take the base class's
+/// per-point loop: a shared multi-point traversal ran slower than B
+/// separate Knn calls in bench/bench_batch.
 class XTreeKnn : public knn::KnnEngine {
  public:
   explicit XTreeKnn(const XTree& tree) : tree_(tree) {}
 
   std::vector<knn::Neighbor> Search(const knn::KnnQuery& query) const override {
     return tree_.Knn(query);
-  }
-  std::vector<std::vector<knn::Neighbor>> SearchBatch(
-      std::span<const knn::BatchPointQuery> points, const Subspace& subspace,
-      int k) const override {
-    return tree_.KnnBatch(points, subspace, k);
   }
   std::vector<knn::Neighbor> RangeSearch(std::span<const double> point,
                                          const Subspace& subspace,

@@ -1,6 +1,7 @@
 #include "src/kernels/batched_distance.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace hos::kernels {
@@ -111,8 +112,10 @@ void DistanceBlock(const DatasetView& view, const double* query,
 /// `collector` directly and all screening happens in accumulation space
 /// (squared distances for L2), so the per-candidate square root is paid only
 /// for candidates that might be admitted. Offers run in lane order — the
-/// scalar scan's admission sequence.
-template <knn::MetricKind kMetric, bool kContiguous>
+/// scalar scan's admission sequence. kMapped (with contiguous reads) offers
+/// lane j under ids[j], a reordered view's position -> row id map, instead
+/// of the position first + j.
+template <knn::MetricKind kMetric, bool kContiguous, bool kMapped = false>
 void TopKBlock(const DatasetView& view, const double* query,
                std::span<const int> dims, const data::PointId* ids,
                data::PointId first, size_t m, TopKCollector* collector) {
@@ -132,8 +135,9 @@ void TopKBlock(const DatasetView& view, const double* query,
       // dist > bound can never be admitted (stale bounds only loosen this);
       // dist == bound may still win its id tie-break inside Offer.
       if (dist <= bound) {
-        collector->Offer(kContiguous ? first + static_cast<data::PointId>(j)
-                                     : ids[j],
+        collector->Offer(kContiguous && !kMapped
+                             ? first + static_cast<data::PointId>(j)
+                             : ids[j],
                          dist);
       }
     }
@@ -246,23 +250,23 @@ void MultiTopKDispatch(const DatasetView& view,
   }
 }
 
-template <bool kContiguous>
+template <bool kContiguous, bool kMapped = false>
 void TopKDispatch(const DatasetView& view, const double* query,
                   std::span<const int> dims, knn::MetricKind metric,
                   const data::PointId* ids, data::PointId first, size_t m,
                   TopKCollector* collector) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      TopKBlock<knn::MetricKind::kL1, kContiguous>(view, query, dims, ids,
-                                                   first, m, collector);
+      TopKBlock<knn::MetricKind::kL1, kContiguous, kMapped>(
+          view, query, dims, ids, first, m, collector);
       return;
     case knn::MetricKind::kL2:
-      TopKBlock<knn::MetricKind::kL2, kContiguous>(view, query, dims, ids,
-                                                   first, m, collector);
+      TopKBlock<knn::MetricKind::kL2, kContiguous, kMapped>(
+          view, query, dims, ids, first, m, collector);
       return;
     case knn::MetricKind::kLInf:
-      TopKBlock<knn::MetricKind::kLInf, kContiguous>(view, query, dims, ids,
-                                                     first, m, collector);
+      TopKBlock<knn::MetricKind::kLInf, kContiguous, kMapped>(
+          view, query, dims, ids, first, m, collector);
       return;
   }
 }
@@ -297,6 +301,7 @@ void BatchedSubspaceDistance(const DatasetView& view,
                              knn::MetricKind metric,
                              std::span<const data::PointId> ids, double bound,
                              std::span<double> out) {
+  assert(view.row_ids().empty());
   for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
     const size_t m = std::min(kDistanceBlock, ids.size() - start);
     Dispatch<false>(view, query.data(), dims, metric, ids.data() + start, 0,
@@ -351,6 +356,7 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
                         const Subspace& subspace, knn::MetricKind metric,
                         std::optional<data::PointId> exclude,
                         TopKCollector* collector) {
+  assert(view.row_ids().empty());
   const std::vector<int> dims = subspace.Dims();
   uint64_t examined = 0;
 
@@ -379,6 +385,7 @@ uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
                         const Subspace& subspace, knn::MetricKind metric,
                         std::span<const data::PointId> ids,
                         TopKCollector* collector) {
+  assert(view.row_ids().empty());
   const std::vector<int> dims = subspace.Dims();
   for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
     const size_t m = std::min(kDistanceBlock, ids.size() - start);
@@ -388,9 +395,44 @@ uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
   return ids.size();
 }
 
+uint64_t ScanRangeForTopK(const DatasetView& view,
+                          std::span<const double> query,
+                          std::span<const int> dims, knn::MetricKind metric,
+                          size_t first, size_t count,
+                          std::optional<data::PointId> exclude,
+                          TopKCollector* collector) {
+  const std::span<const data::PointId> rows = view.row_ids();
+  assert(first + count <= rows.size());
+  auto scan = [&](size_t lo, size_t hi) {
+    for (size_t start = lo; start < hi; start += kDistanceBlock) {
+      const size_t m = std::min(kDistanceBlock, hi - start);
+      TopKDispatch<true, true>(view, query.data(), dims, metric,
+                               rows.data() + start,
+                               static_cast<data::PointId>(start), m,
+                               collector);
+    }
+  };
+  // Like ScanAllForTopK, scan around the excluded row's position, so it is
+  // neither offered nor counted.
+  size_t cut = count;
+  if (exclude) {
+    for (size_t j = 0; j < count; ++j) {
+      if (rows[first + j] == *exclude) {
+        cut = j;
+        break;
+      }
+    }
+  }
+  scan(first, first + cut);
+  if (cut == count) return count;
+  scan(first + cut + 1, first + count);
+  return count - 1;
+}
+
 uint64_t ScanAllForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,
                              const Subspace& subspace, knn::MetricKind metric) {
+  assert(view.row_ids().empty());
   const std::vector<int> dims = subspace.Dims();
   const size_t n = view.num_points();
   uint64_t examined = 0;
@@ -416,6 +458,7 @@ uint64_t ScanIdsForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,
                              const Subspace& subspace, knn::MetricKind metric,
                              std::span<const data::PointId> ids) {
+  assert(view.row_ids().empty());
   const std::vector<int> dims = subspace.Dims();
   for (size_t q0 = 0; q0 < queries.size(); q0 += kQueryBlock) {
     const size_t nq = std::min(kQueryBlock, queries.size() - q0);

@@ -22,10 +22,11 @@
 // implies fl(sqrt(acc)) > b *strictly*: a pruned candidate can neither beat
 // the bound nor tie it, while every possible tie survives screening.
 //
-// The top-k scan entry points (ScanAllForTopK / ScanIdsForTopK) screen each
-// surviving candidate the same way, so only the rare near-bound candidates
-// pay a square root; their admission then uses the exact fl(sqrt(acc)) —
-// bit-identical to the scalar path's comparisons.
+// The top-k scan entry points (ScanAllForTopK / ScanIdsForTopK /
+// ScanRangeForTopK) screen each surviving candidate the same way, so only
+// the rare near-bound candidates pay a square root; their admission then
+// uses the exact fl(sqrt(acc)) — bit-identical to the scalar path's
+// comparisons.
 //
 // Caveat: kPrunedDistance is +infinity, so a candidate whose *true* distance
 // is infinite (infinite coordinates) is indistinguishable from a pruned one.
@@ -61,7 +62,8 @@ inline constexpr double kPrunedDistance =
 /// Distances from `query` to the candidates `ids`; out[i] receives the exact
 /// distance of ids[i] or kPrunedDistance. `dims` is the subspace's ascending
 /// dimension list (Subspace::Dims()); `bound` = +infinity disables the early
-/// exit. Requires out.size() >= ids.size().
+/// exit. Requires out.size() >= ids.size() and a view in Build's order
+/// (ids index positions).
 void BatchedSubspaceDistance(const DatasetView& view,
                              std::span<const double> query,
                              std::span<const int> dims,
@@ -164,17 +166,31 @@ class TopKCollector {
 /// with the collector's evolving bound. Candidates are offered in ascending
 /// id order, matching the scalar scan. Returns the number of candidates
 /// examined (pruned included) — the unit the backends' distance counters
-/// report.
+/// report. Requires a view in Build's order.
 uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
                         const Subspace& subspace, knn::MetricKind metric,
                         std::optional<data::PointId> exclude,
                         TopKCollector* collector);
 
-/// Top-k over an explicit candidate list, offered in list order.
+/// Top-k over an explicit candidate list, offered in list order. Requires
+/// a view in Build's order.
 uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
                         const Subspace& subspace, knn::MetricKind metric,
                         std::span<const data::PointId> ids,
                         TopKCollector* collector);
+
+/// Top-k over the view positions [first, first + count) — one leaf of the
+/// X-tree's leaf-ordered view — read unit-stride and offered in position
+/// order under the row ids they hold (DatasetView::RowAt). The position
+/// holding `exclude` is skipped, neither offered nor counted. Returns the
+/// candidates examined: `count`, less one when the excluded row lies in
+/// the range. Requires a view built by BuildInOrder.
+uint64_t ScanRangeForTopK(const DatasetView& view,
+                          std::span<const double> query,
+                          std::span<const int> dims, knn::MetricKind metric,
+                          size_t first, size_t count,
+                          std::optional<data::PointId> exclude,
+                          TopKCollector* collector);
 
 /// Query-points per fused scan block (the query-point-inner-inner unroll of
 /// the multi-point kernel below): kQueryBlock accumulator rows of
@@ -199,14 +215,16 @@ struct MultiPointQuery {
 /// sequential ScanAllForTopK would produce (the selection is
 /// order-insensitive under (distance, id) tie-breaking and screening only
 /// drops candidates provably beyond the bound). Returns the summed
-/// per-point examined counts, matching B sequential scans.
+/// per-point examined counts, matching B sequential scans. Requires a view
+/// in Build's order.
 uint64_t ScanAllForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,
                              const Subspace& subspace, knn::MetricKind metric);
 
-/// Fused top-k over an explicit candidate list for B query points (the
-/// shared-traversal index backends' refinement step). Each point's excluded
-/// id is skipped at offer time; `ids` need not be pre-filtered per point.
+/// Fused top-k over an explicit candidate list for B query points
+/// (iDistance's shared-frontier refinement step). Each point's excluded id
+/// is skipped at offer time; `ids` need not be pre-filtered per point.
+/// Requires a view in Build's order.
 uint64_t ScanIdsForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,
                              const Subspace& subspace, knn::MetricKind metric,

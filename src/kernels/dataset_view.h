@@ -5,6 +5,11 @@
 // the kernel's inner loop into a unit-stride sweep the compiler vectorizes;
 // the row-major Dataset would stride by num_dims() instead.
 //
+// Positions are row ids in the default order (Build). BuildInOrder lays the
+// same rows out in a caller's order instead, recording a position -> row id
+// map: the X-tree stores its snapshot leaf by leaf, so every leaf scan is
+// one contiguous position range.
+//
 // A view is an independent snapshot: it stays valid (and consistent) if the
 // source dataset later grows or is destroyed, but it does not track such
 // changes. It records the dataset version it was built at
@@ -29,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/data/dataset.h"
@@ -39,9 +45,16 @@ class DatasetView {
  public:
   DatasetView() = default;
 
-  /// Transposes `dataset` into column-major storage. O(n·d). Records the
-  /// dataset's version so staleness is detected by mutation, not size.
+  /// Transposes `dataset` into column-major storage, position = row id.
+  /// O(n·d). Records the dataset's version so staleness is detected by
+  /// mutation, not size.
   static DatasetView Build(const data::Dataset& dataset);
+
+  /// Like Build, but position p holds row order[p]. `order` must be a
+  /// permutation of [0, dataset.size()), so the view covers exactly the
+  /// rows Build would, reordered.
+  static DatasetView BuildInOrder(const data::Dataset& dataset,
+                                  std::vector<data::PointId> order);
 
   size_t num_points() const { return num_points_; }
   int num_dims() const { return num_dims_; }
@@ -55,13 +68,28 @@ class DatasetView {
     return columns_.data() + static_cast<size_t>(dim) * num_points_;
   }
 
-  double At(data::PointId id, int dim) const { return Column(dim)[id]; }
+  /// The value at `position` (the row id itself in Build's order).
+  double At(size_t position, int dim) const {
+    return Column(dim)[position];
+  }
+
+  /// Position -> row id map; empty in Build's order.
+  std::span<const data::PointId> row_ids() const { return row_ids_; }
+
+  /// The row id stored at `position`.
+  data::PointId RowAt(size_t position) const {
+    return row_ids_.empty() ? static_cast<data::PointId>(position)
+                            : row_ids_[position];
+  }
 
  private:
+  void Fill(const data::Dataset& dataset);
+
   size_t num_points_ = 0;
   int num_dims_ = 0;
   uint64_t snapshot_version_ = 0;
-  std::vector<double> columns_;  // [dim * num_points + point]
+  std::vector<double> columns_;  // [dim * num_points + position]
+  std::vector<data::PointId> row_ids_;
 };
 
 /// Decomposition of a live dataset against a SoA snapshot: the rows the

@@ -35,8 +35,8 @@ class LinearScanKnn : public KnnEngine {
   LinearScanKnn(const data::Dataset& dataset, MetricKind metric)
       : LinearScanKnn(dataset, metric, nullptr) {}
 
-  /// Shares a prebuilt SoA view (e.g. HosMiner's snapshot) instead of
-  /// copying; a null `view` builds a private one.
+  /// Shares a prebuilt SoA view (in Build's order) instead of copying; a
+  /// null `view` builds a private one.
   LinearScanKnn(const data::Dataset& dataset, MetricKind metric,
                 std::shared_ptr<const kernels::DatasetView> view);
 

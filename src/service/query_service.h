@@ -38,10 +38,10 @@
 //    queue would starve the frontier waves of an in-flight query that
 //    still holds the reader lock the writer is waiting out.
 //
-// The miner snapshot carries one shared SoA view of the dataset
-// (HosMiner::soa_view), so every worker's OD evaluations run through the
-// batched distance kernel (src/kernels/) rather than per-point scalar
-// metric calls.
+// The miner snapshot's kNN engine holds one SoA view of the dataset,
+// shared by every worker, so their OD evaluations run through the batched
+// distance kernel (src/kernels/) rather than per-point scalar metric
+// calls.
 //
 // Determinism: the *answers* (outlying subspaces, per-level fractions,
 // threshold) are identical to running HosMiner::Query serially at the same

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/data/generator.h"
 
 namespace hos::core {
@@ -36,6 +40,40 @@ TEST(HosMinerBuildTest, RejectsBadInputs) {
   config = HosMinerConfig{};
   config.k = 0;
   EXPECT_FALSE(HosMiner::Build(std::move(tiny), config).ok());
+}
+
+bool Mentions(const Status& status, const std::string& text) {
+  return status.ToString().find(text) != std::string::npos;
+}
+
+TEST(HosMinerBuildTest, RejectsNonFiniteCoordinates) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Rng rng(2);
+    data::Dataset ds = data::GenerateUniform(40, 4, &rng);
+    ds.Set(7, 2, bad);
+    auto rejected = HosMiner::Build(std::move(ds), {});
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument()) << bad;
+    EXPECT_TRUE(Mentions(rejected.status(), "row 7, dimension 2 is"))
+        << rejected.status().ToString();
+  }
+}
+
+TEST(HosMinerBuildTest, RejectsRowsWhoseNormalizationOverflows) {
+  // Every raw value is finite, but the column's min-max range overflows
+  // to +Inf, so normalizing yields NaN (row 0: (-1e308 - min) / Inf is 0,
+  // row 1: Inf / Inf is NaN).
+  Rng rng(3);
+  data::Dataset ds = data::GenerateUniform(40, 3, &rng);
+  ds.Set(0, 1, -1e308);
+  ds.Set(1, 1, 1e308);
+  auto rejected = HosMiner::Build(std::move(ds), {});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+  EXPECT_TRUE(Mentions(rejected.status(), "row 1, dimension 1 normalizes to"))
+      << rejected.status().ToString();
 }
 
 TEST(HosMinerBuildTest, RejectsTooManyDims) {
@@ -153,6 +191,35 @@ TEST(HosMinerQueryTest, ExternalPointQuery) {
   EXPECT_TRUE(related);
 
   EXPECT_TRUE(miner->QueryPoint({1.0}).status().IsInvalidArgument());
+}
+
+TEST(HosMinerQueryTest, QueryPointRejectsNonFiniteCoordinates) {
+  // Column 0 is constant, so its fitted scale is the 1e-12 floor: a finite
+  // query value far outside it normalizes to +Inf.
+  Rng rng(4);
+  data::Dataset ds = data::GenerateUniform(60, 3, &rng);
+  for (data::PointId id = 0; id < ds.size(); ++id) ds.Set(id, 0, 0.5);
+  auto miner = HosMiner::Build(std::move(ds), {});
+  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& point :
+       {std::vector<double>{0.5, nan, 0.5}, std::vector<double>{0.5, 0.5, inf},
+        std::vector<double>{0.5, -inf, 0.5}}) {
+    auto rejected = miner->QueryPoint(point);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().IsInvalidArgument());
+    EXPECT_TRUE(Mentions(rejected.status(), "query point, dimension"))
+        << rejected.status().ToString();
+  }
+  auto overflow = miner->QueryPoint({1e300, 0.5, 0.5});
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_TRUE(overflow.status().IsInvalidArgument());
+  EXPECT_TRUE(
+      Mentions(overflow.status(), "query point, dimension 0 normalizes to"))
+      << overflow.status().ToString();
+  EXPECT_TRUE(miner->QueryPoint({0.5, 0.5, 0.5}).ok());
 }
 
 TEST(HosMinerQueryTest, AllBackendsAgree) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/hos_miner.h"
 #include "src/data/generator.h"
+#include "src/service/query_service.h"
 
 namespace hos::core {
 namespace {
@@ -97,6 +100,69 @@ TEST(StreamingMinerTest, AppendValidatesRowWidth) {
   EXPECT_FALSE(miner.learning_stale());
 }
 
+TEST(StreamingMinerTest, AppendRejectsNonFiniteRows) {
+  HosMiner miner = BuildMiner(3);
+  const uint64_t v0 = miner.version();
+  const size_t rows = miner.dataset().size();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    auto rejected = miner.Append({{0.5, 0.5, 0.5, 0.5, 0.5},
+                                  {0.5, 0.5, 0.5, bad, 0.5}});
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument());
+    EXPECT_NE(rejected.status().ToString().find(
+                  "appended row 1, dimension 3 is"),
+              std::string::npos)
+        << rejected.status().ToString();
+    // All-or-nothing: the valid first row did not go in either.
+    EXPECT_EQ(miner.version(), v0);
+    EXPECT_EQ(miner.dataset().size(), rows);
+    EXPECT_FALSE(miner.learning_stale());
+  }
+}
+
+TEST(StreamingMinerTest, AppendRejectsRowsThatNormalizeToInf) {
+  // Column 2 is constant at build, so its fitted scale is the 1e-12
+  // floor: a finite appended value far outside it normalizes to +Inf.
+  Rng rng(11);
+  data::Dataset dataset = data::GenerateUniform(120, kDims, &rng);
+  for (data::PointId id = 0; id < dataset.size(); ++id) {
+    dataset.Set(id, 2, 0.25);
+  }
+  HosMinerConfig config;
+  config.k = 3;
+  config.threshold = 0.8;
+  auto miner = HosMiner::Build(std::move(dataset), config);
+  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+  const uint64_t v0 = miner->version();
+
+  auto rejected = miner->PrepareAppend({{0.5, 0.5, 1e300, 0.5, 0.5}});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+  EXPECT_NE(rejected.status().ToString().find(
+                "appended row 0, dimension 2 normalizes to"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_FALSE(miner->Append({{0.5, 0.5, -1e300, 0.5, 0.5}}).ok());
+  EXPECT_EQ(miner->version(), v0);
+  // A value inside the fitted range still appends.
+  EXPECT_TRUE(miner->Append({{0.5, 0.5, 0.25, 0.5, 0.5}}).ok());
+}
+
+TEST(StreamingMinerTest, ServiceAppendBatchRejectsNonFiniteRows) {
+  service::QueryService service(BuildMiner(12));
+  const uint64_t v0 = service.miner().version();
+  const size_t rows = service.miner().dataset().size();
+  auto rejected = service.AppendBatch(
+      {{0.5, 0.5, 0.5, 0.5, std::numeric_limits<double>::quiet_NaN()}});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+  EXPECT_EQ(service.miner().version(), v0);
+  EXPECT_EQ(service.miner().dataset().size(), rows);
+  EXPECT_TRUE(service.Query(0).ok());
+}
+
 TEST(StreamingMinerTest, QueriesReportTheVersionTheyRanAt) {
   HosMiner miner = BuildMiner(4);
   auto before = miner.Query(0);
@@ -120,7 +186,7 @@ TEST(StreamingMinerTest, TwoPhaseRebuildFoldsTheDelta) {
   ASSERT_TRUE(miner.Append({{0.4, 0.4, 0.4, 0.4, 0.4},
                             {0.6, 0.6, 0.6, 0.6, 0.6}}).ok());
   EXPECT_EQ(miner.delta_rows(), 2u);
-  EXPECT_LT(miner.soa_view().num_points(), miner.dataset().size());
+  EXPECT_LT(miner.xtree()->base_rows(), miner.dataset().size());
 
   auto artifacts = miner.PrepareRebuild();
   ASSERT_TRUE(artifacts.ok());
@@ -131,7 +197,7 @@ TEST(StreamingMinerTest, TwoPhaseRebuildFoldsTheDelta) {
 
   miner.CommitRebuild(std::move(artifacts).value());
   EXPECT_EQ(miner.delta_rows(), 0u);
-  EXPECT_EQ(miner.soa_view().num_points(), miner.dataset().size());
+  EXPECT_EQ(miner.xtree()->base_rows(), miner.dataset().size());
   ASSERT_TRUE(miner.Query(0).ok());
 }
 

@@ -1,6 +1,6 @@
 // Backend differential suite for the batched kNN entry points: for every
 // backend — LinearScanKnn's fused scan, VaFile's single-sweep batched
-// filter+refine, XTree's shared best-first traversal, and IDistance's
+// filter+refine, XTreeKnn's per-point loop, and IDistance's
 // shared-frontier stripe expansion — KnnBatch/SearchBatch must return, for
 // every query point, exactly the neighbour list (same ids, same distance
 // doubles, same order) its per-point Knn/Search call returns, and
@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -147,42 +148,47 @@ TEST(IndexBatchTest, IDistanceBatchMatchesPerPoint) {
 // Delta rows (appended after the structures were built) and tombstones
 // must flow through the batch paths exactly as through the per-point ones:
 // the structures serve their sealed base, the delta is merged by scan, and
-// dead rows are filtered at admission.
+// dead rows are filtered at admission. d = 32 runs the leaf-ordered X-tree
+// at the highd workload's width.
 TEST(IndexBatchTest, BatchMatchesPerPointWithDeltaAndTombstones) {
-  data::Dataset ds = MakeData(46, 400, 6);
-  auto tree = XTree::BulkLoad(ds, MetricKind::kL2, {});
-  ASSERT_TRUE(tree.ok());
-  auto file = VaFile::Build(ds, MetricKind::kL2, {});
-  ASSERT_TRUE(file.ok());
-  Rng irng(46);
-  auto idist = IDistance::Build(ds, MetricKind::kL2, {}, &irng);
-  ASSERT_TRUE(idist.ok());
+  for (int d : {6, 32}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    data::Dataset ds = MakeData(46, 400, d);
+    auto tree = XTree::BulkLoad(ds, MetricKind::kL2, {});
+    ASSERT_TRUE(tree.ok());
+    auto file = VaFile::Build(ds, MetricKind::kL2, {});
+    ASSERT_TRUE(file.ok());
+    Rng irng(46);
+    auto idist = IDistance::Build(ds, MetricKind::kL2, {}, &irng);
+    ASSERT_TRUE(idist.ok());
 
-  // Mutate after build: 60 appended rows and a handful of tombstones
-  // (including base and delta rows).
-  Rng mrng(47);
-  for (int i = 0; i < 60; ++i) {
-    std::vector<double> row;
-    for (int dim = 0; dim < 6; ++dim) row.push_back(mrng.Uniform());
-    ds.Append(row);
-  }
-  const std::vector<data::PointId> dead = {5, 77, 401, 433};
-  ASSERT_TRUE(ds.DeleteRows(dead).ok());
+    // Mutate after build: 60 appended rows and a handful of tombstones
+    // (including base and delta rows).
+    Rng mrng(47);
+    for (int i = 0; i < 60; ++i) {
+      std::vector<double> row;
+      for (int dim = 0; dim < d; ++dim) row.push_back(mrng.Uniform());
+      ds.Append(row);
+    }
+    const std::vector<data::PointId> dead = {5, 77, 401, 433};
+    ASSERT_TRUE(ds.DeleteRows(dead).ok());
 
-  XTreeKnn xtree_engine(*tree);
-  VaFileKnn vafile_engine(*file);
-  knn::LinearScanKnn linear_engine(ds, MetricKind::kL2);
-  ExpectEngineBatchMatches(linear_engine, ds, 500);
-  ExpectEngineBatchMatches(xtree_engine, ds, 501);
-  ExpectEngineBatchMatches(vafile_engine, ds, 502);
+    XTreeKnn xtree_engine(*tree);
+    VaFileKnn vafile_engine(*file);
+    knn::LinearScanKnn linear_engine(ds, MetricKind::kL2);
+    ExpectEngineBatchMatches(linear_engine, ds, 500);
+    ExpectEngineBatchMatches(xtree_engine, ds, 501);
+    ExpectEngineBatchMatches(vafile_engine, ds, 502);
 
-  Rng qrng(48);
-  std::vector<data::PointId> ids;
-  const std::vector<BatchPointQuery> queries = MakeBatch(ds, 10, &qrng, &ids);
-  const auto results = idist->KnnBatch(queries, 5);
-  for (size_t b = 0; b < queries.size(); ++b) {
-    EXPECT_EQ(results[b], idist->Knn(queries[b].point, 5, ids[b]))
-        << "query " << b;
+    Rng qrng(48);
+    std::vector<data::PointId> ids;
+    const std::vector<BatchPointQuery> queries =
+        MakeBatch(ds, 10, &qrng, &ids);
+    const auto results = idist->KnnBatch(queries, 5);
+    for (size_t b = 0; b < queries.size(); ++b) {
+      EXPECT_EQ(results[b], idist->Knn(queries[b].point, 5, ids[b]))
+          << "query " << b;
+    }
   }
 }
 

@@ -11,6 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +92,9 @@ struct DiffParam {
   int d;
   MetricKind metric;
   data::NormalizationKind normalization;
+  /// Snap coordinates to a coarse grid and duplicate rows, so many ids
+  /// share each distance — the k-th one included — across leaves.
+  bool ties = false;
 };
 
 class KernelDifferentialTest : public ::testing::TestWithParam<DiffParam> {};
@@ -101,7 +108,52 @@ data::Dataset MakeData(const DiffParam& param, Rng* rng) {
     }
   }
   data::Normalizer::Fit(ds, param.normalization).Apply(&ds);
+  if (param.ties) {
+    for (data::PointId i = 0; i < ds.size(); ++i) {
+      for (int dim = 0; dim < param.d; ++dim) {
+        ds.Set(i, dim, std::round(ds.At(i, dim) * 4.0) / 4.0);
+      }
+    }
+    // Every fifth row repeats a row from the other end of the id range.
+    for (data::PointId i = 0; i < ds.size(); i += 5) {
+      const data::PointId source =
+          static_cast<data::PointId>(ds.size() - 1 - i / 2);
+      for (int dim = 0; dim < param.d; ++dim) {
+        ds.Set(i, dim, ds.At(source, dim));
+      }
+    }
+  }
   return ds;
+}
+
+/// All rows within `radius` (inclusive) through the scalar metric path,
+/// ascending (distance, id).
+std::vector<Neighbor> ScalarRange(const data::Dataset& ds,
+                                  std::span<const double> point,
+                                  const Subspace& subspace, double radius,
+                                  MetricKind metric) {
+  std::vector<Neighbor> out;
+  for (data::PointId id = 0; id < ds.size(); ++id) {
+    const double dist =
+        knn::SubspaceDistance(point, ds.Row(id), subspace, metric);
+    if (dist <= radius) out.push_back({id, dist});
+  }
+  std::sort(out.begin(), out.end(), [](const Neighbor& a, const Neighbor& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.id < b.id;
+  });
+  return out;
+}
+
+/// Bitwise (distance, id) sequence equality.
+void ExpectExactNeighbors(const std::vector<Neighbor>& got,
+                          const std::vector<Neighbor>& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << context << " rank " << i;
+    EXPECT_EQ(got[i].distance, want[i].distance) << context << " rank " << i;
+  }
 }
 
 TEST_P(KernelDifferentialTest, BatchedDistancesMatchScalarMetric) {
@@ -199,6 +251,62 @@ TEST_P(KernelDifferentialTest, AllBackendsMatchScalarReference) {
   }
 }
 
+// The leaf-ordered X-tree against the scalar reference, bitwise: Knn and
+// RangeSearch on bulk-loaded and insertion-built trees. Knn's radius-k
+// range (the k-th distance) is where ties across leaves decide the answer.
+// Knn must also visit exactly the nodes whose MBR min-distance is <= the
+// k-th neighbour distance — the nodes RangeSearch visits at that radius —
+// which pins its stop rule: a node exactly at the bound is still scanned,
+// since it may hold a tie with a smaller id.
+TEST_P(KernelDifferentialTest, XTreeMatchesScalarReferenceExactly) {
+  const DiffParam param = GetParam();
+  Rng rng(param.n * 577 + param.d);
+  data::Dataset ds = MakeData(param, &rng);
+  auto bulk_tree = index::XTree::BulkLoad(ds, param.metric);
+  auto grown_tree = index::XTree::BuildByInsertion(ds, param.metric);
+  ASSERT_TRUE(bulk_tree.ok() && grown_tree.ok());
+
+  const Subspace full = Subspace::Full(param.d);
+  for (int trial = 0; trial < 16; ++trial) {
+    KnnQuery query;
+    std::vector<double> q(param.d);
+    if (trial % 2 == 0) {
+      const auto row = static_cast<data::PointId>(
+          rng.UniformInt(0, static_cast<int64_t>(ds.size()) - 1));
+      q = ds.RowCopy(row);
+      query.exclude = row;
+    } else {
+      for (auto& v : q) v = rng.Uniform(-0.5, 1.5);
+    }
+    query.point = q;
+    query.subspace = trial < 4
+                         ? full
+                         : Subspace(1 + static_cast<uint64_t>(rng.UniformInt(
+                                        0, (int64_t{1} << param.d) - 2)));
+    query.k = trial == 0 ? static_cast<int>(ds.size()) + 3
+                         : 1 + static_cast<int>(rng.UniformInt(0, 9));
+    const auto want = ScalarKnn(ds, query, param.metric);
+    const double kth_distance =
+        static_cast<int>(want.size()) == query.k
+            ? want.back().distance
+            : std::numeric_limits<double>::infinity();
+    const auto want_range =
+        ScalarRange(ds, q, query.subspace, kth_distance, param.metric);
+    for (const auto* tree : {&*bulk_tree, &*grown_tree}) {
+      const std::string label =
+          (tree == &*bulk_tree ? "bulk" : "insertion") +
+          std::string(" trial ") + std::to_string(trial);
+      const uint64_t nodes_before = tree->node_accesses();
+      ExpectExactNeighbors(tree->Knn(query), want, label + " knn");
+      const uint64_t knn_nodes = tree->node_accesses() - nodes_before;
+      ExpectExactNeighbors(tree->RangeSearch(q, query.subspace, kth_distance),
+                           want_range, label + " range");
+      EXPECT_EQ(knn_nodes, tree->node_accesses() - nodes_before - knn_nodes)
+          << label;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, KernelDifferentialTest,
     ::testing::Values(
@@ -212,9 +320,16 @@ INSTANTIATE_TEST_SUITE_P(
                   data::NormalizationKind::kZScore},
         DiffParam{450, 12, MetricKind::kL1,
                   data::NormalizationKind::kMinMax},
-        DiffParam{450, 20, MetricKind::kL2, data::NormalizationKind::kNone}),
+        DiffParam{450, 20, MetricKind::kL2, data::NormalizationKind::kNone},
+        // A multi-level tree at the highd workload's width, and a
+        // tie-heavy grid with duplicate rows.
+        DiffParam{1200, 32, MetricKind::kL2,
+                  data::NormalizationKind::kMinMax},
+        DiffParam{700, 5, MetricKind::kL1, data::NormalizationKind::kMinMax,
+                  /*ties=*/true}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_d" +
+      return std::string(info.param.ties ? "ties_" : "") + "n" +
+             std::to_string(info.param.n) + "_d" +
              std::to_string(info.param.d) + "_" +
              std::string(knn::MetricKindToString(info.param.metric)) + "_" +
              (info.param.normalization == data::NormalizationKind::kNone
