@@ -1,18 +1,18 @@
 // Fused multi-query execution benchmark: screening throughput (full-space
 // OD per point) through the per-point loop versus the batched kNN entry
-// points at block sizes B in {1, 4, 16, 64}, for every backend — linear
-// scan, X-tree, VA-file (via knn::OutlyingDegreeBatch) and iDistance (via
-// IDistance::KnnBatch). Every batched row is verified bitwise against the
-// per-point loop before it is timed; a row only counts if the answers are
-// identical. Also measures the OdCache sharded multi-probe
-// (LookupMulti/StoreMulti) against the per-key lock-per-call loop it
-// replaces in the service's fused batch path.
+// point (knn::OutlyingDegreeBatch) at block sizes B in {1, 4, 16, 64}, for
+// both backends — linear scan and X-tree. The B=1 rows compare the two
+// backends' per-point screening directly. Every batched row is verified
+// bitwise against the per-point loop before it is timed; a row only counts
+// if the answers are identical. Also measures the OdCache sharded
+// multi-probe (LookupMulti/StoreMulti) against the per-key lock-per-call
+// loop it replaces in the service's fused batch path.
 //
 // Writes BENCH_batch.json (or argv[1]). The acceptance headline is the
 // B=16 screening speedup vs B=1 on the planted band workload; the fused
-// kernel's win is memory locality (one column-block pass serves up to
-// kQueryBlock query rows) plus shared index traversals, so it holds on a
-// single core — hardware_concurrency is recorded alongside the rows.
+// linear scan's win is memory locality (one column-block pass serves up to
+// kQueryBlock query rows), so it holds on a single core —
+// hardware_concurrency is recorded alongside the rows.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +25,6 @@
 #include "src/common/timer.h"
 #include "src/core/hos_miner.h"
 #include "src/eval/report.h"
-#include "src/index/idistance.h"
 #include "src/knn/knn_engine.h"
 #include "src/service/od_cache.h"
 
@@ -133,61 +132,6 @@ std::vector<ScreenRow> ScreenSweep(const char* name,
     row.qps = static_cast<double>(ids.size()) / best;
     row.knn_calls_per_point = 1.0 / static_cast<double>(block);
     row.identical = ods == reference;  // bitwise, or the row is void
-    rows.push_back(row);
-  }
-  for (ScreenRow& row : rows) row.speedup_vs_b1 = row.qps / rows[0].qps;
-  return rows;
-}
-
-/// iDistance is full-space-only and sits outside the KnnEngine facade, so
-/// its sweep drives IDistance::KnnBatch directly; OD = sum of the k
-/// neighbour distances, identical arithmetic to knn::OutlyingDegree.
-std::vector<ScreenRow> IDistanceSweep(const data::Dataset& ds) {
-  Rng rng(99);
-  auto index = index::IDistance::Build(ds, knn::MetricKind::kL2, {}, &rng);
-  if (!index.ok()) std::abort();
-  const std::vector<data::PointId> ids = ScreenSet(ds.size());
-
-  auto run = [&](size_t block, std::vector<double>* ods) {
-    ods->clear();
-    Timer timer;
-    std::vector<knn::BatchPointQuery> queries;
-    for (size_t start = 0; start < ids.size(); start += block) {
-      const size_t count = std::min(block, ids.size() - start);
-      queries.clear();
-      for (size_t i = 0; i < count; ++i) {
-        queries.push_back({ds.Row(ids[start + i]), ids[start + i]});
-      }
-      const auto answers = block <= 1
-                               ? std::vector<std::vector<knn::Neighbor>>{
-                                     index->Knn(queries[0].point, kK,
-                                                ids[start])}
-                               : index->KnnBatch(queries, kK);
-      for (const auto& neighbors : answers) {
-        double od = 0.0;
-        for (const knn::Neighbor& n : neighbors) od += n.distance;
-        ods->push_back(od);
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-
-  std::vector<double> reference;
-  run(1, &reference);
-  std::vector<ScreenRow> rows;
-  for (size_t block : {size_t{1}, size_t{4}, size_t{16}, size_t{64}}) {
-    std::vector<double> ods;
-    double best = 0.0;
-    for (int trial = 0; trial < Trials(); ++trial) {
-      const double seconds = run(block, &ods);
-      if (trial == 0 || seconds < best) best = seconds;
-    }
-    ScreenRow row;
-    row.backend = "idistance";
-    row.block = block;
-    row.qps = static_cast<double>(ids.size()) / best;
-    row.knn_calls_per_point = 1.0 / static_cast<double>(block);
-    row.identical = ods == reference;
     rows.push_back(row);
   }
   for (ScreenRow& row : rows) row.speedup_vs_b1 = row.qps / rows[0].qps;
@@ -308,15 +252,10 @@ void Run(const std::string& json_path) {
   {
     core::HosMiner miner = BuildMiner(core::IndexKind::kLinearScan);
     sweeps.push_back(ScreenSweep("linear", miner));
-    sweeps.push_back(IDistanceSweep(miner.dataset()));
   }
   {
     core::HosMiner miner = BuildMiner(core::IndexKind::kXTree);
     sweeps.push_back(ScreenSweep("xtree", miner));
-  }
-  {
-    core::HosMiner miner = BuildMiner(core::IndexKind::kVaFile);
-    sweeps.push_back(ScreenSweep("vafile", miner));
   }
 
   eval::Table table(

@@ -147,14 +147,14 @@ Result<core::HosMiner> MakeSlidMiner(
   auto workload = bench::MakeWorkload(n, d, /*seed=*/20 + d);
   core::HosMinerConfig config;
   config.seed = 20;
-  config.index = core::IndexKind::kVaFile;
+  config.index = core::IndexKind::kXTree;
   // E13 deliberately measures the filter's hardest regime: a coarse 4-bit
   // summary (memory-constrained deployments) and a low threshold
   // percentile that parks the background queries' subspace ODs near the
   // threshold. Bounds then straddle, and the refined tier burns O(n * d)
   // per consult while deciding almost nothing — exactly the case the
   // learned gate exists for. E12 above keeps the 6-bit sweet spot.
-  config.va_file.bits_per_dim = 4;
+  config.filter_bits_per_dim = 4;
   config.incremental_filter_tallies = incremental;
   config.threshold_percentile = 0.60;
   auto miner = core::HosMiner::Build(std::move(workload.dataset), config);
@@ -320,11 +320,10 @@ void Run(const std::string& json_path) {
     auto workload = bench::MakeWorkload(NumPoints(), d, /*seed=*/20 + d);
     core::HosMinerConfig config;
     config.seed = 20;
-    // The VA-file backend: the filter's summary is the approximation
-    // file's own quantization, exported bit-identically. 6-bit cells keep
-    // the per-dimension resolution ahead of the band widths at this n.
-    config.index = core::IndexKind::kVaFile;
-    config.va_file.bits_per_dim = kBitsPerDim;
+    // 6-bit cells keep the per-dimension resolution ahead of the band
+    // widths at this n.
+    config.index = core::IndexKind::kXTree;
+    config.filter_bits_per_dim = kBitsPerDim;
     auto miner = core::HosMiner::Build(std::move(workload.dataset), config);
     if (!miner.ok()) {
       std::fprintf(stderr, "build failed: %s\n",

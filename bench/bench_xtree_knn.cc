@@ -11,7 +11,6 @@
 #include "bench/bench_util.h"
 #include "src/data/generator.h"
 #include "src/eval/report.h"
-#include "src/index/va_file.h"
 #include "src/index/xtree.h"
 #include "src/knn/linear_scan.h"
 
@@ -25,7 +24,6 @@ constexpr int kK = 5;
 struct Fixture {
   data::Dataset dataset;
   std::unique_ptr<index::XTree> tree;
-  std::unique_ptr<index::VaFile> va_file;
 
   static Fixture& Get(size_t n) {
     static std::map<size_t, std::unique_ptr<Fixture>> cache;
@@ -40,9 +38,6 @@ struct Fixture {
       slot->dataset = data::GenerateGaussianMixture(spec, &rng);
       auto tree = index::XTree::BulkLoad(slot->dataset, knn::MetricKind::kL2);
       slot->tree = std::make_unique<index::XTree>(std::move(tree).value());
-      auto file = index::VaFile::Build(slot->dataset, knn::MetricKind::kL2);
-      slot->va_file =
-          std::make_unique<index::VaFile>(std::move(file).value());
     }
     return *slot;
   }
@@ -93,51 +88,30 @@ BENCHMARK(BM_LinearScanKnn)
     ->ArgsProduct({{2000, 10000, 50000}, {2, 5, 10}})
     ->ArgNames({"N", "subdims"});
 
-void BM_VaFileKnn(benchmark::State& state) {
-  Fixture& f = Fixture::Get(static_cast<size_t>(state.range(0)));
-  const int subspace_dims = static_cast<int>(state.range(1));
-  Rng rng(1);
-  for (auto _ : state) {
-    auto query = MakeQuery(f.dataset, subspace_dims, &rng);
-    benchmark::DoNotOptimize(f.va_file->Knn(query));
-  }
-}
-BENCHMARK(BM_VaFileKnn)
-    ->ArgsProduct({{2000, 10000, 50000}, {2, 5, 10}})
-    ->ArgNames({"N", "subdims"});
-
 void PrintDistanceSavings() {
-  bench::Banner(
-      "E8", "X-tree vs VA-file vs linear scan: distance computations per kNN");
+  bench::Banner("E8",
+                "X-tree vs linear scan: distance computations per kNN");
   eval::Table table({"N", "subspace dims", "x-tree dists/query",
-                     "va-file dists/query", "scan dists/query",
-                     "x-tree saving"});
+                     "scan dists/query", "x-tree saving"});
   for (size_t n : bench::SmokeSweep<size_t>({2000, 10000, 50000})) {
     Fixture& f = Fixture::Get(n);
     for (int subspace_dims : {2, 5, 10}) {
       Rng rng(2);
       knn::LinearScanKnn scan(f.dataset, knn::MetricKind::kL2);
       const uint64_t tree_before = f.tree->distance_computations();
-      const uint64_t va_before = f.va_file->distance_computations();
       const int kQueries = bench::SmokeMode() ? 10 : 50;
       for (int i = 0; i < kQueries; ++i) {
         auto query = MakeQuery(f.dataset, subspace_dims, &rng);
         f.tree->Knn(query);
-        f.va_file->Knn(query);
         scan.Search(query);
       }
       double tree_per_query =
           static_cast<double>(f.tree->distance_computations() - tree_before) /
           kQueries;
-      double va_per_query =
-          static_cast<double>(f.va_file->distance_computations() -
-                              va_before) /
-          kQueries;
       double scan_per_query =
           static_cast<double>(scan.distance_computations()) / kQueries;
       table.AddRow({std::to_string(n), std::to_string(subspace_dims),
                     eval::FormatDouble(tree_per_query, 0),
-                    eval::FormatDouble(va_per_query, 0),
                     eval::FormatDouble(scan_per_query, 0),
                     eval::FormatDouble(scan_per_query / tree_per_query, 1) +
                         "x"});

@@ -13,11 +13,9 @@
 namespace hos::core {
 namespace {
 
-/// Rows per fused screening block. Bounds the batch state of the backends
-/// (the VA-file batch keeps O(block · base) lower bounds, the X-tree batch
-/// carries per-point min-distances on every queue entry) while still
-/// amortising one traversal/sweep over a full kernel query tile
-/// (kernels::kQueryBlock = 8) twice over.
+/// Rows per fused screening block: the linear scan's fused sweep serves a
+/// block as two full kernel query tiles (kernels::kQueryBlock = 8); the
+/// X-tree answers a block point by point.
 constexpr size_t kScreenBlock = 16;
 
 /// The first dimension of `row` holding NaN or ±Inf, or -1.
@@ -174,6 +172,7 @@ Result<QueryResult> HosMiner::Query(data::PointId id,
     return Status::NotFound("point id " + std::to_string(id) +
                             " was deleted/evicted from the window");
   }
+  HOS_RETURN_IF_ERROR(CheckWindowHoldsK(/*query_is_row=*/true));
   return RunSearch(dataset_->Row(id), id, options);
 }
 
@@ -190,6 +189,7 @@ Result<QueryResult> HosMiner::QueryPoint(std::vector<double> raw_point) const {
   if (const int dim = FirstNonFinite(raw_point); dim >= 0) {
     return NonFinite("query point", dim, raw_point[dim], true);
   }
+  HOS_RETURN_IF_ERROR(CheckWindowHoldsK(/*query_is_row=*/false));
   return RunSearch(raw_point, std::nullopt, QueryOptions{});
 }
 
@@ -225,11 +225,8 @@ std::vector<double> HosMiner::ScreenBatch(
 }
 
 std::vector<HosMiner::ScreenedOutlier> HosMiner::ScreenOutliers() const {
-  std::vector<data::PointId> live;
-  live.reserve(dataset_->live_size());
-  for (data::PointId id = 0; id < dataset_->size(); ++id) {
-    if (dataset_->IsLive(id)) live.push_back(id);
-  }
+  if (!CheckWindowHoldsK(/*query_is_row=*/true).ok()) return {};
+  const std::vector<data::PointId> live = dataset_->LiveIds();
   const std::vector<double> ods = ScreenBatch(live);
   std::vector<ScreenedOutlier> out;
   for (size_t i = 0; i < live.size(); ++i) {
@@ -247,11 +244,8 @@ std::vector<HosMiner::ScreenedOutlier> HosMiner::ScreenOutliers() const {
 
 std::vector<HosMiner::ScreenedOutlier> HosMiner::TopOutliers(
     int top_n) const {
-  std::vector<data::PointId> live;
-  live.reserve(dataset_->live_size());
-  for (data::PointId id = 0; id < dataset_->size(); ++id) {
-    if (dataset_->IsLive(id)) live.push_back(id);
-  }
+  if (!CheckWindowHoldsK(/*query_is_row=*/true).ok()) return {};
+  const std::vector<data::PointId> live = dataset_->LiveIds();
   const std::vector<double> ods = ScreenBatch(live);
   std::vector<ScreenedOutlier> all;
   all.reserve(live.size());
@@ -288,6 +282,7 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
   std::vector<std::optional<Result<QueryResult>>> slots(ids.size());
   std::vector<size_t> valid;
   valid.reserve(ids.size());
+  const Status window = CheckWindowHoldsK(/*query_is_row=*/true);
   for (size_t i = 0; i < ids.size(); ++i) {
     // Exactly Query's validation, reported per slot so one dead id cannot
     // fail its batch-mates.
@@ -298,6 +293,8 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
     } else if (!dataset_->IsLive(ids[i])) {
       slots[i] = Status::NotFound("point id " + std::to_string(ids[i]) +
                                   " was deleted/evicted from the window");
+    } else if (!window.ok()) {
+      slots[i] = window;
     } else {
       valid.push_back(i);
     }
@@ -369,6 +366,17 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
     out.push_back(std::move(*slot));
   }
   return out;
+}
+
+Status HosMiner::CheckWindowHoldsK(bool query_is_row) const {
+  const size_t live = dataset_->live_size();
+  if (live >= static_cast<size_t>(config_.k) + (query_is_row ? 1 : 0)) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(
+      "k = " + std::to_string(config_.k) + " needs that many live rows" +
+      (query_is_row ? " besides the query's own" : "") + ", but " +
+      std::to_string(live) + " rows are live");
 }
 
 Result<QueryResult> HosMiner::RunSearch(
@@ -544,33 +552,19 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
     artifacts.xtree =
         std::make_unique<index::XTree>(std::move(built).value());
     artifacts.engine = std::make_unique<index::XTreeKnn>(*artifacts.xtree);
-  } else if (config_.index == IndexKind::kVaFile) {
-    auto built =
-        index::VaFile::Build(*dataset_, config_.metric, config_.va_file);
-    if (!built.ok()) return built.status();
-    artifacts.va_file =
-        std::make_unique<index::VaFile>(std::move(built).value());
-    artifacts.engine =
-        std::make_unique<index::VaFileKnn>(*artifacts.va_file);
   } else {
     artifacts.engine =
         std::make_unique<knn::LinearScanKnn>(*dataset_, config_.metric);
   }
-  // The pre-filter rides every rebuild: a VA-file index re-exports its own
-  // approximation file (no second quantization pass), every other backend
-  // quantizes directly with the same cell rule.
+  // The pre-filter rides every rebuild, quantizing the same rows.
   artifacts.filter = std::make_unique<filter::DensityBoundFilter>(
       *dataset_, config_.metric,
-      artifacts.va_file != nullptr
-          ? artifacts.va_file->ExportDensitySummary()
-          : filter::DensitySummary::Build(*dataset_,
-                                          config_.va_file.bits_per_dim));
+      filter::DensitySummary::Build(*dataset_, config_.filter_bits_per_dim));
   return artifacts;
 }
 
 void HosMiner::CommitRebuild(RebuildArtifacts artifacts) {
   xtree_ = std::move(artifacts.xtree);
-  va_file_ = std::move(artifacts.va_file);
   engine_ = std::move(artifacts.engine);
   density_filter_ = std::move(artifacts.filter);
   // Rows appended or tombstoned between the prepare and this commit are

@@ -24,7 +24,6 @@
 #include "src/data/normalizer.h"
 #include "src/filter/density_filter.h"
 #include "src/filter/filter_gate.h"
-#include "src/index/va_file.h"
 #include "src/index/xtree.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/linear_scan.h"
@@ -35,11 +34,10 @@
 
 namespace hos::core {
 
-/// Which kNN backend serves the OD computations. All three are exact; they
+/// Which kNN backend serves the OD computations. Both are exact; they
 /// differ only in cost.
 enum class IndexKind {
   kXTree,       ///< the paper's indexing module
-  kVaFile,      ///< vector-approximation file (Weber et al., VLDB'98)
   kLinearScan,  ///< brute force; O(n) per query
 };
 
@@ -56,7 +54,9 @@ struct HosMinerConfig {
   data::NormalizationKind normalization = data::NormalizationKind::kMinMax;
   IndexKind index = IndexKind::kXTree;
   index::XTreeConfig xtree;
-  index::VaFileConfig va_file;
+  /// Resolution of the density pre-filter's grid: 2^bits equi-width cells
+  /// per dimension (clamped to 1..8; see filter::DensitySummary::Build).
+  int filter_bits_per_dim = 4;
   /// Bulk-load the X-tree (fast) instead of repeated insertion.
   bool bulk_load = true;
   /// Sample size S of the learning process; 0 disables learning and uses
@@ -178,7 +178,8 @@ class HosMiner {
   /// estimates T when requested, and runs the learning process.
   /// InvalidArgument (naming the row and dimension) when a live row holds
   /// NaN or ±Inf, raw or after normalization; QueryPoint and PrepareAppend
-  /// apply the same check to their rows.
+  /// apply the same check to their rows. FailedPrecondition when an
+  /// estimated T is not positive (e.g. all rows identical).
   static Result<HosMiner> Build(data::Dataset dataset,
                                 HosMinerConfig config = {});
 
@@ -188,6 +189,10 @@ class HosMiner {
   /// Finds the outlying subspaces of dataset row `id` (the row itself is
   /// excluded from its neighbour sets). A tombstoned (deleted/evicted) id
   /// returns NotFound; an id that never existed returns OutOfRange.
+  /// Build requires k < live rows, but Delete / Evict* may shrink the
+  /// window below that: with fewer than k live rows besides `id`, no OD
+  /// exists and the query returns FailedPrecondition naming k and the
+  /// live count.
   ///
   /// Thread safety: as long as nothing mutates the miner, Query,
   /// QueryPoint, QueryAll, ScreenOutliers and TopOutliers may be called
@@ -203,7 +208,8 @@ class HosMiner {
                             const QueryOptions& options) const;
 
   /// Finds the outlying subspaces of an external point given in *raw*
-  /// (pre-normalisation) coordinates.
+  /// (pre-normalisation) coordinates. FailedPrecondition when fewer than k
+  /// rows are live.
   Result<QueryResult> QueryPoint(std::vector<double> raw_point) const;
 
   /// Batch form of Query.
@@ -219,7 +225,10 @@ class HosMiner {
   /// Screens the whole dataset: by OD monotonicity (paper §2) a point has
   /// at least one outlying subspace iff its full-space OD >= T, so one kNN
   /// query per point decides who is worth a lattice search at all.
-  /// Returns the qualifying points, descending by full-space OD.
+  /// Returns the qualifying points, descending by full-space OD. Returns
+  /// no points while k or fewer rows are live (no point has k neighbours;
+  /// Query reports that state as FailedPrecondition); so do TopOutliers
+  /// and TopOutliersWithSubspaces.
   std::vector<ScreenedOutlier> ScreenOutliers() const;
 
   /// The top-n points by full-space OD (Ramaswamy-style ranking with the
@@ -246,22 +255,23 @@ class HosMiner {
 
   /// Fused full-space OD of the given rows (each must be live), in input
   /// order: the ids are served in internal blocks through the backend's
-  /// batched kNN entry point (one index traversal / kernel sweep per block
-  /// instead of per id). Values are bitwise identical to per-id
+  /// batched kNN entry point (the linear scan sweeps the data once per
+  /// block instead of once per id; the X-tree answers point by point). Values are bitwise identical to per-id
   /// knn::OutlyingDegree calls — the multi-point kernel admits neighbours
   /// by exact distances only — so ScreenOutliers and TopOutliers, which
   /// are built on this, rank exactly as the historical per-point loop did.
   std::vector<double> ScreenBatch(std::span<const data::PointId> ids) const;
 
   /// Fused batch form of Query(id, options): each id is validated exactly
-  /// like Query (OutOfRange / NotFound reported in that id's slot), then
-  /// the valid points' lattice searches are co-scheduled through
-  /// search::BatchFrontierRunner so OD evaluations coinciding on a
-  /// subspace share one fused kNN pass. Per-point answer content is
-  /// bitwise identical to Query(id, options) — see batch_frontier.h for
-  /// the argument and the monitoring-only counter exceptions. With
-  /// collect_trace set (and no external tracer) the whole block records
-  /// one shared span tree, attached to every successful result.
+  /// like Query (OutOfRange / NotFound / FailedPrecondition reported in
+  /// that id's slot), then the valid points' lattice searches are
+  /// co-scheduled through search::BatchFrontierRunner so OD evaluations
+  /// coinciding on a subspace share one fused kNN pass. Per-point answer
+  /// content is bitwise identical to Query(id, options) — see
+  /// batch_frontier.h for the argument and the monitoring-only counter
+  /// exceptions. With collect_trace set (and no external tracer) the whole
+  /// block records one shared span tree, attached to every successful
+  /// result.
   std::vector<Result<QueryResult>> QueryBatchFused(
       std::span<const data::PointId> ids, const QueryOptions& options) const;
 
@@ -381,11 +391,8 @@ class HosMiner {
   /// in by CommitRebuild in O(1).
   struct RebuildArtifacts {
     std::unique_ptr<index::XTree> xtree;
-    std::unique_ptr<index::VaFile> va_file;
     std::unique_ptr<knn::KnnEngine> engine;
-    /// Density-bound pre-filter over the same rows (exported from the
-    /// VA-file when that is the serving index, quantized directly
-    /// otherwise).
+    /// Density-bound pre-filter over the same rows.
     std::unique_ptr<filter::DensityBoundFilter> filter;
     /// Rows and version the artifacts cover (rows appended after
     /// PrepareRebuild simply stay in the delta after the commit).
@@ -423,8 +430,6 @@ class HosMiner {
   }
   /// Non-null when config().index == kXTree.
   const index::XTree* xtree() const { return xtree_.get(); }
-  /// Non-null when config().index == kVaFile.
-  const index::VaFile* va_file() const { return va_file_.get(); }
   /// The density-bound pre-filter over the current base (always built; it
   /// only acts when a query opts in via QueryOptions::filter_mode).
   const filter::DensityBoundFilter* density_filter() const {
@@ -439,6 +444,11 @@ class HosMiner {
  private:
   HosMiner(HosMinerConfig config, std::unique_ptr<data::Dataset> dataset,
            data::Normalizer normalizer);
+
+  /// OK when at least k live rows remain besides the query's own
+  /// (`query_is_row`: the query is itself a live row); FailedPrecondition,
+  /// naming k and the live count, otherwise.
+  Status CheckWindowHoldsK(bool query_is_row) const;
 
   /// `full_space_seed`: pre-deposits OD(p, full space) into the walk's
   /// memo (the TopOutliersWithSubspaces screening hand-off). Must be the
@@ -457,8 +467,7 @@ class HosMiner {
   HosMinerConfig config_;
   std::unique_ptr<data::Dataset> dataset_;  // normalised copy
   data::Normalizer normalizer_;
-  std::unique_ptr<index::XTree> xtree_;      // when index == kXTree
-  std::unique_ptr<index::VaFile> va_file_;   // when index == kVaFile
+  std::unique_ptr<index::XTree> xtree_;  // when index == kXTree
   std::unique_ptr<knn::KnnEngine> engine_;
   std::unique_ptr<filter::DensityBoundFilter> density_filter_;
   std::unique_ptr<filter::FilterGate> filter_gate_;

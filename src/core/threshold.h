@@ -19,13 +19,15 @@ struct ThresholdOptions {
   /// OD percentile (in (0,1]) taken as T; e.g. 0.95 makes ~5% of sampled
   /// points full-space outliers.
   double percentile = 0.95;
-  /// Number of points whose full-space OD is computed; capped at the
-  /// dataset size. More samples → more stable estimate.
+  /// Number of live points whose full-space OD is computed; capped at the
+  /// live count. More samples → more stable estimate.
   int sample_size = 200;
   int k = 5;
 };
 
-/// Estimates T by sampling full-space OD values and taking the percentile.
+/// Estimates T by sampling the full-space OD values of live rows and taking
+/// the percentile. FailedPrecondition when no row is live or the estimate
+/// is not positive.
 Result<double> EstimateThreshold(const data::Dataset& dataset,
                                  const knn::KnnEngine& engine,
                                  const ThresholdOptions& options, Rng* rng);

@@ -101,6 +101,15 @@ Result<uint64_t> Dataset::AppendRows(
   return version_;
 }
 
+std::vector<PointId> Dataset::LiveIds() const {
+  std::vector<PointId> live;
+  live.reserve(live_size());
+  for (PointId id = 0; id < num_points_; ++id) {
+    if (IsLive(id)) live.push_back(id);
+  }
+  return live;
+}
+
 size_t Dataset::CountLiveBefore(size_t end) const {
   end = std::min(end, num_points_);
   if (tombstones_.empty()) return end;

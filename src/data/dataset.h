@@ -122,8 +122,14 @@ class Dataset {
   /// Total tombstoned rows, ever (tombstones are never un-set).
   size_t num_tombstones() const { return num_tombstones_; }
 
-  /// Live rows with id < end. O(end/64) popcount; the iDistance backend
-  /// uses it for its reachable-neighbour termination bound.
+  /// Ids of the live rows, ascending; the identity when nothing is
+  /// tombstoned. Position i holds the row that a fresh build on the
+  /// survivors would number i, so a sampler drawing positions here draws
+  /// the rows that build would.
+  std::vector<PointId> LiveIds() const;
+
+  /// Live rows with id < end. O(end/64) popcount; a rebuild uses it to
+  /// count the tombstones it folds out.
   size_t CountLiveBefore(size_t end) const;
 
   /// Tombstones the given rows, all-or-nothing: every id must be in range,

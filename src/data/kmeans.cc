@@ -30,11 +30,7 @@ Result<KMeansResult> KMeans(const Dataset& dataset,
   // Cluster the *live* rows only; tombstoned rows keep assignment -1. With
   // no tombstones `live` is the identity, and every loop and rng draw below
   // is exactly the pre-tombstone computation.
-  std::vector<PointId> live;
-  live.reserve(dataset.live_size());
-  for (PointId i = 0; i < n; ++i) {
-    if (dataset.IsLive(i)) live.push_back(i);
-  }
+  const std::vector<PointId> live = dataset.LiveIds();
   const size_t m = live.size();
   if (m < static_cast<size_t>(k)) {
     return Status::InvalidArgument("fewer points than clusters");

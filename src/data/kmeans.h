@@ -1,5 +1,4 @@
-// Lloyd's k-means — the clustering substrate used by the iDistance index
-// to pick its reference points (and usable on its own for data profiling).
+// Lloyd's k-means, for data profiling.
 
 #ifndef HOS_DATA_KMEANS_H_
 #define HOS_DATA_KMEANS_H_

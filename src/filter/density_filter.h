@@ -10,7 +10,7 @@
 //  * Per-candidate cell bounds. For every covered candidate row c, the
 //    summary's cells give, per dimension of s, the interval the coordinate
 //    lies in; `gap` (distance from p to the interval) and `reach` (distance
-//    to its far corner) accumulate across s's dimensions exactly as in the
+//    to its far corner) accumulate across s's dimensions exactly as in a
 //    VA-file's approximation phase, yielding
 //    lower(c) <= dist(p, c) <= reach(c).
 //  * Order-statistic argument. If l(1) <= l(2) <= ... are the sorted

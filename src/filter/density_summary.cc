@@ -14,7 +14,7 @@ bool CellOfInGrid(double value, double lo, double width, int cells,
                   int* cell) {
   if (value < lo || value > lo + width * cells) return false;
   // Values exactly on the upper grid edge belong to the last cell (the
-  // same clamp rule Build and the VA-file use); interior values floor.
+  // same clamp rule Build uses); interior values floor.
   *cell = std::clamp(static_cast<int>(std::floor((value - lo) / width)), 0,
                      cells - 1);
   return true;
@@ -46,7 +46,7 @@ DensitySummary DensitySummary::Build(const data::Dataset& dataset,
       static_cast<size_t>(d) * summary.cells_per_dim, 0);
   for (data::PointId id = 0; id < summary.rows; ++id) {
     // Dead rows keep zeroed cells and no counts: their chunk storage may be
-    // reclaimed, so they must not be read (the VaFile::Build rule).
+    // reclaimed, so they must not be read.
     if (!dataset.IsLive(id)) continue;
     const std::span<const double> row = dataset.Row(id);
     for (int dim = 0; dim < d; ++dim) {

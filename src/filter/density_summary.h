@@ -1,17 +1,11 @@
 // DensitySummary: the quantized per-dimension view of a dataset that the
-// density-bound OD pre-filter (density_filter.h) computes its bounds from.
-// It is exactly the VA-file's approximation data — per-dimension equi-width
-// cell boundaries plus one cell index per (row, dimension) — extended with
-// per-dimension *live-count histograms* so a filter can also reason about
-// whole-population density in O(cells) instead of O(rows).
-//
-// Two producers exist:
-//  * DensitySummary::Build quantizes any dataset directly (the path used
-//    when the serving index is not a VA-file);
-//  * index::VaFile::ExportDensitySummary re-exports the approximation file
-//    the index already built, so VA-file deployments pay no second
-//    quantization pass and the filter's cells are bit-identical to the
-//    index's.
+// density-bound OD pre-filter (density_filter.h) computes its bounds from:
+// per-dimension equi-width cell boundaries plus one cell index per (row,
+// dimension) — the approximation data of a VA-file (Weber et al., VLDB'98)
+// — extended with per-dimension *live-count histograms* so a filter can
+// also reason about whole-population density in O(cells) instead of
+// O(rows). DensitySummary::Build is its one producer; the miner quantizes
+// at HosMinerConfig::filter_bits_per_dim on every rebuild.
 //
 // Incremental maintenance. The summary can track the dataset through the
 // streaming lifecycle without a rebuild: ApplyAppend folds newly appended
@@ -130,9 +124,8 @@ struct DensitySummary {
   bool CheckTallyIntegrity();
 
   /// Quantizes `dataset` with 2^bits_per_dim equi-width cells per dimension
-  /// over each dimension's observed live [min, max] — the same boundary
-  /// rule as index::VaFile::Build, so a summary built here and one exported
-  /// from a VA-file over the same rows are identical.
+  /// (bits clamped to 1..8) over each dimension's observed live [min, max];
+  /// a value on the upper edge falls in the last cell.
   static DensitySummary Build(const data::Dataset& dataset, int bits_per_dim);
 };
 

@@ -48,19 +48,18 @@ inline double SelectionBound(double bound) {
   }
 }
 
-/// The shared accumulation loop of both block kernels: sums the block's
-/// per-dimension terms in ascending dimension order (the bitwise-identity
-/// contract with the scalar path), checking between dimension chunks
-/// whether even the block's smallest accumulation already exceeds
-/// `threshold` — the bound translated into accumulation space by
-/// SelectionBound, so exceeding it proves every final distance strictly
-/// greater than the caller's distance bound. Returns false when the block
-/// was abandoned that way.
-template <knn::MetricKind kMetric, bool kContiguous>
+/// The shared accumulation loop of both block kernels: sums the per-
+/// dimension terms of the m candidates at view positions [first, first + m)
+/// in ascending dimension order (the bitwise-identity contract with the
+/// scalar path), checking between dimension chunks whether even the
+/// block's smallest accumulation already exceeds `threshold` — the bound
+/// translated into accumulation space by SelectionBound, so exceeding it
+/// proves every final distance strictly greater than the caller's distance
+/// bound. Returns false when the block was abandoned that way.
+template <knn::MetricKind kMetric>
 bool AccumulateBlock(const DatasetView& view, const double* query,
-                     std::span<const int> dims, const data::PointId* ids,
-                     data::PointId first, size_t m, double threshold,
-                     double* acc) {
+                     std::span<const int> dims, data::PointId first,
+                     size_t m, double threshold, double* acc) {
   for (size_t j = 0; j < m; ++j) acc[j] = 0.0;
 
   const size_t num_dims = dims.size();
@@ -69,17 +68,10 @@ bool AccumulateBlock(const DatasetView& view, const double* query,
   while (c < num_dims) {
     const size_t chunk_end = std::min(c + kDimChunk, num_dims);
     for (; c < chunk_end; ++c) {
-      const double* col = view.Column(dims[c]);
+      const double* base = view.Column(dims[c]) + first;
       const double qv = query[dims[c]];
-      if constexpr (kContiguous) {
-        const double* base = col + first;
-        for (size_t j = 0; j < m; ++j) {
-          Accumulate<kMetric>(acc[j], qv - base[j]);
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          Accumulate<kMetric>(acc[j], qv - col[ids[j]]);
-        }
+      for (size_t j = 0; j < m; ++j) {
+        Accumulate<kMetric>(acc[j], qv - base[j]);
       }
     }
     if (bounded && c < num_dims) {
@@ -92,16 +84,14 @@ bool AccumulateBlock(const DatasetView& view, const double* query,
 }
 
 /// One block of m <= kDistanceBlock candidates, dimension-outer /
-/// candidate-inner. kContiguous selects unit-stride loads from `first`
-/// versus gathers through `ids`.
-template <knn::MetricKind kMetric, bool kContiguous>
+/// candidate-inner, read unit-stride from position `first`.
+template <knn::MetricKind kMetric>
 void DistanceBlock(const DatasetView& view, const double* query,
-                   std::span<const int> dims, const data::PointId* ids,
-                   data::PointId first, size_t m, double bound, double* out) {
+                   std::span<const int> dims, data::PointId first, size_t m,
+                   double bound, double* out) {
   double acc[kDistanceBlock];
-  if (!AccumulateBlock<kMetric, kContiguous>(view, query, dims, ids, first,
-                                             m, SelectionBound<kMetric>(bound),
-                                             acc)) {
+  if (!AccumulateBlock<kMetric>(view, query, dims, first, m,
+                                SelectionBound<kMetric>(bound), acc)) {
     for (size_t j = 0; j < m; ++j) out[j] = kPrunedDistance;
     return;
   }
@@ -112,18 +102,18 @@ void DistanceBlock(const DatasetView& view, const double* query,
 /// `collector` directly and all screening happens in accumulation space
 /// (squared distances for L2), so the per-candidate square root is paid only
 /// for candidates that might be admitted. Offers run in lane order — the
-/// scalar scan's admission sequence. kMapped (with contiguous reads) offers
-/// lane j under ids[j], a reordered view's position -> row id map, instead
-/// of the position first + j.
-template <knn::MetricKind kMetric, bool kContiguous, bool kMapped = false>
+/// scalar scan's admission sequence. kMapped offers lane j under ids[j], a
+/// reordered view's position -> row id map, instead of the position
+/// first + j.
+template <knn::MetricKind kMetric, bool kMapped>
 void TopKBlock(const DatasetView& view, const double* query,
                std::span<const int> dims, const data::PointId* ids,
                data::PointId first, size_t m, TopKCollector* collector) {
   const double bound = collector->bound();
   const double bound_acc = SelectionBound<kMetric>(bound);
   double acc[kDistanceBlock];
-  if (!AccumulateBlock<kMetric, kContiguous>(view, query, dims, ids, first,
-                                             m, bound_acc, acc)) {
+  if (!AccumulateBlock<kMetric>(view, query, dims, first, m, bound_acc,
+                                acc)) {
     return;  // whole block provably beyond the k-th neighbour
   }
   double closest = acc[0];
@@ -135,10 +125,8 @@ void TopKBlock(const DatasetView& view, const double* query,
       // dist > bound can never be admitted (stale bounds only loosen this);
       // dist == bound may still win its id tie-break inside Offer.
       if (dist <= bound) {
-        collector->Offer(kContiguous && !kMapped
-                             ? first + static_cast<data::PointId>(j)
-                             : ids[j],
-                         dist);
+        collector->Offer(
+            kMapped ? ids[j] : first + static_cast<data::PointId>(j), dist);
       }
     }
   }
@@ -157,11 +145,11 @@ void TopKBlock(const DatasetView& view, const double* query,
 /// every point is inactive. A point's excluded id is skipped at offer time
 /// rather than by segment splitting, which changes pruning opportunities
 /// but never collector content.
-template <knn::MetricKind kMetric, bool kContiguous>
+template <knn::MetricKind kMetric>
 void MultiTopKBlock(const DatasetView& view,
                     std::span<const MultiPointQuery> queries,
-                    std::span<const int> dims, const data::PointId* ids,
-                    data::PointId first, size_t m) {
+                    std::span<const int> dims, data::PointId first,
+                    size_t m) {
   const size_t nq = queries.size();
   double acc[kQueryBlock][kDistanceBlock];
   double bound[kQueryBlock];
@@ -180,20 +168,13 @@ void MultiTopKBlock(const DatasetView& view,
   while (c < num_dims) {
     const size_t chunk_end = std::min(c + kDimChunk, num_dims);
     for (; c < chunk_end; ++c) {
-      const double* col = view.Column(dims[c]);
-      const double* base = col + first;
+      const double* base = view.Column(dims[c]) + first;
       const int dim = dims[c];
       for (size_t q = 0; q < nq; ++q) {
         if (!active[q]) continue;
         const double qv = queries[q].point[dim];
         double* a = acc[q];
-        if constexpr (kContiguous) {
-          for (size_t j = 0; j < m; ++j) Accumulate<kMetric>(a[j], qv - base[j]);
-        } else {
-          for (size_t j = 0; j < m; ++j) {
-            Accumulate<kMetric>(a[j], qv - col[ids[j]]);
-          }
-        }
+        for (size_t j = 0; j < m; ++j) Accumulate<kMetric>(a[j], qv - base[j]);
       }
     }
     if (c < num_dims) {
@@ -218,8 +199,7 @@ void MultiTopKBlock(const DatasetView& view,
     if (closest > bound_acc[q]) continue;
     for (size_t j = 0; j < m; ++j) {
       if (a[j] <= bound_acc[q]) {
-        const data::PointId id =
-            kContiguous ? first + static_cast<data::PointId>(j) : ids[j];
+        const data::PointId id = first + static_cast<data::PointId>(j);
         if (queries[q].exclude && *queries[q].exclude == id) continue;
         const double dist = Finalize<kMetric>(a[j]);
         if (dist <= bound[q]) queries[q].collector->Offer(id, dist);
@@ -228,86 +208,64 @@ void MultiTopKBlock(const DatasetView& view,
   }
 }
 
-template <bool kContiguous>
 void MultiTopKDispatch(const DatasetView& view,
                        std::span<const MultiPointQuery> queries,
                        std::span<const int> dims, knn::MetricKind metric,
-                       const data::PointId* ids, data::PointId first,
-                       size_t m) {
+                       data::PointId first, size_t m) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      MultiTopKBlock<knn::MetricKind::kL1, kContiguous>(view, queries, dims,
-                                                        ids, first, m);
+      MultiTopKBlock<knn::MetricKind::kL1>(view, queries, dims, first, m);
       return;
     case knn::MetricKind::kL2:
-      MultiTopKBlock<knn::MetricKind::kL2, kContiguous>(view, queries, dims,
-                                                        ids, first, m);
+      MultiTopKBlock<knn::MetricKind::kL2>(view, queries, dims, first, m);
       return;
     case knn::MetricKind::kLInf:
-      MultiTopKBlock<knn::MetricKind::kLInf, kContiguous>(view, queries, dims,
-                                                          ids, first, m);
+      MultiTopKBlock<knn::MetricKind::kLInf>(view, queries, dims, first, m);
       return;
   }
 }
 
-template <bool kContiguous, bool kMapped = false>
+template <bool kMapped>
 void TopKDispatch(const DatasetView& view, const double* query,
                   std::span<const int> dims, knn::MetricKind metric,
                   const data::PointId* ids, data::PointId first, size_t m,
                   TopKCollector* collector) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      TopKBlock<knn::MetricKind::kL1, kContiguous, kMapped>(
-          view, query, dims, ids, first, m, collector);
+      TopKBlock<knn::MetricKind::kL1, kMapped>(view, query, dims, ids, first,
+                                               m, collector);
       return;
     case knn::MetricKind::kL2:
-      TopKBlock<knn::MetricKind::kL2, kContiguous, kMapped>(
-          view, query, dims, ids, first, m, collector);
+      TopKBlock<knn::MetricKind::kL2, kMapped>(view, query, dims, ids, first,
+                                               m, collector);
       return;
     case knn::MetricKind::kLInf:
-      TopKBlock<knn::MetricKind::kLInf, kContiguous, kMapped>(
-          view, query, dims, ids, first, m, collector);
+      TopKBlock<knn::MetricKind::kLInf, kMapped>(view, query, dims, ids,
+                                                 first, m, collector);
       return;
   }
 }
 
-template <bool kContiguous>
 void Dispatch(const DatasetView& view, const double* query,
               std::span<const int> dims, knn::MetricKind metric,
-              const data::PointId* ids, data::PointId first, size_t m,
-              double bound, double* out) {
+              data::PointId first, size_t m, double bound, double* out) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      DistanceBlock<knn::MetricKind::kL1, kContiguous>(view, query, dims, ids,
-                                                       first, m, bound, out);
+      DistanceBlock<knn::MetricKind::kL1>(view, query, dims, first, m, bound,
+                                          out);
       return;
     case knn::MetricKind::kL2:
-      DistanceBlock<knn::MetricKind::kL2, kContiguous>(view, query, dims, ids,
-                                                       first, m, bound, out);
+      DistanceBlock<knn::MetricKind::kL2>(view, query, dims, first, m, bound,
+                                          out);
       return;
     case knn::MetricKind::kLInf:
-      DistanceBlock<knn::MetricKind::kLInf, kContiguous>(view, query, dims,
-                                                         ids, first, m, bound,
-                                                         out);
+      DistanceBlock<knn::MetricKind::kLInf>(view, query, dims, first, m,
+                                            bound, out);
       return;
   }
 }
 
 }  // namespace
-
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             std::span<const int> dims,
-                             knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out) {
-  assert(view.row_ids().empty());
-  for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
-    const size_t m = std::min(kDistanceBlock, ids.size() - start);
-    Dispatch<false>(view, query.data(), dims, metric, ids.data() + start, 0,
-                    m, bound, out.data() + start);
-  }
-}
 
 void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<const double> query,
@@ -317,19 +275,10 @@ void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<double> out) {
   for (size_t start = 0; start < count; start += kDistanceBlock) {
     const size_t m = std::min(kDistanceBlock, count - start);
-    Dispatch<true>(view, query.data(), dims, metric, nullptr,
-                   first + static_cast<data::PointId>(start), m, bound,
-                   out.data() + start);
+    Dispatch(view, query.data(), dims, metric,
+             first + static_cast<data::PointId>(start), m, bound,
+             out.data() + start);
   }
-}
-
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out) {
-  const std::vector<int> dims = subspace.Dims();
-  BatchedSubspaceDistance(view, query, dims, metric, ids, bound, out);
 }
 
 void BatchedSubspaceDistanceRange(const DatasetView& view,
@@ -365,8 +314,8 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
   auto scan_segment = [&](size_t lo, size_t hi) {
     for (size_t start = lo; start < hi; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, hi - start);
-      TopKDispatch<true>(view, query.data(), dims, metric, nullptr,
-                         static_cast<data::PointId>(start), m, collector);
+      TopKDispatch<false>(view, query.data(), dims, metric, nullptr,
+                          static_cast<data::PointId>(start), m, collector);
       examined += m;
     }
   };
@@ -381,20 +330,6 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
   return examined;
 }
 
-uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
-                        const Subspace& subspace, knn::MetricKind metric,
-                        std::span<const data::PointId> ids,
-                        TopKCollector* collector) {
-  assert(view.row_ids().empty());
-  const std::vector<int> dims = subspace.Dims();
-  for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
-    const size_t m = std::min(kDistanceBlock, ids.size() - start);
-    TopKDispatch<false>(view, query.data(), dims, metric, ids.data() + start,
-                        0, m, collector);
-  }
-  return ids.size();
-}
-
 uint64_t ScanRangeForTopK(const DatasetView& view,
                           std::span<const double> query,
                           std::span<const int> dims, knn::MetricKind metric,
@@ -406,10 +341,9 @@ uint64_t ScanRangeForTopK(const DatasetView& view,
   auto scan = [&](size_t lo, size_t hi) {
     for (size_t start = lo; start < hi; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, hi - start);
-      TopKDispatch<true, true>(view, query.data(), dims, metric,
-                               rows.data() + start,
-                               static_cast<data::PointId>(start), m,
-                               collector);
+      TopKDispatch<true>(view, query.data(), dims, metric,
+                         rows.data() + start,
+                         static_cast<data::PointId>(start), m, collector);
     }
   };
   // Like ScanAllForTopK, scan around the excluded row's position, so it is
@@ -441,8 +375,8 @@ uint64_t ScanAllForTopKMulti(const DatasetView& view,
     const std::span<const MultiPointQuery> tile = queries.subspan(q0, nq);
     for (size_t start = 0; start < n; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, n - start);
-      MultiTopKDispatch<true>(view, tile, dims, metric, nullptr,
-                              static_cast<data::PointId>(start), m);
+      MultiTopKDispatch(view, tile, dims, metric,
+                        static_cast<data::PointId>(start), m);
     }
     // Per point, the sequential scan examines every row except its own
     // exclusion (pruned candidates included), so the fused count is the
@@ -452,24 +386,6 @@ uint64_t ScanAllForTopKMulti(const DatasetView& view,
     }
   }
   return examined;
-}
-
-uint64_t ScanIdsForTopKMulti(const DatasetView& view,
-                             std::span<const MultiPointQuery> queries,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids) {
-  assert(view.row_ids().empty());
-  const std::vector<int> dims = subspace.Dims();
-  for (size_t q0 = 0; q0 < queries.size(); q0 += kQueryBlock) {
-    const size_t nq = std::min(kQueryBlock, queries.size() - q0);
-    const std::span<const MultiPointQuery> tile = queries.subspan(q0, nq);
-    for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
-      const size_t m = std::min(kDistanceBlock, ids.size() - start);
-      MultiTopKDispatch<false>(view, tile, dims, metric, ids.data() + start,
-                               0, m);
-    }
-  }
-  return static_cast<uint64_t>(queries.size()) * ids.size();
 }
 
 }  // namespace hos::kernels

@@ -1,15 +1,15 @@
-// BatchedSubspaceDistance: the vectorized subspace-masked distance kernel
-// shared by every kNN backend (knn/linear_scan, index/idistance,
-// index/va_file, index/xtree).
+// The vectorized subspace-masked distance kernel shared by both kNN
+// backends (knn/linear_scan over a view in row-id order, index/xtree over
+// its leaf-ordered view).
 //
 // Loop order: distances from one query point to a block of candidates are
 // computed dimension-outer / candidate-inner over the column-major
-// DatasetView, so the inner loop is a unit-stride (or gathered) sweep the
-// compiler auto-vectorizes. Each candidate still accumulates its
-// per-dimension terms in ascending dimension order — the same order
-// knn::SubspaceDistance walks the mask — so kernel distances are *bitwise
-// identical* to the scalar metric path; the differential suite
-// (tests/kernels/) asserts this on every backend.
+// DatasetView, so the inner loop is a unit-stride sweep over a run of view
+// positions, which the compiler auto-vectorizes. Each candidate still
+// accumulates its per-dimension terms in ascending dimension order — the
+// same order knn::SubspaceDistance walks the mask — so kernel distances are
+// *bitwise identical* to the scalar metric path; the differential suite
+// (tests/kernels/) asserts this on both backends.
 //
 // Partial-distance early exit: all three metrics are monotone in the
 // dimension set, so a block whose smallest partial accumulation already
@@ -22,8 +22,8 @@
 // implies fl(sqrt(acc)) > b *strictly*: a pruned candidate can neither beat
 // the bound nor tie it, while every possible tie survives screening.
 //
-// The top-k scan entry points (ScanAllForTopK / ScanIdsForTopK /
-// ScanRangeForTopK) screen each surviving candidate the same way, so only
+// The top-k scan entry points (ScanAllForTopK / ScanRangeForTopK /
+// ScanAllForTopKMulti) screen each surviving candidate the same way, so only
 // the rare near-bound candidates pay a square root; their admission then
 // uses the exact fl(sqrt(acc)) — bit-identical to the scalar path's
 // comparisons.
@@ -59,20 +59,11 @@ inline constexpr size_t kDistanceBlock = 64;
 inline constexpr double kPrunedDistance =
     std::numeric_limits<double>::infinity();
 
-/// Distances from `query` to the candidates `ids`; out[i] receives the exact
-/// distance of ids[i] or kPrunedDistance. `dims` is the subspace's ascending
-/// dimension list (Subspace::Dims()); `bound` = +infinity disables the early
-/// exit. Requires out.size() >= ids.size() and a view in Build's order
-/// (ids index positions).
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             std::span<const int> dims,
-                             knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out);
-
-/// Contiguous-id variant: candidates first .. first+count-1. The inner loop
-/// is unit-stride, the fastest form of the kernel.
+/// Distances from `query` to the candidates at view positions first ..
+/// first+count-1; out[i] receives the exact distance of position first + i
+/// or kPrunedDistance. `dims` is the subspace's ascending dimension list
+/// (Subspace::Dims()); `bound` = +infinity disables the early exit.
+/// Requires out.size() >= count.
 void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<const double> query,
                                   std::span<const int> dims,
@@ -80,13 +71,8 @@ void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   size_t count, double bound,
                                   std::span<double> out);
 
-/// Convenience overloads decoding the subspace per call; prefer the span
-/// forms when one query issues many kernel calls.
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out);
+/// Convenience overload decoding the subspace per call; prefer the span
+/// form when one query issues many kernel calls.
 void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<const double> query,
                                   const Subspace& subspace,
@@ -172,13 +158,6 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
                         std::optional<data::PointId> exclude,
                         TopKCollector* collector);
 
-/// Top-k over an explicit candidate list, offered in list order. Requires
-/// a view in Build's order.
-uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
-                        const Subspace& subspace, knn::MetricKind metric,
-                        std::span<const data::PointId> ids,
-                        TopKCollector* collector);
-
 /// Top-k over the view positions [first, first + count) — one leaf of the
 /// X-tree's leaf-ordered view — read unit-stride and offered in position
 /// order under the row ids they hold (DatasetView::RowAt). The position
@@ -220,15 +199,6 @@ struct MultiPointQuery {
 uint64_t ScanAllForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,
                              const Subspace& subspace, knn::MetricKind metric);
-
-/// Fused top-k over an explicit candidate list for B query points
-/// (iDistance's shared-frontier refinement step). Each point's excluded id
-/// is skipped at offer time; `ids` need not be pre-filtered per point.
-/// Requires a view in Build's order.
-uint64_t ScanIdsForTopKMulti(const DatasetView& view,
-                             std::span<const MultiPointQuery> queries,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids);
 
 }  // namespace hos::kernels
 

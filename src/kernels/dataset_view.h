@@ -5,10 +5,10 @@
 // the kernel's inner loop into a unit-stride sweep the compiler vectorizes;
 // the row-major Dataset would stride by num_dims() instead.
 //
-// Positions are row ids in the default order (Build). BuildInOrder lays the
-// same rows out in a caller's order instead, recording a position -> row id
-// map: the X-tree stores its snapshot leaf by leaf, so every leaf scan is
-// one contiguous position range.
+// Positions are row ids in the default order (Build), the linear scan's
+// layout. BuildInOrder lays the same rows out in a caller's order instead,
+// recording a position -> row id map: the X-tree stores its snapshot leaf
+// by leaf, so every leaf scan is one contiguous position range.
 //
 // A view is an independent snapshot: it stays valid (and consistent) if the
 // source dataset later grows or is destroyed, but it does not track such
@@ -23,8 +23,7 @@
 //  * any row *overwritten in place* (Dataset::Set) since the snapshot — the
 //    base itself is suspect and the view must not serve at all; callers
 //    fall back to their scalar paths (and, as before the versioned-ingest
-//    refactor, the index structures themselves — X-tree MBRs, VA-file
-//    approximations, iDistance keys — are silently stale under Set, so a
+//    refactor, the X-tree's MBRs are silently stale under Set, so a
 //    dataset must not be overwritten while engines built over it are in
 //    use; engines log this fallback when they detect it).
 

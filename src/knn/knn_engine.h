@@ -55,10 +55,10 @@ struct BatchPointQuery {
 /// replaced, e.g. by an ingest rebuild — the serving layer folds the old
 /// engine's totals so exported series stay monotone across swaps).
 struct KnnBackendStats {
-  /// Implementation name: "linear_scan", "xtree", "va_file", "idistance".
+  /// Implementation name: "linear_scan" or "xtree".
   std::string backend;
   uint64_t distance_computations = 0;
-  /// Index nodes / pages / partitions touched (0 for scan backends).
+  /// X-tree nodes touched (0 for the linear scan).
   uint64_t node_accesses = 0;
   /// Scans answered through the batched SIMD kernel over the SoA base.
   uint64_t kernel_scans = 0;
@@ -103,9 +103,9 @@ class KnnEngine {
   /// Batched kNN: one answer per query point, all in the same subspace with
   /// the same k. results[i] is exactly Search({points[i], subspace, k,
   /// excludes[i]}) — ascending (distance, id) with identical doubles — for
-  /// every backend; the base class runs the per-point loop and concrete
-  /// engines override with fused scans / shared traversals that amortize
-  /// column streaming and index walks across the batch.
+  /// every backend; the base class runs the per-point loop (the X-tree's
+  /// batch path), and LinearScanKnn overrides it with a fused scan that
+  /// amortizes column streaming across the batch.
   virtual std::vector<std::vector<Neighbor>> SearchBatch(
       std::span<const BatchPointQuery> points, const Subspace& subspace,
       int k) const;

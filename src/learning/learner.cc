@@ -19,12 +19,7 @@ LearningReport LearnPruningPriors(const data::Dataset& dataset,
   // map them back to dataset ids. With no tombstones the list is the
   // identity, so the rng draws and chosen ids are exactly the
   // pre-tombstone computation.
-  std::vector<data::PointId> live;
-  live.reserve(dataset.live_size());
-  for (data::PointId i = 0; i < static_cast<data::PointId>(dataset.size());
-       ++i) {
-    if (dataset.IsLive(i)) live.push_back(i);
-  }
+  const std::vector<data::PointId> live = dataset.LiveIds();
   const size_t sample_size = std::min<size_t>(
       static_cast<size_t>(std::max(options.sample_size, 0)), live.size());
   if (sample_size == 0) return report;

@@ -231,8 +231,7 @@ TEST(HosMinerQueryTest, AllBackendsAgree) {
   base_config.sample_size = 0;
 
   std::vector<Subspace> reference;
-  for (IndexKind index :
-       {IndexKind::kXTree, IndexKind::kVaFile, IndexKind::kLinearScan}) {
+  for (IndexKind index : {IndexKind::kXTree, IndexKind::kLinearScan}) {
     HosMinerConfig config = base_config;
     config.index = index;
     data::Dataset copy = generated.dataset;

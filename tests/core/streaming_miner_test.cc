@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -219,8 +220,7 @@ TEST(StreamingMinerTest, RebuildKeepsThresholdAndAnswers) {
 }
 
 TEST(StreamingMinerTest, RebuildWorksForEveryIndexKind) {
-  for (IndexKind index : {IndexKind::kLinearScan, IndexKind::kXTree,
-                          IndexKind::kVaFile}) {
+  for (IndexKind index : {IndexKind::kLinearScan, IndexKind::kXTree}) {
     SCOPED_TRACE(static_cast<int>(index));
     Rng rng(7);
     data::Dataset dataset = data::GenerateUniform(80, kDims, &rng);
@@ -264,6 +264,85 @@ TEST(StreamingMinerTest, DeleteEvictFeedTheStalenessClock) {
   EXPECT_TRUE(dead.status().IsNotFound()) << dead.status().ToString();
   auto live = miner.Query(50);
   EXPECT_TRUE(live.ok()) << live.status().ToString();
+}
+
+// Build requires k < live rows, but deletes can shrink the window below
+// that. With only k rows live, no row has k neighbours besides itself: the
+// query paths say so instead of summing fewer than k distances, and the
+// screening paths return no points. One appended row restores the window,
+// and the answers are then a fresh build's on the survivors.
+TEST(StreamingMinerTest, WindowOfKLiveRowsRefusesQueriesUntilItGrows) {
+  HosMiner miner = BuildMiner(13, /*rows=*/40, data::NormalizationKind::kNone);
+  const std::vector<data::PointId> kept = {5, 17, 33};
+  ASSERT_EQ(kept.size(), static_cast<size_t>(miner.config().k));
+  std::vector<data::PointId> doomed;
+  for (data::PointId id = 0; id < 40; ++id) {
+    if (std::find(kept.begin(), kept.end(), id) == kept.end()) {
+      doomed.push_back(id);
+    }
+  }
+  ASSERT_TRUE(miner.Delete(doomed).ok());
+  ASSERT_EQ(miner.live_rows(), kept.size());
+
+  auto refused = miner.Query(kept[0]);
+  ASSERT_TRUE(refused.status().IsFailedPrecondition())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("k = 3"), std::string::npos);
+  EXPECT_NE(refused.status().message().find("3 rows are live"),
+            std::string::npos);
+  const std::vector<data::PointId> batch = {kept[1], 0};
+  auto fused = miner.QueryBatchFused(batch, QueryOptions{});
+  ASSERT_EQ(fused.size(), batch.size());
+  EXPECT_TRUE(fused[0].status().IsFailedPrecondition());
+  EXPECT_TRUE(fused[1].status().IsNotFound());
+  EXPECT_TRUE(miner.ScreenOutliers().empty());
+  EXPECT_TRUE(miner.TopOutliers(5).empty());
+  EXPECT_TRUE(miner.TopOutliersWithSubspaces(5).empty());
+  // An external point still has k live neighbours.
+  EXPECT_TRUE(miner.QueryPoint({0.5, 0.5, 0.5, 0.5, 0.5}).ok());
+
+  ASSERT_TRUE(miner.Append({{0.1, 0.9, 0.3, 0.7, 0.5}}).ok());
+  std::vector<data::PointId> live;
+  data::Dataset survivors(kDims);
+  for (data::PointId id = 0; id < miner.dataset().size(); ++id) {
+    if (!miner.dataset().IsLive(id)) continue;
+    live.push_back(id);
+    survivors.Append(miner.dataset().Row(id));
+  }
+  auto fresh = HosMiner::Build(std::move(survivors), miner.config());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (size_t i = 0; i < live.size(); ++i) {
+    auto got = miner.Query(live[i]);
+    auto want = fresh->Query(static_cast<data::PointId>(i));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(got->outcome.minimal_outlying_subspaces,
+              want->outcome.minimal_outlying_subspaces)
+        << "row " << live[i];
+    EXPECT_EQ(got->outcome.outlier_fraction, want->outcome.outlier_fraction)
+        << "row " << live[i];
+  }
+}
+
+// Below k live rows even an external point lacks k neighbours, and the
+// serving layer passes the miner's refusal through.
+TEST(StreamingMinerTest, WindowBelowKRefusesExternalPointsAndServiceQueries) {
+  service::QueryService service(
+      BuildMiner(14, /*rows=*/30, data::NormalizationKind::kNone));
+  std::vector<data::PointId> doomed;
+  for (data::PointId id = 2; id < 30; ++id) doomed.push_back(id);
+  ASSERT_TRUE(service.DeleteRows(doomed).ok());
+  ASSERT_EQ(service.miner().live_rows(), 2u);
+
+  EXPECT_TRUE(service.miner()
+                  .QueryPoint({0.5, 0.5, 0.5, 0.5, 0.5})
+                  .status()
+                  .IsFailedPrecondition());
+  auto served = service.Query(0);
+  EXPECT_TRUE(served.status().IsFailedPrecondition())
+      << served.status().ToString();
+  const std::vector<data::PointId> ids = {0, 1};
+  EXPECT_TRUE(service.QueryBatch(ids).status().IsFailedPrecondition());
 }
 
 TEST(StreamingMinerTest, TwoPhaseLearningCommitsAtomicallyAndResetsClock) {

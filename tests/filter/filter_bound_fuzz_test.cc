@@ -6,13 +6,12 @@
 // (and the same for each tier separately: the coarse histogram bounds when
 // they apply, and the refined per-candidate bounds always). This suite
 // hammers that invariant with random datasets, random subspace masks and
-// random query rows, against the exact OD of every kNN backend — linear
-// scan, X-tree and VA-file through the miner's engine, iDistance (full
-// space only) at the engine level — and keeps hammering after streaming
-// appends and tombstones have made the summary stale. A final case runs
-// filtered queries from many threads at once over one shared miner; the
-// filter is immutable after construction, so the TSan job must find
-// nothing.
+// random query rows, against the exact OD of both kNN backends — linear
+// scan and X-tree through the miner's engine — and keeps hammering after
+// streaming appends and tombstones have made the summary stale. A final
+// case runs filtered queries from many threads at once over one shared
+// miner; the filter is immutable after construction, so the TSan job must
+// find nothing.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +27,7 @@
 #include "src/data/generator.h"
 #include "src/filter/density_filter.h"
 #include "src/filter/density_summary.h"
-#include "src/index/idistance.h"
+#include "src/knn/linear_scan.h"
 #include "src/knn/metric.h"
 #include "tests/testutil/adversarial_gen.h"
 
@@ -207,21 +206,18 @@ TEST_P(BoundSoundnessTest, IncrementalTalliesStaySoundThroughSlidingWindow) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BoundSoundnessTest,
                          ::testing::Values(core::IndexKind::kLinearScan,
-                                           core::IndexKind::kXTree,
-                                           core::IndexKind::kVaFile),
+                                           core::IndexKind::kXTree),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case core::IndexKind::kXTree: return "XTree";
-                             case core::IndexKind::kVaFile: return "VaFile";
-                             default: return "LinearScan";
-                           }
+                           return info.param == core::IndexKind::kXTree
+                                      ? "XTree"
+                                      : "LinearScan";
                          });
 
-// iDistance answers only full-space queries, so the invariant is checked at
-// the full mask, for every live row, on the adversarial dataset (whose
-// duplicates and near-threshold rings sit right where bound arithmetic is
-// most fragile).
-TEST(BoundSoundnessIDistanceTest, FullSpaceBoundsContainExactOd) {
+// The full-space mask — the screening subspace — for every live row of the
+// adversarial dataset, whose duplicates and near-threshold rings sit right
+// where bound arithmetic is most fragile; exact ODs come from the linear
+// scan, built before the tombstones land.
+TEST(BoundSoundnessFullSpaceTest, FullSpaceBoundsContainExactOd) {
   testutil::AdversarialSpec spec;
   spec.seed = 404;
   spec.num_dims = kDims;
@@ -229,11 +225,7 @@ TEST(BoundSoundnessIDistanceTest, FullSpaceBoundsContainExactOd) {
   testutil::AdversarialDataset scenario = testutil::MakeAdversarial(spec);
   data::Dataset dataset = testutil::ToDataset(scenario);
 
-  Rng build_rng(7);
-  auto built = index::IDistance::Build(dataset, knn::MetricKind::kL2,
-                                       index::IDistanceConfig{}, &build_rng);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const index::IDistance& idistance = built.value();
+  const knn::LinearScanKnn engine(dataset, knn::MetricKind::kL2);
   ASSERT_TRUE(dataset.DeleteRows(scenario.tombstones).ok());
 
   filter::DensityBoundFilter filter(
@@ -244,9 +236,12 @@ TEST(BoundSoundnessIDistanceTest, FullSpaceBoundsContainExactOd) {
   for (data::PointId id = 0; id < static_cast<data::PointId>(dataset.size());
        ++id) {
     if (!dataset.IsLive(id)) continue;
-    const auto neighbours = idistance.Knn(dataset.Row(id), kK, id);
-    double exact = 0.0;
-    for (const auto& n : neighbours) exact += n.distance;
+    knn::KnnQuery query;
+    query.point = dataset.Row(id);
+    query.subspace = Subspace(full);
+    query.k = kK;
+    query.exclude = id;
+    const double exact = knn::OutlyingDegree(engine, query);
     const filter::OdBounds bounds = filter.Bounds(dataset.Row(id), full, kK, id);
     EXPECT_LE(bounds.lower, exact) << "id " << id;
     EXPECT_GE(bounds.upper, exact) << "id " << id;
@@ -286,7 +281,7 @@ TEST(FilterConcurrencyTest, ConcurrentFilteredQueriesAreRaceFreeAndExact) {
   core::HosMinerConfig config;
   config.k = kK;
   config.threshold = 0.9;
-  config.index = core::IndexKind::kVaFile;
+  config.index = core::IndexKind::kXTree;
   config.sample_size = 0;
   auto built = core::HosMiner::Build(std::move(dataset), config);
   ASSERT_TRUE(built.ok()) << built.status().ToString();

@@ -1,10 +1,10 @@
 // The density-bound pre-filter's exactness contract, end to end — the
-// headline harness of the pre-filter PR. For every kNN backend a miner can
-// serve ({linear scan, X-tree, VA-file}; iDistance, which is full-space
-// only, is held to the same contract at the engine level below), both
-// lattice stores, and both a random planted-outlier dataset and an
-// adversarially generated one (near-threshold OD bands, correlated
-// dimensions, duplicates, tombstones — see tests/testutil/adversarial_gen.h):
+// headline harness of the pre-filter. For both kNN backends a miner can
+// serve ({linear scan, X-tree}; the full-space mask is also held to the
+// contract at the engine level below), both lattice stores, and both a
+// random planted-outlier dataset and an adversarially generated one
+// (near-threshold OD bands, correlated dimensions, duplicates, tombstones —
+// see tests/testutil/adversarial_gen.h):
 //
 //  * FilterMode::kConservative must be *bitwise identical* to kOff: same
 //    minimal outlying subspaces, same per-mask verdict over the whole
@@ -33,7 +33,7 @@
 #include "src/filter/density_filter.h"
 #include "src/filter/density_summary.h"
 #include "src/filter/filter_gate.h"
-#include "src/index/idistance.h"
+#include "src/knn/linear_scan.h"
 #include "tests/testutil/adversarial_gen.h"
 
 namespace hos {
@@ -99,7 +99,7 @@ Scenario AdversarialScenario(core::IndexKind index) {
   // Un-normalized coordinates span ~[0, 3]: keep the quantization cells
   // fine enough (2^8 per dim) that bounds stay meaningful against the
   // generator's T.
-  config.va_file.bits_per_dim = 8;
+  config.filter_bits_per_dim = 8;
 
   auto built = core::HosMiner::Build(testutil::ToDataset(scenario), config);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
@@ -347,34 +347,25 @@ TEST_P(FilterDifferentialTest, LearnedGateKeepsConservativeAnswersBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FilterDifferentialTest,
                          ::testing::Values(core::IndexKind::kLinearScan,
-                                           core::IndexKind::kXTree,
-                                           core::IndexKind::kVaFile),
+                                           core::IndexKind::kXTree),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case core::IndexKind::kXTree: return "XTree";
-                             case core::IndexKind::kVaFile: return "VaFile";
-                             default: return "LinearScan";
-                           }
+                           return info.param == core::IndexKind::kXTree
+                                      ? "XTree"
+                                      : "LinearScan";
                          });
 
-// iDistance is the full-space screening backend, not a lattice-search kNN
-// engine, so it meets the filter at exactly one mask: the full space. The
-// contract there: a conservative Decide verdict must agree with the exact
-// verdict derived from iDistance's own kNN answer (sum of the k nearest
-// distances), for every live row, under the same streaming mutations the
-// other backends saw.
-TEST(FilterIDistanceTest, ConservativeVerdictsAgreeWithExactFullSpaceOd) {
+// The full space is the screening mask. There, a conservative Decide
+// verdict must agree with the exact verdict derived from the linear
+// scan's kNN answer (sum of the k nearest distances), for every live row,
+// after tombstones land on rows the engine was built over.
+TEST(FilterFullSpaceTest, ConservativeVerdictsAgreeWithExactFullSpaceOd) {
   testutil::AdversarialSpec spec;
   spec.seed = 99;
   spec.num_dims = 5;
   testutil::AdversarialDataset scenario = testutil::MakeAdversarial(spec);
   data::Dataset dataset = testutil::ToDataset(scenario);
 
-  Rng build_rng(7);
-  auto built = index::IDistance::Build(dataset, knn::MetricKind::kL2,
-                                       index::IDistanceConfig{}, &build_rng);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const index::IDistance& idistance = built.value();
+  const knn::LinearScanKnn engine(dataset, knn::MetricKind::kL2);
   ASSERT_TRUE(dataset.DeleteRows(scenario.tombstones).ok());
 
   filter::DensityBoundFilter filter(
@@ -386,9 +377,12 @@ TEST(FilterIDistanceTest, ConservativeVerdictsAgreeWithExactFullSpaceOd) {
   for (data::PointId id = 0; id < static_cast<data::PointId>(dataset.size());
        ++id) {
     if (!dataset.IsLive(id)) continue;
-    const auto neighbours = idistance.Knn(dataset.Row(id), scenario.k, id);
-    double exact_od = 0.0;
-    for (const auto& n : neighbours) exact_od += n.distance;
+    knn::KnnQuery query;
+    query.point = dataset.Row(id);
+    query.subspace = Subspace(full);
+    query.k = scenario.k;
+    query.exclude = id;
+    const double exact_od = knn::OutlyingDegree(engine, query);
     const bool exact_outlier = exact_od >= scenario.threshold;
 
     const filter::FilterDecision decision = filter.Decide(
@@ -398,7 +392,7 @@ TEST(FilterIDistanceTest, ConservativeVerdictsAgreeWithExactFullSpaceOd) {
     ++decided;
     EXPECT_EQ(decision.verdict == filter::FilterDecision::Verdict::kOutlier,
               exact_outlier)
-        << "conservative verdict contradicts iDistance-exact OD " << exact_od
+        << "conservative verdict contradicts exact OD " << exact_od
         << " for id " << id;
     EXPECT_FALSE(decision.risky);
   }

@@ -1,6 +1,4 @@
-// Per-backend streaming-ingest behaviour at the engine level, for the
-// backends built over subspace-capable structures (iDistance's full-space
-// variant is covered by tests/integration/ingest_differential_test.cc):
+// Per-backend streaming-ingest behaviour at the engine level:
 //
 //  * exactness past the snapshot: an engine whose dataset grew after it
 //    was built answers Search/RangeSearch bit-identically to an engine
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "src/data/generator.h"
-#include "src/index/va_file.h"
 #include "src/index/xtree.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/linear_scan.h"
@@ -118,44 +115,6 @@ TEST(DeltaRebuildTest, XTreeServesDeltaExactlyAndRebuilds) {
   compare(*tree, "after Rebuild");
 }
 
-TEST(DeltaRebuildTest, VaFileServesDeltaExactlyAndRebuilds) {
-  data::Dataset grown = MakeDataset(kBase, 5);
-  auto file = VaFile::Build(grown, knn::MetricKind::kL2);
-  ASSERT_TRUE(file.ok());
-  AppendDelta(&grown, 6);
-
-  auto fresh = VaFile::Build(grown, knn::MetricKind::kL2);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(file->base_rows(), kBase);
-
-  auto compare = [&](const VaFile& streamed, const std::string& label) {
-    ExpectEquivalentOnProbes(
-        grown,
-        [&](data::PointId id, int k, const std::string& trace) {
-          knn::KnnQuery query;
-          query.point = grown.Row(id);
-          query.subspace = Subspace::FromOneBased({1, 2, 4});
-          query.k = k;
-          query.exclude = id;
-          ExpectSameNeighbors(streamed.Knn(query), fresh->Knn(query), trace);
-        },
-        [&](data::PointId id, double radius, const std::string& trace) {
-          const Subspace s = Subspace::Full(kDims);
-          ExpectSameNeighbors(streamed.RangeSearch(grown.Row(id), s, radius),
-                              fresh->RangeSearch(grown.Row(id), s, radius),
-                              trace);
-        },
-        label);
-  };
-
-  compare(*file, "delta scan");
-  EXPECT_EQ(file->stale_fallbacks(), 0u);
-
-  ASSERT_TRUE(file->Rebuild().ok());
-  EXPECT_EQ(file->base_rows(), grown.size());
-  compare(*file, "after Rebuild");
-}
-
 TEST(DeltaRebuildTest, LinearScanServesDeltaExactlyAndRebuilds) {
   data::Dataset grown = MakeDataset(kBase, 7);
   knn::LinearScanKnn engine(grown, knn::MetricKind::kL2);
@@ -230,8 +189,6 @@ TEST(DeltaRebuildTest, OverwriteTriggersCountedFallback) {
   knn::LinearScanKnn engine(mutated, knn::MetricKind::kL2);
   auto tree = XTree::BulkLoad(mutated, knn::MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
-  auto file = VaFile::Build(mutated, knn::MetricKind::kL2);
-  ASSERT_TRUE(file.ok());
 
   const uint64_t version_before = mutated.version();
   mutated.Set(10, 2, 0.123456);
@@ -250,12 +207,10 @@ TEST(DeltaRebuildTest, OverwriteTriggersCountedFallback) {
                       "overwrite fallback, linear scan");
   EXPECT_GE(engine.stale_fallbacks(), 1u);
 
-  // Index backends: the unusable snapshot is detected and counted (their
+  // The X-tree: the unusable snapshot is detected and counted (its
   // geometry is stale under overwrite, so only the counter is asserted).
   (void)tree->Knn(query);
   EXPECT_GE(tree->stale_fallbacks(), 1u);
-  (void)file->Knn(query);
-  EXPECT_GE(file->stale_fallbacks(), 1u);
 
   // Rebuilding clears the staleness: the snapshot matches again and the
   // kernel path returns without further fallbacks.

@@ -89,22 +89,16 @@ TEST_P(DemoPipelineTest, ScreenDetailExplainExport) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DemoPipelineTest,
                          ::testing::Values(core::IndexKind::kXTree,
-                                           core::IndexKind::kVaFile,
                                            core::IndexKind::kLinearScan),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case core::IndexKind::kXTree:
-                               return "XTree";
-                             case core::IndexKind::kVaFile:
-                               return "VaFile";
-                             default:
-                               return "LinearScan";
-                           }
+                           return info.param == core::IndexKind::kXTree
+                                      ? "XTree"
+                                      : "LinearScan";
                          });
 
 TEST(DemoPipelineTest, BackendsProduceIdenticalScreenSets) {
   auto a = BuildPipeline(core::IndexKind::kXTree, 9);
-  auto b = BuildPipeline(core::IndexKind::kVaFile, 9);
+  auto b = BuildPipeline(core::IndexKind::kLinearScan, 9);
   ASSERT_TRUE(a.ok() && b.ok());
   auto fa = a->miner.ScreenOutliers();
   auto fb = b->miner.ScreenOutliers();

@@ -27,7 +27,6 @@
 
 #include "src/core/hos_miner.h"
 #include "src/data/generator.h"
-#include "src/index/idistance.h"
 #include "src/knn/knn_engine.h"
 
 namespace hos {
@@ -151,7 +150,6 @@ std::string IngestParamName(const ::testing::TestParamInfo<IngestParam>& info) {
   switch (std::get<0>(info.param)) {
     case core::IndexKind::kLinearScan: name = "LinearScan"; break;
     case core::IndexKind::kXTree: name = "XTree"; break;
-    case core::IndexKind::kVaFile: name = "VaFile"; break;
   }
   name += std::get<1>(info.param) == lattice::LatticeBackend::kDense
               ? "Dense"
@@ -237,80 +235,10 @@ TEST_P(IngestDifferentialTest, AppendEqualsRebuildEqualsFreshBuild) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, IngestDifferentialTest,
     ::testing::Combine(::testing::Values(core::IndexKind::kLinearScan,
-                                         core::IndexKind::kXTree,
-                                         core::IndexKind::kVaFile),
+                                         core::IndexKind::kXTree),
                        ::testing::Values(lattice::LatticeBackend::kDense,
                                          lattice::LatticeBackend::kSparse)),
     IngestParamName);
-
-// The fourth backend: iDistance serves full-space kNN (the screening
-// stage), so its append/rebuild equivalence is asserted at the engine
-// level — neighbour ids and distances bit-for-bit.
-TEST(IngestDifferentialTest, IDistanceAppendAndRebuildMatchFreshBuild) {
-  const data::Dataset all = MakeData(/*seed=*/99);
-  const auto base_rows = RowsOf(all, 0, kBaseRows);
-  const auto delta_rows = RowsOf(all, kBaseRows, all.size());
-  const auto all_rows = RowsOf(all, 0, all.size());
-
-  auto streamed_data = data::Dataset::FromRows(base_rows, kDims);
-  ASSERT_TRUE(streamed_data.ok());
-  data::Dataset streamed_dataset = std::move(streamed_data).value();
-  auto reference_data = data::Dataset::FromRows(all_rows, kDims);
-  ASSERT_TRUE(reference_data.ok());
-  data::Dataset reference_dataset = std::move(reference_data).value();
-
-  index::IDistanceConfig config;
-  config.num_partitions = 8;
-  Rng rng_a(7);
-  auto streamed = index::IDistance::Build(streamed_dataset,
-                                          knn::MetricKind::kL2, config,
-                                          &rng_a);
-  ASSERT_TRUE(streamed.ok());
-  Rng rng_b(7);
-  auto reference = index::IDistance::Build(reference_dataset,
-                                           knn::MetricKind::kL2, config,
-                                           &rng_b);
-  ASSERT_TRUE(reference.ok());
-
-  ASSERT_TRUE(streamed_dataset.AppendRows(delta_rows).ok());
-  EXPECT_EQ(streamed->base_rows(), kBaseRows);
-
-  auto expect_equal_neighbors = [&](const std::string& label) {
-    SCOPED_TRACE(label);
-    for (data::PointId id : {data::PointId{0}, data::PointId{50},
-                             static_cast<data::PointId>(kBaseRows + 1),
-                             static_cast<data::PointId>(all.size() - 1)}) {
-      for (int k : {1, 4, 9}) {
-        const auto got = streamed->Knn(streamed_dataset.Row(id), k, id);
-        const auto want = reference->Knn(reference_dataset.Row(id), k, id);
-        ASSERT_EQ(got.size(), want.size()) << "k=" << k << " id=" << id;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].id, want[i].id) << "k=" << k << " id=" << id;
-          EXPECT_EQ(got[i].distance, want[i].distance)
-              << "k=" << k << " id=" << id;
-        }
-      }
-      const auto got_range =
-          streamed->RangeSearch(streamed_dataset.Row(id), 0.4);
-      const auto want_range =
-          reference->RangeSearch(reference_dataset.Row(id), 0.4);
-      ASSERT_EQ(got_range.size(), want_range.size()) << "id=" << id;
-      for (size_t i = 0; i < got_range.size(); ++i) {
-        EXPECT_EQ(got_range[i].id, want_range[i].id);
-        EXPECT_EQ(got_range[i].distance, want_range[i].distance);
-      }
-    }
-  };
-
-  expect_equal_neighbors("append (delta scan) vs fresh build");
-
-  // Rebuild with the same seed reproduces the fresh build's partitioning.
-  Rng rng_c(7);
-  ASSERT_TRUE(streamed->Rebuild(&rng_c).ok());
-  EXPECT_EQ(streamed->base_rows(), all.size());
-  ASSERT_TRUE(streamed->CheckInvariants().ok());
-  expect_equal_neighbors("rebuild vs fresh build");
-}
 
 }  // namespace
 }  // namespace hos

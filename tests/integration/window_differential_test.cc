@@ -6,11 +6,6 @@
 // physically folds the tombstones away. Normalization is off and the
 // threshold fixed so both arms operate on the same coordinates and the
 // same T (the contract explicitly excludes re-fitting those).
-//
-// The iDistance cases cover the same contract at the engine level (it is
-// the screening backend, not a HosMinerConfig::index option), including
-// the k-means-over-live-rows determinism a rebuilt windowed index relies
-// on for bitwise-equal partitions.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +17,6 @@
 #include "src/core/hos_miner.h"
 #include "src/data/dataset.h"
 #include "src/data/generator.h"
-#include "src/index/idistance.h"
 #include "src/knn/knn_engine.h"
 #include "tests/testutil/adversarial_gen.h"
 
@@ -197,14 +191,11 @@ TEST_P(WindowDifferentialTest, WindowedEqualsFreshBuildOnSurvivors) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, WindowDifferentialTest,
                          ::testing::Values(core::IndexKind::kLinearScan,
-                                           core::IndexKind::kXTree,
-                                           core::IndexKind::kVaFile),
+                                           core::IndexKind::kXTree),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case core::IndexKind::kXTree: return "XTree";
-                             case core::IndexKind::kVaFile: return "VaFile";
-                             default: return "LinearScan";
-                           }
+                           return info.param == core::IndexKind::kXTree
+                                      ? "XTree"
+                                      : "LinearScan";
                          });
 
 // The windowed-equals-fresh contract on adversarially generated data:
@@ -243,93 +234,6 @@ TEST_P(WindowDifferentialTest, AdversarialWindowedEqualsFresh) {
   ExpectBitwiseOds(windowed, fresh, survivors);
   ExpectSameAnswers(windowed, fresh, survivors,
                     lattice::LatticeBackend::kDense);
-}
-
-TEST(IDistanceWindowTest, WindowedEqualsFreshBuildOnSurvivors) {
-  Rng data_rng(11);
-  data::Dataset windowed = data::GenerateUniform(80, kDims, &data_rng);
-
-  // Build over the first 80 rows, then append 20 (delta) and tombstone
-  // rows in both the indexed base and the delta.
-  Rng build_rng(7);
-  auto built = index::IDistance::Build(windowed, knn::MetricKind::kL2,
-                                       index::IDistanceConfig{}, &build_rng);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  index::IDistance windowed_index = std::move(built).value();
-
-  Rng extra_rng(13);
-  for (int i = 0; i < 20; ++i) {
-    std::vector<double> row(kDims);
-    for (double& cell : row) cell = extra_rng.Uniform();
-    windowed.Append(row);
-  }
-  const std::vector<data::PointId> doomed = {0, 7, 42, 79, 85, 99};
-  ASSERT_TRUE(windowed.DeleteRows(doomed).ok());
-
-  std::vector<data::PointId> survivors;
-  for (data::PointId id = 0;
-       id < static_cast<data::PointId>(windowed.size()); ++id) {
-    if (windowed.IsLive(id)) survivors.push_back(id);
-  }
-  data::Dataset fresh(kDims);
-  for (data::PointId id : survivors) fresh.Append(windowed.Row(id));
-  Rng fresh_rng(7);
-  auto fresh_built = index::IDistance::Build(
-      fresh, knn::MetricKind::kL2, index::IDistanceConfig{}, &fresh_rng);
-  ASSERT_TRUE(fresh_built.ok());
-  const index::IDistance& fresh_index = fresh_built.value();
-
-  auto expect_same = [&](const index::IDistance& w_index) {
-    ASSERT_TRUE(w_index.CheckInvariants().ok());
-    Rng query_rng(23);
-    for (int q = 0; q < 12; ++q) {
-      std::vector<double> point(kDims);
-      for (double& cell : point) cell = query_rng.Uniform();
-      auto w = w_index.Knn(point, 5);
-      auto f = fresh_index.Knn(point, 5);
-      ASSERT_EQ(w.size(), f.size());
-      for (size_t i = 0; i < w.size(); ++i) {
-        EXPECT_EQ(w[i].id, survivors[f[i].id]);
-        EXPECT_EQ(w[i].distance, f[i].distance);  // bitwise
-      }
-      auto wr = w_index.RangeSearch(point, 0.6);
-      auto fr = fresh_index.RangeSearch(point, 0.6);
-      ASSERT_EQ(wr.size(), fr.size());
-      for (size_t i = 0; i < wr.size(); ++i) {
-        EXPECT_EQ(wr[i].id, survivors[fr[i].id]);
-        EXPECT_EQ(wr[i].distance, fr[i].distance);
-      }
-    }
-    // Self-excluding queries (the ScreenOutliers form), every survivor.
-    for (size_t j = 0; j < survivors.size(); ++j) {
-      auto w = w_index.Knn(windowed.Row(survivors[j]), kK, survivors[j]);
-      auto f = fresh_index.Knn(fresh.Row(static_cast<data::PointId>(j)),
-                               kK, static_cast<data::PointId>(j));
-      ASSERT_EQ(w.size(), f.size());
-      for (size_t i = 0; i < w.size(); ++i) {
-        EXPECT_EQ(w[i].id, survivors[f[i].id]);
-        EXPECT_EQ(w[i].distance, f[i].distance);
-      }
-    }
-  };
-
-  // Arm 1: tombstones filtered at query time (delta + dead base rows).
-  expect_same(windowed_index);
-
-  // Arm 2: rebuild folds the tombstones physically; k-means clusters the
-  // live rows in survivor order with identical rng draws, so the rebuilt
-  // windowed index and the fresh index have bitwise-equal partitions.
-  Rng rebuild_rng(7);
-  ASSERT_TRUE(windowed_index.Rebuild(&rebuild_rng).ok());
-  ASSERT_EQ(windowed_index.partitions().size(),
-            fresh_index.partitions().size());
-  for (size_t p = 0; p < windowed_index.partitions().size(); ++p) {
-    EXPECT_EQ(windowed_index.partitions()[p].center,
-              fresh_index.partitions()[p].center);
-    EXPECT_EQ(windowed_index.partitions()[p].radius,
-              fresh_index.partitions()[p].radius);
-  }
-  expect_same(windowed_index);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Differential suite for the fused multi-point scan entry points
-// (ScanAllForTopKMulti / ScanIdsForTopKMulti): for randomized datasets,
-// metrics, subspaces, k values and batch sizes straddling kQueryBlock, each
-// query point's collector must finish with exactly — bitwise, not
-// approximately — the content its sequential ScanAllForTopK /
-// ScanIdsForTopK run produces. This is the ground layer of the fused
-// multi-query execution stack: every backend batch path and the
+// Differential suite for the fused multi-point scan (ScanAllForTopKMulti):
+// for randomized datasets, metrics, subspaces, k values and batch sizes
+// straddling kQueryBlock, each query point's collector must finish with
+// exactly — bitwise, not approximately — the content its sequential
+// ScanAllForTopK run produces. This is the ground layer of the fused
+// multi-query execution stack: the linear scan's batch path and the
 // co-scheduled lattice search rest on this identity.
 
 #include <gtest/gtest.h>
@@ -88,59 +87,6 @@ TEST(BatchScanTest, ScanAllMultiMatchesSequentialBitwise) {
       // The fused pass reports the summed per-point examined counts,
       // matching B sequential scans (the backends' distance counters).
       EXPECT_EQ(fused_examined, seq_examined);
-    }
-  }
-}
-
-TEST(BatchScanTest, ScanIdsMultiMatchesSequentialBitwise) {
-  Rng rng(7002);
-  const size_t n = 200;
-  const int d = 6;
-  data::Dataset ds = data::GenerateUniform(n, d, &rng);
-  DatasetView view = DatasetView::Build(ds);
-  for (MetricKind metric :
-       {MetricKind::kL2, MetricKind::kL1, MetricKind::kLInf}) {
-    for (size_t batch : {1u, 5u, 8u, 13u}) {
-      SCOPED_TRACE("metric=" + std::to_string(static_cast<int>(metric)) +
-                   " batch=" + std::to_string(batch));
-      const Subspace subspace = RandomSubspace(d, &rng);
-      const int k = 2 + static_cast<int>(rng.UniformInt(0, 4));
-
-      // Candidate list with duplicates and every query's excluded id in it
-      // — exclusion happens at offer time, per point.
-      std::vector<data::PointId> ids;
-      for (int i = 0; i < 70; ++i) {
-        ids.push_back(static_cast<data::PointId>(rng.UniformInt(0, n - 1)));
-      }
-      ids.push_back(ids.front());
-
-      std::vector<TopKCollector> fused;
-      std::vector<MultiPointQuery> queries(batch);
-      std::vector<data::PointId> query_ids(batch);
-      fused.reserve(batch);
-      for (size_t b = 0; b < batch; ++b) {
-        fused.emplace_back(static_cast<size_t>(k));
-        query_ids[b] = ids[b % ids.size()];
-        queries[b].point = ds.Row(query_ids[b]).data();
-        queries[b].exclude = query_ids[b];
-        queries[b].collector = &fused[b];
-      }
-
-      ScanIdsForTopKMulti(view, queries, subspace, metric, ids);
-
-      for (size_t b = 0; b < batch; ++b) {
-        // The sequential entry point has no exclude parameter — its callers
-        // pre-filter the candidate list, so the reference does too.
-        std::vector<data::PointId> filtered;
-        for (data::PointId candidate : ids) {
-          if (candidate != query_ids[b]) filtered.push_back(candidate);
-        }
-        TopKCollector reference(static_cast<size_t>(k));
-        ScanIdsForTopK(view, ds.Row(query_ids[b]), subspace, metric, filtered,
-                       &reference);
-        EXPECT_EQ(fused[b].TakeSorted(), reference.TakeSorted())
-            << "query " << b;
-      }
     }
   }
 }

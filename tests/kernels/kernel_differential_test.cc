@@ -1,9 +1,8 @@
 // Differential harness for the batched distance kernel: on randomized
 // datasets (varying n, d, metric, normalization) and randomized subspaces —
 // including empty, singleton and full — the kernel must reproduce the scalar
-// knn::SubspaceDistance path, and every kNN backend wired onto the kernel
-// (linear scan, iDistance, VA-file, X-tree) must return exactly the
-// neighbour id sequence of a scalar-metric reference scan, with OD values
+// knn::SubspaceDistance path, and both kNN backends wired onto the kernel
+// (linear scan, X-tree) must return exactly the neighbour id sequence of a scalar-metric reference scan, with OD values
 // within 1e-9. A concurrent section runs the same comparison from several
 // threads so the TSan CI job exercises the kernel the way QueryService
 // calls it.
@@ -21,8 +20,6 @@
 #include "src/common/rng.h"
 #include "src/data/generator.h"
 #include "src/data/normalizer.h"
-#include "src/index/idistance.h"
-#include "src/index/va_file.h"
 #include "src/index/xtree.h"
 #include "src/kernels/batched_distance.h"
 #include "src/kernels/dataset_view.h"
@@ -162,22 +159,14 @@ TEST_P(KernelDifferentialTest, BatchedDistancesMatchScalarMetric) {
   data::Dataset ds = MakeData(param, &rng);
   DatasetView view = DatasetView::Build(ds);
 
-  std::vector<data::PointId> all_ids(ds.size());
-  for (size_t i = 0; i < all_ids.size(); ++i) {
-    all_ids[i] = static_cast<data::PointId>(i);
-  }
-
   for (const Subspace& s : TestSubspaces(param.d, &rng, 4)) {
     std::vector<double> q(param.d);
     for (auto& v : q) v = rng.Uniform(-1.0, 2.0);
 
-    // Contiguous and gathered forms, no bound: every distance exact.
+    // No bound: every distance exact.
     std::vector<double> range_dist(ds.size());
-    std::vector<double> gather_dist(ds.size());
     BatchedSubspaceDistanceRange(view, q, s, param.metric, 0, ds.size(),
                                  kPrunedDistance, range_dist);
-    BatchedSubspaceDistance(view, q, s, param.metric, all_ids,
-                            kPrunedDistance, gather_dist);
     for (data::PointId id = 0; id < ds.size(); ++id) {
       const double want =
           knn::SubspaceDistance(q, ds.Row(id), s, param.metric);
@@ -185,7 +174,6 @@ TEST_P(KernelDifferentialTest, BatchedDistancesMatchScalarMetric) {
       // The kernel accumulates in the scalar path's dimension order, so the
       // match is in fact bitwise, not just within tolerance.
       EXPECT_EQ(range_dist[id], want) << s.ToString();
-      EXPECT_EQ(gather_dist[id], want) << s.ToString();
     }
 
     // Bounded form: pruned candidates must be provably beyond the bound,
@@ -212,10 +200,7 @@ TEST_P(KernelDifferentialTest, AllBackendsMatchScalarReference) {
   knn::LinearScanKnn linear(ds, param.metric);
   auto bulk_tree = index::XTree::BulkLoad(ds, param.metric);
   auto grown_tree = index::XTree::BuildByInsertion(ds, param.metric);
-  auto va = index::VaFile::Build(ds, param.metric);
-  Rng build_rng(7);
-  auto idist = index::IDistance::Build(ds, param.metric, {}, &build_rng);
-  ASSERT_TRUE(bulk_tree.ok() && grown_tree.ok() && va.ok() && idist.ok());
+  ASSERT_TRUE(bulk_tree.ok() && grown_tree.ok());
 
   const Subspace full = Subspace::Full(param.d);
   for (int trial = 0; trial < 12; ++trial) {
@@ -243,11 +228,6 @@ TEST_P(KernelDifferentialTest, AllBackendsMatchScalarReference) {
     ExpectSameNeighbors(linear.Search(query), want, "linear_scan");
     ExpectSameNeighbors(bulk_tree->Knn(query), want, "xtree_bulk");
     ExpectSameNeighbors(grown_tree->Knn(query), want, "xtree_insertion");
-    ExpectSameNeighbors(va->Knn(query), want, "va_file");
-    if (query.subspace == full) {
-      ExpectSameNeighbors(idist->Knn(q, query.k, query.exclude), want,
-                          "idistance");
-    }
   }
 }
 
@@ -342,8 +322,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelDifferentialEdgeTest, SinglePointDatasetWithItselfExcluded) {
   // Regression: a 1-point dataset queried with its only row excluded must
-  // yield an empty neighbour set on every backend (the VA-file used to
-  // dereference an empty bound heap here).
+  // yield an empty neighbour set on every backend.
   data::Dataset ds(3);
   ds.Append(std::vector<double>{0.1, 0.2, 0.3});
   const std::vector<double> q = ds.RowCopy(0);
@@ -358,13 +337,6 @@ TEST(KernelDifferentialEdgeTest, SinglePointDatasetWithItselfExcluded) {
   auto tree = index::XTree::BulkLoad(ds, MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(tree->Knn(query).empty());
-  auto va = index::VaFile::Build(ds, MetricKind::kL2);
-  ASSERT_TRUE(va.ok());
-  EXPECT_TRUE(va->Knn(query).empty());
-  Rng rng(3);
-  auto idist = index::IDistance::Build(ds, MetricKind::kL2, {}, &rng);
-  ASSERT_TRUE(idist.ok());
-  EXPECT_TRUE(idist->Knn(q, query.k, query.exclude).empty());
 }
 
 TEST(KernelDifferentialConcurrencyTest, ConcurrentSearchesMatchReference) {

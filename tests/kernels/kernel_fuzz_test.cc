@@ -78,20 +78,24 @@ TEST(KernelFuzzTest, TinyBlocksAndDuplicatesMatchOracle) {
       ASSERT_EQ(got[id], want[id]) << "seed " << seed << " id " << id;
     }
 
-    // Gathered form over a shuffled subset (blocks smaller than the unroll
-    // width, repeated ids allowed).
-    std::vector<data::PointId> ids;
-    const size_t num_ids = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(n)));
-    for (size_t i = 0; i < num_ids; ++i) {
-      ids.push_back(static_cast<data::PointId>(
-          rng.UniformInt(0, static_cast<int64_t>(n) - 1)));
-    }
-    std::vector<double> gathered(ids.size());
-    BatchedSubspaceDistance(view, q, subspace, metric, ids, kPrunedDistance,
-                            gathered);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(gathered[i], want[ids[i]]) << "seed " << seed;
+    // Sub-ranges starting mid-column (non-zero first where n allows) and
+    // shorter than the unroll width, so every block is a sub-block tail.
+    for (int window = 0; window < 4; ++window) {
+      const size_t first =
+          n > 1 ? static_cast<size_t>(
+                      rng.UniformInt(1, static_cast<int64_t>(n) - 1))
+                : 0;
+      const size_t max_count = std::min(n - first, kDistanceBlock - 1);
+      const size_t count = static_cast<size_t>(
+          rng.UniformInt(1, static_cast<int64_t>(max_count)));
+      std::vector<double> sub(count);
+      BatchedSubspaceDistanceRange(view, q, subspace, metric,
+                                   static_cast<data::PointId>(first), count,
+                                   kPrunedDistance, sub);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(sub[i], want[first + i])
+            << "seed " << seed << " position " << first + i;
+      }
     }
 
     // Bounded form with a random (sometimes zero) bound: a pruned candidate

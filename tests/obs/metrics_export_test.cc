@@ -136,16 +136,16 @@ TEST(MetricsRegistryTest, SameNameSameLabelsSameHandle) {
 TEST(MetricsRegistryTest, LabelsCreateDistinctSeries) {
   MetricsRegistry registry;
   Counter* xtree = registry.GetCounter("knn_scans", {{"backend", "xtree"}});
-  Counter* vafile =
-      registry.GetCounter("knn_scans", {{"backend", "va_file"}});
-  EXPECT_NE(xtree, vafile);
+  Counter* linear =
+      registry.GetCounter("knn_scans", {{"backend", "linear_scan"}});
+  EXPECT_NE(xtree, linear);
   xtree->Increment(5);
-  vafile->Increment(7);
+  linear->Increment(7);
   EXPECT_EQ(registry.size(), 2u);
 
   const std::string json = registry.ToJson();
   EXPECT_NE(json.find("\"backend\": \"xtree\""), std::string::npos);
-  EXPECT_NE(json.find("\"backend\": \"va_file\""), std::string::npos);
+  EXPECT_NE(json.find("\"backend\": \"linear_scan\""), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, CallbacksEvaluateAtSnapshotTime) {

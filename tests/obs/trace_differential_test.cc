@@ -70,7 +70,6 @@ TEST(TraceDifferentialTest, TracingChangesNoAnswerOnAnyBackendOrLattice) {
   const std::pair<core::IndexKind, const char*> kBackends[] = {
       {core::IndexKind::kLinearScan, "linear_scan"},
       {core::IndexKind::kXTree, "xtree"},
-      {core::IndexKind::kVaFile, "va_file"},
   };
   const std::pair<lattice::LatticeBackend, const char*> kLattices[] = {
       {lattice::LatticeBackend::kDense, "dense"},

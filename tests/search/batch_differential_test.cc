@@ -5,16 +5,14 @@
 // the sequential per-point loop field by field — identical minimal
 // outlying subspaces, the order-sensitive evaluated_outliers list, bitwise
 // outlier fractions and OD values, and identical lattice-derived work
-// counters — across kNN backends {linear scan, X-tree, VA-file}, lattice
-// stores {dense, sparse}, density-filter modes {kOff, kConservative},
-// planted and adversarial datasets, mixed valid/invalid id slots, and
-// per-point budget exhaustion. (IDistance's batched path is full-space
-// only and is held to the same contract by tests/index/index_batch_test.)
+// counters — across kNN backends {linear scan, X-tree}, lattice stores
+// {dense, sparse}, density-filter modes {kOff, kConservative}, planted and
+// adversarial datasets, mixed valid/invalid id slots, and per-point budget
+// exhaustion.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -22,7 +20,6 @@
 #include "src/core/hos_miner.h"
 #include "src/data/generator.h"
 #include "src/filter/filter_gate.h"
-#include "src/kernels/va_screen.h"
 #include "src/knn/linear_scan.h"
 #include "src/lattice/saving_factors.h"
 #include "src/search/batch_frontier.h"
@@ -356,16 +353,13 @@ TEST_P(QueryBatchFusedTest, InvalidSlotsFailAloneAndExactlyLikeQuery) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, QueryBatchFusedTest,
-    ::testing::Values(core::IndexKind::kLinearScan, core::IndexKind::kXTree,
-                      core::IndexKind::kVaFile),
+    ::testing::Values(core::IndexKind::kLinearScan, core::IndexKind::kXTree),
     [](const auto& info) {
       switch (info.param) {
         case core::IndexKind::kLinearScan:
           return "linear";
         case core::IndexKind::kXTree:
           return "xtree";
-        case core::IndexKind::kVaFile:
-          return "vafile";
       }
       return "unknown";
     });
@@ -404,68 +398,6 @@ TEST(QueryBatchFusedAdversarialTest, ProbesMatchPerPointQueries) {
     ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
     ExpectOutcomeIdentical(fused[i].value().outcome, seq->outcome,
                            "probe id " + std::to_string(ids[i]));
-  }
-}
-
-// The multi-query VA screening sweep must be bitwise the single-query
-// sweep run once per query: same lower bounds (including the dead/skip
-// sentinels) and the same k-smallest-upper heap contents, across metrics,
-// block sizes that are and are not multiples of the row tile, and queries
-// with and without an excluded row. This is the kernel the fused VA-file
-// KnnBatch now rests on.
-TEST(VaScreenSweepMultiTest, BitwiseIdenticalToPerQuerySweeps) {
-  Rng rng(7100);
-  constexpr size_t kNd = 3;
-  constexpr size_t kK = 4;
-  for (size_t base : {40u, 64u, 150u}) {
-    for (knn::MetricKind metric : {knn::MetricKind::kL1,
-                                   knn::MetricKind::kL2,
-                                   knn::MetricKind::kLInf}) {
-      SCOPED_TRACE("base=" + std::to_string(base) +
-                   " metric=" + std::to_string(static_cast<int>(metric)));
-      std::vector<uint8_t> codes(kNd * base);
-      for (uint8_t& c : codes) {
-        c = static_cast<uint8_t>(rng.UniformInt(0, 15));
-      }
-      std::vector<uint8_t> dead(base, 0);
-      for (size_t r = 0; r < base; r += 9) dead[r] = 1;
-      std::vector<double> lo0(kNd, 0.0), w(kNd);
-      for (double& wc : w) wc = 1.0 / 16.0 + rng.Uniform() * 0.01;
-
-      constexpr size_t kNq = 5;
-      std::vector<double> qdims(kNq * kNd);
-      for (double& q : qdims) q = rng.Uniform() * 1.2 - 0.1;
-      std::vector<size_t> skips(kNq, static_cast<size_t>(-1));
-      skips[1] = 3;
-      skips[4] = base - 1;
-
-      std::vector<double> multi_lowers(kNq * base);
-      std::vector<std::priority_queue<double>> multi_heaps(kNq);
-      kernels::VaScreenSweepMulti(metric, qdims.data(), lo0.data(), w.data(),
-                                  kNd, kNq, codes.data(), base, dead.data(),
-                                  skips.data(), kK, multi_heaps.data(),
-                                  multi_lowers.data());
-
-      for (size_t q = 0; q < kNq; ++q) {
-        SCOPED_TRACE("query " + std::to_string(q));
-        std::vector<double> single_lowers(base);
-        std::priority_queue<double> single_heap;
-        kernels::VaScreenSweep(metric, qdims.data() + q * kNd, lo0.data(),
-                               w.data(), kNd, codes.data(), base,
-                               dead.data(), skips[q], kK, single_heap,
-                               single_lowers.data());
-        for (size_t r = 0; r < base; ++r) {
-          ASSERT_EQ(multi_lowers[q * base + r], single_lowers[r])
-              << "row " << r;
-        }
-        ASSERT_EQ(multi_heaps[q].size(), single_heap.size());
-        while (!single_heap.empty()) {
-          ASSERT_EQ(multi_heaps[q].top(), single_heap.top());
-          multi_heaps[q].pop();
-          single_heap.pop();
-        }
-      }
-    }
   }
 }
 

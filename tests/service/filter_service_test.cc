@@ -24,7 +24,7 @@ core::HosMiner BuildMiner() {
   config.threshold = 0.8;
   config.normalization = data::NormalizationKind::kNone;
   config.sample_size = 0;
-  config.index = core::IndexKind::kVaFile;
+  config.index = core::IndexKind::kXTree;
   auto miner = core::HosMiner::Build(std::move(dataset), config);
   EXPECT_TRUE(miner.ok()) << miner.status().ToString();
   return std::move(miner).value();

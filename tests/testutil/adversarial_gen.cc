@@ -80,8 +80,8 @@ AdversarialDataset MakeAdversarial(const AdversarialSpec& spec) {
   }
 
   // --- Exact duplicates of the earliest background rows, appended last so
-  // the pairs are far apart in id order (and in the VA-file's row-major
-  // cell array).
+  // the pairs are far apart in id order (and in the density summary's
+  // row-major cell array).
   const int dup_count = std::min<int>(
       spec.duplicates, static_cast<int>(spec.background_rows));
   for (int i = 0; i < dup_count; ++i) {
