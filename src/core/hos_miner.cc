@@ -153,8 +153,6 @@ HosMiner::LearningArtifacts HosMiner::LearnPriors(Rng* rng) const {
   artifacts.version = dataset_->version();
   artifacts.report = learning::LearnPruningPriors(*dataset_, *engine_,
                                                   learner_options, rng);
-  artifacts.search = std::make_unique<search::DynamicSubspaceSearch>(
-      d, artifacts.report.priors);
   return artifacts;
 }
 
@@ -313,50 +311,19 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
     }
     for (search::OdEvaluator& od : evaluators) pointers.push_back(&od);
 
-    search::SearchExecution exec;
-    exec.pool = options.search_pool;
-    exec.max_threads = options.search_threads;
-    exec.lattice_backend = options.lattice_backend;
-    exec.max_od_evaluations = options.max_od_evaluations;
-    exec.filter = density_filter_.get();
-    exec.filter_mode = options.filter_mode;
-    exec.filter_speculative_slack = options.filter_speculative_slack;
-    exec.frontier_ordering = options.frontier_ordering;
-    exec.filter_gate = options.filter_gate ? filter_gate_.get() : nullptr;
-    exec.margin_histogram = options.margin_histogram;
-    std::unique_ptr<obs::QueryTracer> local_tracer;
-    obs::QueryTracer* tracer = options.tracer;
-    if (tracer == nullptr && options.collect_trace) {
-      local_tracer = std::make_unique<obs::QueryTracer>();
-      tracer = local_tracer.get();
-    }
-    const uint64_t version = dataset_->version();
-    std::vector<Result<search::SearchOutcome>> outcomes;
-    {
-      obs::ScopedSpan search_span(
-          tracer, "search", options.trace_parent,
-          tracer != nullptr ? "points=" + std::to_string(valid.size())
-                            : std::string());
-      exec.tracer = tracer;
-      exec.trace_parent = search_span.id();
-      search::BatchFrontierRunner runner(dataset_->num_dims(), &priors());
-      outcomes = runner.Run(pointers, threshold_, exec);
-    }
     // The block records one shared span tree; every successful result
     // carries it (shared_ptr, so this stays cheap).
-    std::shared_ptr<const obs::QueryTrace> trace;
-    if (local_tracer != nullptr) {
-      trace = std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
-    }
+    BlockRun run = RunBlock(pointers, options);
+    const uint64_t version = dataset_->version();
     for (size_t j = 0; j < valid.size(); ++j) {
-      if (!outcomes[j].ok()) {
-        slots[valid[j]] = outcomes[j].status();
+      if (!run.outcomes[j].ok()) {
+        slots[valid[j]] = run.outcomes[j].status();
         continue;
       }
       QueryResult result;
-      result.outcome = std::move(outcomes[j]).value();
+      result.outcome = std::move(run.outcomes[j]).value();
       result.dataset_version = version;
-      result.trace = trace;
+      result.trace = run.trace;
       slots[valid[j]] = std::move(result);
     }
   }
@@ -393,6 +360,20 @@ Result<QueryResult> HosMiner::RunSearch(
     od.Deposit(Subspace::Full(dataset_->num_dims()).mask(), *full_space_seed,
                search::OdEvaluator::ValueSource::kComputed);
   }
+  search::OdEvaluator* const block[] = {&od};
+  BlockRun run = RunBlock(block, options);
+  HOS_ASSIGN_OR_RETURN(search::SearchOutcome outcome,
+                       std::move(run.outcomes.front()));
+  QueryResult result;
+  result.outcome = std::move(outcome);
+  result.dataset_version = dataset_->version();
+  result.trace = std::move(run.trace);
+  return result;
+}
+
+HosMiner::BlockRun HosMiner::RunBlock(
+    std::span<search::OdEvaluator* const> ods,
+    const QueryOptions& options) const {
   search::SearchExecution exec;
   exec.pool = options.search_pool;
   exec.max_threads = options.search_threads;
@@ -406,28 +387,30 @@ Result<QueryResult> HosMiner::RunSearch(
   exec.margin_histogram = options.margin_histogram;
   // Tracing: record into the caller's tracer when given; otherwise, when
   // collect_trace asked for one, own a local tracer and hand the finished
-  // trace back on the result. Spans observe timing only — the search takes
-  // no decision from them — so traced and untraced answers are identical.
+  // trace back. Spans observe timing only — the search takes no decision
+  // from them — so traced and untraced answers are identical.
   std::unique_ptr<obs::QueryTracer> local_tracer;
   obs::QueryTracer* tracer = options.tracer;
   if (tracer == nullptr && options.collect_trace) {
     local_tracer = std::make_unique<obs::QueryTracer>();
     tracer = local_tracer.get();
   }
-  QueryResult result;
-  result.dataset_version = dataset_->version();
+  BlockRun run;
   {
-    obs::ScopedSpan search_span(tracer, "search", options.trace_parent);
+    obs::ScopedSpan search_span(
+        tracer, "search", options.trace_parent,
+        tracer != nullptr ? "points=" + std::to_string(ods.size())
+                          : std::string());
     exec.tracer = tracer;
     exec.trace_parent = search_span.id();
-    HOS_ASSIGN_OR_RETURN(result.outcome,
-                         query_search_->Run(&od, threshold_, exec));
+    run.outcomes = search::BatchFrontierRunner(dataset_->num_dims(), &priors())
+                       .Run(ods, threshold_, exec);
   }
   if (local_tracer != nullptr) {
-    result.trace =
+    run.trace =
         std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
   }
-  return result;
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +509,6 @@ HosMiner::LearningArtifacts HosMiner::PrepareLearning() const {
 
 void HosMiner::CommitLearning(LearningArtifacts artifacts) {
   learning_report_ = std::move(artifacts.report);
-  query_search_ = std::move(artifacts.search);
   priors_version_ = artifacts.version;
   learning_stale_ = false;
 }

@@ -29,8 +29,9 @@
 #include "src/knn/linear_scan.h"
 #include "src/learning/learner.h"
 #include "src/obs/trace.h"
+#include "src/search/od_evaluator.h"
+#include "src/search/search_execution.h"
 #include "src/search/search_result.h"
-#include "src/search/subspace_search.h"
 
 namespace hos::core {
 
@@ -111,15 +112,15 @@ struct QueryOptions {
   /// Memoised values are bit-identical to fresh evaluations, so results
   /// with and without a store are the same.
   search::SharedOdStore* od_store = nullptr;
-  /// Borrowed pool for intra-query parallel frontier evaluation; null runs
-  /// the lattice search sequentially on the calling thread. Must not be
-  /// the pool the query itself executes on — frontier waves block on their
-  /// chunk futures, so a pool waiting on itself deadlocks once every
-  /// worker is blocked (service::QueryService keeps a dedicated search
-  /// pool for this reason).
+  /// Borrowed pool for intra-query parallel frontier evaluation, for
+  /// single queries and fused blocks alike; null runs the lattice search
+  /// sequentially on the calling thread. Must not be the pool the query
+  /// itself executes on — frontier rounds block on their chunk futures, so
+  /// a pool waiting on itself deadlocks once every worker is blocked
+  /// (service::QueryService keeps a dedicated search pool for this reason).
   service::ThreadPool* search_pool = nullptr;
-  /// Concurrent OD evaluations per frontier wave; 0 uses the pool's full
-  /// width, <= 1 with a pool still evaluates sequentially. Ignored without
+  /// Pool tasks per frontier round; 0 uses the pool's full width, <= 1
+  /// with a pool still evaluates sequentially. Ignored without
   /// search_pool. Answers are identical at any setting.
   int search_threads = 0;
   /// Lattice storage backend for this query's search. kAuto picks the
@@ -135,7 +136,7 @@ struct QueryOptions {
   /// (SearchExecution::max_od_evaluations).
   uint64_t max_od_evaluations = 0;
   /// When true (and no external `tracer` is given), the query collects a
-  /// span tree — search → strategy → level → knn — and attaches it to
+  /// span tree — search → dynamic → wave → knn — and attaches it to
   /// QueryResult::trace. Tracing observes, never steers: answers are
   /// bitwise identical with it on or off (held by
   /// tests/obs/trace_differential_test.cc).
@@ -369,7 +370,6 @@ class HosMiner {
   /// prepare concurrently with queries.
   struct LearningArtifacts {
     learning::LearningReport report;
-    std::unique_ptr<search::DynamicSubspaceSearch> search;
     /// Dataset version the priors were learned at.
     uint64_t version = 0;
   };
@@ -458,6 +458,19 @@ class HosMiner {
       const QueryOptions& options,
       std::optional<double> full_space_seed = std::nullopt) const;
 
+  /// One block's outcomes (in `ods` order) and, when options asked for a
+  /// local trace, its span tree.
+  struct BlockRun {
+    std::vector<Result<search::SearchOutcome>> outcomes;
+    std::shared_ptr<const obs::QueryTrace> trace;
+  };
+
+  /// The search step of every query path: runs the TSF-ordered
+  /// search::BatchFrontierRunner over priors() on `ods` under a "search"
+  /// span, with the SearchExecution `options` describe.
+  BlockRun RunBlock(std::span<search::OdEvaluator* const> ods,
+                    const QueryOptions& options) const;
+
   /// The one learning step shared by Build and PrepareLearning: runs the
   /// sampling-based learner (skipped — flat priors — past the dense
   /// lattice cap, where each sample would cost a full sparse search) over
@@ -473,7 +486,6 @@ class HosMiner {
   std::unique_ptr<filter::FilterGate> filter_gate_;
   double threshold_ = 0.0;
   learning::LearningReport learning_report_;
-  std::unique_ptr<search::DynamicSubspaceSearch> query_search_;
   bool learning_stale_ = false;
   /// Dataset version the installed priors were learned at (feeds
   /// learning_staleness()).

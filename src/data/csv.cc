@@ -109,6 +109,7 @@ std::string ToCsv(const Dataset& dataset, const CsvOptions& options) {
     out << '\n';
   }
   for (PointId i = 0; i < dataset.size(); ++i) {
+    if (!dataset.IsLive(i)) continue;
     auto row = dataset.Row(i);
     for (size_t j = 0; j < row.size(); ++j) {
       if (j > 0) out << options.delimiter;

@@ -26,7 +26,10 @@ Result<Dataset> ParseCsv(const std::string& text,
 Result<Dataset> ReadCsvFile(const std::string& path,
                             const CsvOptions& options = {});
 
-/// Serialises a Dataset as CSV text (header included when has_header).
+/// Serialises the live rows of a Dataset as CSV text (header included when
+/// has_header). Deleted and evicted rows are skipped — their storage may
+/// already be reclaimed — so parsing the text back yields exactly the
+/// survivors, in id order, renumbered from 0.
 std::string ToCsv(const Dataset& dataset, const CsvOptions& options = {});
 
 /// Writes a Dataset to a CSV file.

@@ -30,6 +30,7 @@
 #define HOS_DATA_DATASET_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -252,8 +253,10 @@ class Dataset {
   static_assert((size_t{1} << kChunkShift) == kChunkRows);
 
   const double* ChunkRow(PointId id) const {
-    return chunks_[static_cast<size_t>(id) >> kChunkShift].get() +
-           (static_cast<size_t>(id) & kChunkMask) * num_dims_;
+    const double* chunk =
+        chunks_[static_cast<size_t>(id) >> kChunkShift].get();
+    assert(chunk != nullptr && "row storage was reclaimed");
+    return chunk + (static_cast<size_t>(id) & kChunkMask) * num_dims_;
   }
 
   /// Marks one in-range live row dead (validation is the caller's job).

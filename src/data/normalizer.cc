@@ -32,6 +32,7 @@ void Normalizer::Apply(Dataset* dataset) const {
   if (kind_ == NormalizationKind::kNone) return;
   assert(dataset->num_dims() == num_dims());
   for (PointId i = 0; i < dataset->size(); ++i) {
+    if (!dataset->IsLive(i)) continue;
     for (int j = 0; j < num_dims(); ++j) {
       dataset->Set(i, j, (dataset->At(i, j) - offset_[j]) / scale_[j]);
     }

@@ -26,7 +26,9 @@ class Normalizer {
   /// Learns column parameters from `dataset`.
   static Normalizer Fit(const Dataset& dataset, NormalizationKind kind);
 
-  /// Transforms every cell of `dataset` in place.
+  /// Transforms every cell of the live rows of `dataset` in place. Dead
+  /// rows are skipped: nothing reads them again, and their storage may
+  /// already be reclaimed (Dataset::ReclaimDeadChunks).
   void Apply(Dataset* dataset) const;
 
   /// Transforms a single point in place; size must equal num_dims.

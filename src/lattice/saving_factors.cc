@@ -86,13 +86,12 @@ double TotalSavingFactor(int m, const PruningPriors& priors,
   return tsf;
 }
 
-int BestLevel(const PruningPriors& priors, const LatticeStore& state,
-              int exclude) {
+int BestLevel(const PruningPriors& priors, const LatticeStore& state) {
   const int d = state.num_dims();
   int best = 0;
   double best_tsf = -1.0;
   for (int m = 1; m <= d; ++m) {
-    if (m == exclude || state.UndecidedCount(m) == 0) continue;
+    if (state.UndecidedCount(m) == 0) continue;
     double tsf = TotalSavingFactor(m, priors, state);
     if (best == 0 || tsf > best_tsf) {
       best = m;

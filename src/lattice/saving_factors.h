@@ -55,11 +55,8 @@ double TotalSavingFactor(int m, const PruningPriors& priors,
 
 /// The level in 1..d with the highest TSF among levels that still have
 /// undecided subspaces; returns 0 when every level is decided.
-/// Ties break toward the lower level. `exclude` (0 = none) skips one
-/// level — the dynamic search uses it to predict its next pick while that
-/// level's batch is still in flight (speculative frontier prefetch).
-int BestLevel(const PruningPriors& priors, const LatticeStore& state,
-              int exclude = 0);
+/// Ties break toward the lower level.
+int BestLevel(const PruningPriors& priors, const LatticeStore& state);
 
 }  // namespace hos::lattice
 

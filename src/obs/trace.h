@@ -1,12 +1,13 @@
 // Per-query tracing: where did one query spend its time?
 //
 // A QueryTracer collects named, timed spans into a tree (explicit parent
-// ids — no thread-local span stacks, because ParallelEvaluator workers
-// record concurrently into the same trace). The serving path opens a
-// "service" root, HosMiner a "search" child, each SubspaceSearch strategy a
-// child per lattice level, and ParallelEvaluator a leaf per kNN call or
-// OD-store hit — so a finished QueryTrace names every level from the front
-// door down to the index probe.
+// ids — no thread-local span stacks, because the frontier runner's pool
+// workers record concurrently into the same trace). The serving path opens
+// a "service" (or fused "batch") root, HosMiner a "search" child, the
+// strategy span ("dynamic") a "wave" child per frontier round, and each
+// wave a "knn" leaf per distinct subspace it evaluates — so a finished
+// QueryTrace names every level from the front door down to the index
+// probe.
 //
 // Cost model: every instrumentation site holds a `QueryTracer*` that is
 // null unless the caller opted in (QueryOptions::collect_trace or the
@@ -34,8 +35,8 @@ struct TraceSpan {
   /// Index of the enclosing span, -1 for the root.
   int parent = -1;
   std::string name;
-  /// Free-form annotation: "m=3" on a level span, "mask=0x6" on a kNN
-  /// span, the strategy name on a search span.
+  /// Free-form annotation: "points=4" on a wave span, "mask=0x6 points=1"
+  /// on a kNN span.
   std::string detail;
   /// Offset from the tracer's construction, in seconds.
   double start_seconds = 0.0;

@@ -1,10 +1,8 @@
-// Shared internals of the two frontier drivers: the sequential per-query
-// FrontierRunner (subspace_search.cc) and the fused multi-query
-// BatchFrontierRunner (batch_frontier.cc). One definition of the
-// work-budget gate and the SearchOutcome assembly keeps both drivers'
-// error contracts and counter semantics identical — the batch differential
-// suite holds budget errors and outcome fields to exact equality across
-// the two, which a copied-and-drifted second implementation could not.
+// Shared internals of the frontier runner (batch_frontier.cc) and the
+// exhaustive oracle (subspace_search.cc): one work-budget gate and one
+// SearchOutcome assembly, so every strategy keeps the same error contract
+// and counter semantics — the differential suites compare budget errors
+// and outcome fields across them exactly.
 
 #ifndef HOS_SEARCH_FRONTIER_SUPPORT_H_
 #define HOS_SEARCH_FRONTIER_SUPPORT_H_
@@ -18,20 +16,15 @@
 #include "src/filter/minimal_filter.h"
 #include "src/lattice/lattice_store.h"
 #include "src/search/od_evaluator.h"
-#include "src/search/parallel_evaluator.h"
+#include "src/search/search_execution.h"
 #include "src/search/search_result.h"
 
 namespace hos::search::internal {
 
-inline uint64_t SaturatingSub(uint64_t a, uint64_t b) {
-  return a > b ? a - b : 0;
-}
-
 /// Work-budget gate (SearchExecution::max_od_evaluations), consulted before
 /// a level batch is materialised: spending so far plus the level's
-/// undecided count (minus any masks speculation already paid for) must fit
-/// the budget, so a runaway query fails fast instead of allocating (or
-/// evaluating) an astronomically large wave.
+/// undecided count must fit the budget, so a runaway query fails fast
+/// instead of allocating (or evaluating) an astronomically large wave.
 inline Status CheckSearchBudget(const SearchExecution& exec,
                                 const OdEvaluator& od,
                                 uint64_t evals_at_start, int level,
@@ -39,26 +32,25 @@ inline Status CheckSearchBudget(const SearchExecution& exec,
   if (exec.max_od_evaluations == 0) return Status::OK();
   const uint64_t spent = od.num_evaluations() - evals_at_start;
   if (spent + level_count <= exec.max_od_evaluations) return Status::OK();
+  const uint64_t remaining =
+      exec.max_od_evaluations > spent ? exec.max_od_evaluations - spent : 0;
   return Status::ResourceExhausted(
       "search work budget exceeded: level " + std::to_string(level) +
       " holds " + std::to_string(level_count) +
-      " undecided subspaces, but only " +
-      std::to_string(SaturatingSub(exec.max_od_evaluations, spent)) +
+      " undecided subspaces, but only " + std::to_string(remaining) +
       " of the " + std::to_string(exec.max_od_evaluations) +
       " budgeted OD evaluations remain (raise "
       "SearchExecution::max_od_evaluations, use a band-pruning-friendly "
       "strategy, or reduce dimensionality)");
 }
 
-/// Assembles the SearchOutcome once the lattice is fully decided. `wasted`
-/// is subtracted from the evaluator's delta so od_evaluations reports the
-/// order-independent count every execution mode shares.
+/// Assembles the SearchOutcome once the lattice is fully decided.
 inline SearchOutcome AssembleOutcome(
     const lattice::LatticeStore& state, double threshold,
     const OdEvaluator& od, uint64_t od_evals_before, uint64_t dist_before,
-    uint64_t steps, uint64_t wasted, const Timer& timer,
-    uint64_t bound_decisions = 0, uint64_t risky_decisions = 0,
-    double bound_gap = 0.0, uint64_t gate_skips = 0) {
+    uint64_t steps, const Timer& timer, uint64_t bound_decisions = 0,
+    uint64_t risky_decisions = 0, double bound_gap = 0.0,
+    uint64_t gate_skips = 0) {
   assert(state.AllDecided());
   const int d = state.num_dims();
   SearchOutcome outcome;
@@ -75,9 +67,7 @@ inline SearchOutcome AssembleOutcome(
     outcome.counters.pruned_upward += state.InferredOutliers(m);
     outcome.counters.pruned_downward += state.InferredNonOutliers(m);
   }
-  outcome.counters.od_evaluations =
-      od.num_evaluations() - od_evals_before - wasted;
-  outcome.counters.wasted_evaluations = wasted;
+  outcome.counters.od_evaluations = od.num_evaluations() - od_evals_before;
   outcome.counters.distance_computations =
       od.engine().distance_computations() - dist_before;
   outcome.counters.steps = steps;

@@ -65,11 +65,12 @@ class SharedOdStore {
 /// probes of the same subspace (e.g. by different search strategies in
 /// tests) cost one kNN query only.
 ///
-/// Thread safety: not thread-safe. ParallelEvaluator fans the *computation*
-/// of a batch of subspaces out across worker threads — the workers only read
-/// the evaluator's immutable query parameters (engine, point, k, exclude)
-/// — and then deposits the results back through Deposit() on the search
-/// thread. Concurrent calls to Evaluate/Deposit themselves are not allowed.
+/// Thread safety: not thread-safe. BatchFrontierRunner fans the
+/// *computation* of a round's subspaces out across pool workers — the
+/// workers only read the evaluator's immutable query parameters (engine,
+/// point, k, exclude, store) — and then deposits the results back through
+/// Deposit() on the search thread. Concurrent calls to Evaluate/Deposit
+/// themselves are not allowed.
 class OdEvaluator {
  public:
   /// `point` and `engine` must outlive the evaluator. `exclude` removes the
@@ -102,7 +103,7 @@ class OdEvaluator {
     kSharedStoreHit,  ///< answered by the cross-query SharedOdStore
   };
 
-  /// Records an externally produced OD value (ParallelEvaluator's merge
+  /// Records an externally produced OD value (BatchFrontierRunner's merge
   /// path). The value must be exactly what Evaluate(mask) would return —
   /// OD is a pure function, so values computed on worker threads qualify.
   /// No-op when the mask is already memoised.

@@ -24,17 +24,9 @@ struct SearchCounters {
   /// Point-to-point distance computations inside the kNN engine. Measured
   /// as a before/after delta of the engine's process-wide counter, so it is
   /// exact only when the engine serves one query at a time; concurrent
-  /// queries (service::QueryService) bleed into each other's deltas. With
-  /// speculative frontier prefetch on, this includes the kNN work behind
-  /// wasted_evaluations.
+  /// queries (service::QueryService) bleed into each other's deltas, and
+  /// so do the points of one fused block (search::BatchFrontierRunner).
   uint64_t distance_computations = 0;
-  /// Speculative OD evaluations (SearchExecution::speculate) whose subspace
-  /// was pruned before its level came up — work the sequential walk would
-  /// have skipped. Kept out of od_evaluations so that counter stays
-  /// order-independent: od_evaluations + pruned_upward + pruned_downward
-  /// == 2^d - 1 for every strategy, speculation on or off. Always 0 without
-  /// speculation.
-  uint64_t wasted_evaluations = 0;
   /// Subspaces decided by the density-bound pre-filter without any kNN
   /// call (SearchExecution::filter_mode != kOff). These are "evaluated" as
   /// far as the lattice is concerned — the closure identity becomes

@@ -1,296 +1,25 @@
 #include "src/search/subspace_search.h"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
-#include <functional>
-#include <limits>
 #include <memory>
-#include <numeric>
-#include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "src/common/combinatorics.h"
 #include "src/common/timer.h"
-#include "src/filter/filter_gate.h"
-#include "src/filter/minimal_filter.h"
-#include "src/obs/metrics.h"
+#include "src/search/batch_frontier.h"
 #include "src/search/frontier_support.h"
 
 namespace hos::search {
 namespace {
 
-using internal::AssembleOutcome;
-using internal::CheckSearchBudget;
-using internal::SaturatingSub;
-
-/// Runs the per-level frontier of a pruning search, sequentially or fanned
-/// out across a pool (ParallelEvaluator), and owns the speculation
-/// bookkeeping. One instance per Run so per-search state stays on the
-/// calling thread's stack.
-class FrontierRunner {
- public:
-  /// Predicts the level the search will visit after `current`, given the
-  /// pre-merge lattice state; 0 when unknown / none. Only consulted when
-  /// speculation is on.
-  using PredictFn =
-      std::function<int(int current, const lattice::LatticeStore& state)>;
-
-  FrontierRunner(OdEvaluator* od, double threshold,
-                 const SearchExecution& exec)
-      : od_(od), threshold_(threshold), speculate_(exec.speculate),
-        max_evaluations_(exec.max_od_evaluations),
-        evals_at_start_(od->num_evaluations()), tracer_(exec.tracer),
-        filter_(exec.filter), filter_mode_(exec.filter_mode),
-        filter_slack_(exec.filter_speculative_slack),
-        ordering_(exec.frontier_ordering), gate_(exec.filter_gate),
-        margin_hist_(exec.margin_histogram), evaluator_(od, exec) {}
-
-  /// Evaluates every currently-undecided subspace of level m and records
-  /// the verdicts in mask order — the exact seed sequence the sequential
-  /// loop would have produced — then propagates. Same-level subspaces
-  /// cannot prune each other (pruning only crosses levels), so the whole
-  /// batch is independent and safe to evaluate concurrently.
-  ///
-  /// The wave is the only per-level vector the search materialises: the
-  /// store itself yields undecided masks through a lazy generator
-  /// (ForEachUndecided), and the frontier must be addressable because the
-  /// parallel fan-out writes each mask's OD into a pre-assigned slot.
-  ///
-  /// With speculation on, the wave also carries the predicted next level's
-  /// undecided masks: their OD values land in the evaluator's memo (pure
-  /// function — identical to a later fresh evaluation) but enter the
-  /// lattice only if still undecided when their level is chosen. Fresh
-  /// speculative computations never consumed are tallied as waste.
-  /// `trace_parent`: span the level span attaches under when tracing is
-  /// on (the strategy span); ignored otherwise.
-  void EvaluateLevel(int m, lattice::LatticeStore* state,
-                     const PredictFn& predict, int trace_parent = -1) {
-    obs::ScopedSpan level_span(
-        tracer_, "level", trace_parent,
-        tracer_ != nullptr ? "m=" + std::to_string(m) : std::string());
-    const std::vector<uint64_t> wave = state->UndecidedMasks(m);
-    const size_t level_count = wave.size();
-
-    // Density-filter pre-admission: masks the bounds decide skip the exact
-    // wave entirely; the rest (plus any speculative tail) go to the kNN
-    // path as before. Memoised masks bypass the filter — their exact value
-    // is free, and consuming them through the evaluator keeps the
-    // speculation bookkeeping (and the waste tally) identical to a
-    // filter-off run. Verdicts are fed back to the lattice in original
-    // mask order via per-slot threshold sentinels, so the lattice — which
-    // stores only `od >= T` — evolves bit-for-bit as it would have with
-    // the filter off whenever the verdicts match (always, in conservative
-    // mode).
-    std::vector<double> level_values(level_count, 0.0);
-    std::vector<uint8_t> bound_decided;
-    std::vector<uint64_t> exact_wave;
-    // Canonical wave index of each exact_wave entry (the level portion),
-    // so values stitch back into their original slots even when the
-    // bound-margin ordering permutes the dispatch order.
-    std::vector<size_t> exact_slots;
-    std::vector<double> exact_margins;
-    const bool order_by_margin =
-        ordering_ == FrontierOrdering::kBoundMargin && FilterActive();
-    if (FilterActive()) {
-      bound_decided.assign(level_count, 0);
-      exact_wave.reserve(level_count);
-      exact_slots.reserve(level_count);
-      if (order_by_margin) exact_margins.reserve(level_count);
-      for (size_t i = 0; i < level_count; ++i) {
-        double memoised;
-        if (od_->LookupLocal(wave[i], &memoised)) {
-          exact_wave.push_back(wave[i]);
-          exact_slots.push_back(i);
-          // Memo hits cost nothing in the exact wave — schedule them first.
-          if (order_by_margin) {
-            exact_margins.push_back(std::numeric_limits<double>::infinity());
-          }
-          continue;
-        }
-        // Learned gate: skip the expensive refined tier at levels where it
-        // has historically decided ~nothing. A false return on a closed
-        // gate is the periodic probe — the consult runs (and is recorded)
-        // so the gate can re-open if the data regime shifts.
-        const bool allow_refined =
-            gate_ == nullptr || !gate_->ShouldSkipRefined(m);
-        const filter::FilterDecision fd =
-            filter_->Decide(od_->point(), wave[i], od_->k(), od_->exclude(),
-                            threshold_, filter_mode_, filter_slack_,
-                            allow_refined);
-        if (gate_ != nullptr &&
-            fd.tier == filter::FilterDecision::Tier::kRefined) {
-          gate_->RecordRefined(m, fd.decided());
-        }
-        if (margin_hist_ != nullptr &&
-            fd.tier != filter::FilterDecision::Tier::kNone) {
-          margin_hist_->Record(fd.Margin(threshold_));
-        }
-        if (!fd.decided()) {
-          // A skipped refined pass on an (otherwise) undecided mask is the
-          // work the gate saved; the mask takes the exact path either way.
-          if (!allow_refined &&
-              fd.tier != filter::FilterDecision::Tier::kRefined) {
-            ++gate_skips_;
-          }
-          exact_wave.push_back(wave[i]);
-          exact_slots.push_back(i);
-          if (order_by_margin) {
-            exact_margins.push_back(
-                fd.tier == filter::FilterDecision::Tier::kNone
-                    ? -std::numeric_limits<double>::infinity()
-                    : fd.Margin(threshold_));
-          }
-          continue;
-        }
-        bound_decided[i] = 1;
-        level_values[i] =
-            fd.verdict == filter::FilterDecision::Verdict::kOutlier
-                ? std::numeric_limits<double>::infinity()
-                : -std::numeric_limits<double>::infinity();
-        ++bound_decisions_;
-        if (fd.risky) {
-          ++risky_decisions_;
-          bound_gap_ = std::max(bound_gap_, fd.gap());
-        }
-      }
-      if (order_by_margin && exact_wave.size() > 1) {
-        // Dispatch widest-margin (easiest-looking) masks first; ties break
-        // on ascending mask so the order is fully deterministic. This only
-        // permutes execution: OD(p, s) is a pure function and the lattice
-        // merge below stays in canonical wave order, so answers are
-        // bitwise identical to the unordered walk.
-        std::vector<size_t> order(exact_wave.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          if (exact_margins[a] != exact_margins[b]) {
-            return exact_margins[a] > exact_margins[b];
-          }
-          return exact_wave[a] < exact_wave[b];
-        });
-        std::vector<uint64_t> sorted_wave;
-        std::vector<size_t> sorted_slots;
-        sorted_wave.reserve(order.size());
-        sorted_slots.reserve(order.size());
-        for (size_t idx : order) {
-          sorted_wave.push_back(exact_wave[idx]);
-          sorted_slots.push_back(exact_slots[idx]);
-        }
-        exact_wave = std::move(sorted_wave);
-        exact_slots = std::move(sorted_slots);
-      }
-    } else {
-      exact_wave.assign(wave.begin(), wave.end());
-    }
-
-    const size_t exact_level_count = exact_wave.size();
-    if (speculate_ && predict) {
-      const int next = predict(m, *state);
-      // Under a work budget, prefetch only what provably fits: speculative
-      // evaluations count against the budget like any other, and answers
-      // are identical whether or not the prefetch happens.
-      if (next != 0 && next != m &&
-          (max_evaluations_ == 0 ||
-           od_->num_evaluations() - evals_at_start_ + exact_level_count +
-                   state->UndecidedCount(next) <=
-               max_evaluations_)) {
-        const std::vector<uint64_t> ahead = state->UndecidedMasks(next);
-        exact_wave.insert(exact_wave.end(), ahead.begin(), ahead.end());
-      }
-    }
-
-    ParallelEvaluator::Batch batch =
-        evaluator_.EvaluateBatch(exact_wave, level_span.id());
-    if (FilterActive()) {
-      for (size_t j = 0; j < exact_level_count; ++j) {
-        level_values[exact_slots[j]] = batch.values[j];
-      }
-    } else {
-      std::copy_n(batch.values.begin(), level_count, level_values.begin());
-    }
-    state->MarkEvaluatedBatch(
-        std::span(wave.data(), level_count),
-        std::span(level_values.data(), level_count), threshold_);
-
-    if (speculate_) {
-      // Masks merged this wave consume any earlier speculation on them;
-      // fresh speculative computations become outstanding until consumed.
-      for (size_t i = 0; i < level_count; ++i) {
-        outstanding_speculation_.erase(wave[i]);
-      }
-      for (size_t i = exact_level_count; i < exact_wave.size(); ++i) {
-        if (batch.sources[i] == ParallelEvaluator::Source::kComputed) {
-          outstanding_speculation_.insert(exact_wave[i]);
-        }
-      }
-    }
-    state->Propagate();
-  }
-
-  /// Speculative evaluations never consumed — on a fully decided lattice
-  /// every one of them was pruned, i.e. work the sequential walk skips.
-  uint64_t wasted() const { return outstanding_speculation_.size(); }
-
-  /// Density-filter tallies for SearchCounters.
-  uint64_t bound_decisions() const { return bound_decisions_; }
-  uint64_t risky_decisions() const { return risky_decisions_; }
-  double bound_gap() const { return bound_gap_; }
-  uint64_t gate_skips() const { return gate_skips_; }
-
-  /// Outstanding speculative evaluations still undecided at level m:
-  /// already paid for (they are in the evaluator's tally) and memoised, so
-  /// the budget pre-check must not charge them a second time when their
-  /// level comes up — otherwise a query that fits the budget with
-  /// speculation off could fail with it on. Masks that pruning decided
-  /// after they were prefetched are excluded: they are not in the level's
-  /// undecided count, and crediting them would silently soften the
-  /// budget's hard ceiling.
-  uint64_t PrepaidAt(int m, const lattice::LatticeStore& state) const {
-    uint64_t count = 0;
-    for (uint64_t mask : outstanding_speculation_) {
-      if (std::popcount(mask) == m &&
-          !lattice::IsDecided(state.StateOf(Subspace(mask)))) {
-        ++count;
-      }
-    }
-    return count;
-  }
-
- private:
-  bool FilterActive() const {
-    return filter_ != nullptr && filter_mode_ != filter::FilterMode::kOff;
-  }
-
-  OdEvaluator* od_;
-  double threshold_;
-  bool speculate_;
-  uint64_t max_evaluations_;
-  uint64_t evals_at_start_;
-  obs::QueryTracer* tracer_;
-  const filter::DensityBoundFilter* filter_;
-  filter::FilterMode filter_mode_;
-  double filter_slack_;
-  FrontierOrdering ordering_;
-  filter::FilterGate* gate_;
-  obs::Histogram* margin_hist_;
-  ParallelEvaluator evaluator_;
-  std::unordered_set<uint64_t> outstanding_speculation_;
-  uint64_t bound_decisions_ = 0;
-  uint64_t risky_decisions_ = 0;
-  double bound_gap_ = 0.0;
-  uint64_t gate_skips_ = 0;
-};
-
-// The work-budget gate and outcome assembly live in frontier_support.h,
-// shared with the fused BatchFrontierRunner so both drivers keep identical
-// error contracts and counter semantics.
+/// Runs `runner` over a block of one point.
+Result<SearchOutcome> RunOne(const BatchFrontierRunner& runner,
+                             OdEvaluator* od, double threshold,
+                             const SearchExecution& exec) {
+  OdEvaluator* const block[] = {od};
+  return std::move(runner.Run(block, threshold, exec).front());
+}
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// DynamicSubspaceSearch
-// ---------------------------------------------------------------------------
 
 DynamicSubspaceSearch::DynamicSubspaceSearch(int num_dims,
                                              lattice::PruningPriors priors)
@@ -298,49 +27,23 @@ DynamicSubspaceSearch::DynamicSubspaceSearch(int num_dims,
 
 Result<SearchOutcome> DynamicSubspaceSearch::RunImpl(
     OdEvaluator* od, double threshold, const SearchExecution& exec) const {
-  // Mis-sized priors would index out of bounds in TotalSavingFactor; fail
-  // loudly instead (priors come from callers' learning reports, so the
-  // mismatch is an input error, not a programming invariant).
-  if (priors_.num_dims() != num_dims_) {
-    return Status::InvalidArgument(
-        "pruning priors cover " + std::to_string(priors_.num_dims()) +
-        " dimensions but the search runs over " + std::to_string(num_dims_));
-  }
-  Timer timer;
-  const uint64_t od_before = od->num_evaluations();
-  const uint64_t dist_before = od->engine().distance_computations();
-  HOS_ASSIGN_OR_RETURN(
-      std::unique_ptr<lattice::LatticeStore> state,
-      lattice::MakeLatticeStore(num_dims_, exec.lattice_backend));
-  uint64_t steps = 0;
-  obs::ScopedSpan strategy_span(exec.tracer, name(), exec.trace_parent);
-  FrontierRunner runner(od, threshold, exec);
-  const FrontierRunner::PredictFn predict =
-      [this](int current, const lattice::LatticeStore& s) {
-        return lattice::BestLevel(priors_, s, /*exclude=*/current);
-      };
-
-  // Paper §3.3: start at the level with the highest TSF; after each batch
-  // the remaining-workload fractions change, so TSF is recomputed and the
-  // next-best level is chosen, until everything is evaluated or pruned.
-  while (true) {
-    int m = lattice::BestLevel(priors_, *state);
-    if (m == 0) break;
-    HOS_RETURN_IF_ERROR(CheckSearchBudget(
-        exec, *od, od_before, m,
-        SaturatingSub(state->UndecidedCount(m), runner.PrepaidAt(m, *state))));
-    runner.EvaluateLevel(m, state.get(), predict, strategy_span.id());
-    ++steps;
-  }
-  return AssembleOutcome(*state, threshold, *od, od_before, dist_before, steps,
-                  runner.wasted(), timer, runner.bound_decisions(),
-                  runner.risky_decisions(), runner.bound_gap(),
-                  runner.gate_skips());
+  return RunOne(BatchFrontierRunner(num_dims_, &priors_), od, threshold,
+                exec);
 }
 
-// ---------------------------------------------------------------------------
-// ExhaustiveSearch
-// ---------------------------------------------------------------------------
+Result<SearchOutcome> BottomUpSearch::RunImpl(
+    OdEvaluator* od, double threshold, const SearchExecution& exec) const {
+  return RunOne(BatchFrontierRunner(
+                    num_dims_, BatchFrontierRunner::LevelOrder::kBottomUp),
+                od, threshold, exec);
+}
+
+Result<SearchOutcome> TopDownSearch::RunImpl(
+    OdEvaluator* od, double threshold, const SearchExecution& exec) const {
+  return RunOne(BatchFrontierRunner(
+                    num_dims_, BatchFrontierRunner::LevelOrder::kTopDown),
+                od, threshold, exec);
+}
 
 Result<SearchOutcome> ExhaustiveSearch::RunImpl(
     OdEvaluator* od, double threshold, const SearchExecution& exec) const {
@@ -350,94 +53,22 @@ Result<SearchOutcome> ExhaustiveSearch::RunImpl(
   HOS_ASSIGN_OR_RETURN(
       std::unique_ptr<lattice::LatticeStore> state,
       lattice::MakeLatticeStore(num_dims_, exec.lattice_backend));
-  uint64_t steps = 0;
-  // No speculation: every level is evaluated in full anyway, so there is
-  // nothing a prefetch could save. No Propagate(): every subspace is
-  // evaluated explicitly.
   obs::ScopedSpan strategy_span(exec.tracer, name(), exec.trace_parent);
-  ParallelEvaluator evaluator(od, exec);
+  // Every subspace is evaluated explicitly, so nothing is left for
+  // Propagate() to infer.
+  uint64_t steps = 0;
+  std::vector<double> values;
   for (int m = 1; m <= num_dims_; ++m) {
-    HOS_RETURN_IF_ERROR(
-        CheckSearchBudget(exec, *od, od_before, m, state->UndecidedCount(m)));
-    obs::ScopedSpan level_span(
-        exec.tracer, "level", strategy_span.id(),
-        exec.tracer != nullptr ? "m=" + std::to_string(m) : std::string());
-    std::vector<uint64_t> batch = state->UndecidedMasks(m);
-    ParallelEvaluator::Batch wave =
-        evaluator.EvaluateBatch(batch, level_span.id());
-    state->MarkEvaluatedBatch(batch, wave.values, threshold);
+    HOS_RETURN_IF_ERROR(internal::CheckSearchBudget(
+        exec, *od, od_before, m, state->UndecidedCount(m)));
+    const std::vector<uint64_t> masks = state->UndecidedMasks(m);
+    values.clear();
+    for (uint64_t mask : masks) values.push_back(od->Evaluate(Subspace(mask)));
+    state->MarkEvaluatedBatch(masks, values, threshold);
     ++steps;
   }
-  return AssembleOutcome(*state, threshold, *od, od_before, dist_before, steps,
-                  /*wasted=*/0, timer);
-}
-
-// ---------------------------------------------------------------------------
-// Static level orders
-// ---------------------------------------------------------------------------
-
-Result<SearchOutcome> BottomUpSearch::RunImpl(
-    OdEvaluator* od, double threshold, const SearchExecution& exec) const {
-  Timer timer;
-  const uint64_t od_before = od->num_evaluations();
-  const uint64_t dist_before = od->engine().distance_computations();
-  HOS_ASSIGN_OR_RETURN(
-      std::unique_ptr<lattice::LatticeStore> state,
-      lattice::MakeLatticeStore(num_dims_, exec.lattice_backend));
-  uint64_t steps = 0;
-  obs::ScopedSpan strategy_span(exec.tracer, name(), exec.trace_parent);
-  FrontierRunner runner(od, threshold, exec);
-  const FrontierRunner::PredictFn predict =
-      [](int current, const lattice::LatticeStore& s) {
-        for (int i = current + 1; i <= s.num_dims(); ++i) {
-          if (s.UndecidedCount(i) != 0) return i;
-        }
-        return 0;
-      };
-  for (int m = 1; m <= num_dims_; ++m) {
-    if (state->UndecidedCount(m) == 0) continue;
-    HOS_RETURN_IF_ERROR(CheckSearchBudget(
-        exec, *od, od_before, m,
-        SaturatingSub(state->UndecidedCount(m), runner.PrepaidAt(m, *state))));
-    runner.EvaluateLevel(m, state.get(), predict, strategy_span.id());
-    ++steps;
-  }
-  return AssembleOutcome(*state, threshold, *od, od_before, dist_before, steps,
-                  runner.wasted(), timer, runner.bound_decisions(),
-                  runner.risky_decisions(), runner.bound_gap(),
-                  runner.gate_skips());
-}
-
-Result<SearchOutcome> TopDownSearch::RunImpl(
-    OdEvaluator* od, double threshold, const SearchExecution& exec) const {
-  Timer timer;
-  const uint64_t od_before = od->num_evaluations();
-  const uint64_t dist_before = od->engine().distance_computations();
-  HOS_ASSIGN_OR_RETURN(
-      std::unique_ptr<lattice::LatticeStore> state,
-      lattice::MakeLatticeStore(num_dims_, exec.lattice_backend));
-  uint64_t steps = 0;
-  obs::ScopedSpan strategy_span(exec.tracer, name(), exec.trace_parent);
-  FrontierRunner runner(od, threshold, exec);
-  const FrontierRunner::PredictFn predict =
-      [](int current, const lattice::LatticeStore& s) {
-        for (int i = current - 1; i >= 1; --i) {
-          if (s.UndecidedCount(i) != 0) return i;
-        }
-        return 0;
-      };
-  for (int m = num_dims_; m >= 1; --m) {
-    if (state->UndecidedCount(m) == 0) continue;
-    HOS_RETURN_IF_ERROR(CheckSearchBudget(
-        exec, *od, od_before, m,
-        SaturatingSub(state->UndecidedCount(m), runner.PrepaidAt(m, *state))));
-    runner.EvaluateLevel(m, state.get(), predict, strategy_span.id());
-    ++steps;
-  }
-  return AssembleOutcome(*state, threshold, *od, od_before, dist_before, steps,
-                  runner.wasted(), timer, runner.bound_decisions(),
-                  runner.risky_decisions(), runner.bound_gap(),
-                  runner.gate_skips());
+  return internal::AssembleOutcome(*state, threshold, *od, od_before,
+                                   dist_before, steps, timer);
 }
 
 }  // namespace hos::search

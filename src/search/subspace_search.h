@@ -3,25 +3,25 @@
 //  * DynamicSubspaceSearch — the paper's §3.3 algorithm: repeatedly pick
 //    the level with the highest Total Saving Factor, evaluate its remaining
 //    subspaces, apply both pruning strategies, update TSF, repeat.
-//  * ExhaustiveSearch     — evaluates every one of the 2^d - 1 subspaces;
-//    the correctness oracle and the "no pruning" efficiency baseline.
+//  * ExhaustiveSearch     — evaluates every one of the 2^d - 1 subspaces in
+//    a plain sequential sweep; the correctness oracle and the "no pruning"
+//    efficiency baseline.
 //  * BottomUpSearch       — static level order 1..d with pruning (ablation).
 //  * TopDownSearch        — static level order d..1 with pruning (ablation).
 //
 // All strategies produce identical answer sets (tested); they differ only
 // in how much work they perform.
 //
-// Every strategy runs either sequentially (the default SearchExecution) or
-// with its per-level frontier fanned out across a service::ThreadPool —
-// same-level subspaces cannot prune each other, so a level batch is
-// embarrassingly parallel, and verdicts are merged into the lattice in
-// mask order so the pruning seed sequence is identical to the sequential
-// walk's. The lattice itself lives behind lattice::LatticeStore
+// The three pruning strategies share one runner: each runs
+// search::BatchFrontierRunner over a block of one point with its own
+// level order, so SearchExecution::pool fans a level's masks out across a
+// service::ThreadPool with the same chunking and canonical-order merge at
+// every width. The lattice itself lives behind lattice::LatticeStore
 // (SearchExecution::lattice_backend: lazy hash-map sparse by default at
 // every d, flat-array dense on request up to d = 22).
-// tests/search/strategy_differential_test.cc holds
-// every strategy × execution mode × backend to bitwise-identical answers
-// against the exhaustive oracle.
+// tests/search/strategy_differential_test.cc holds every strategy ×
+// execution mode × backend to bitwise-identical answers against the
+// exhaustive oracle.
 
 #ifndef HOS_SEARCH_SUBSPACE_SEARCH_H_
 #define HOS_SEARCH_SUBSPACE_SEARCH_H_
@@ -32,7 +32,7 @@
 #include "src/common/result.h"
 #include "src/lattice/saving_factors.h"
 #include "src/search/od_evaluator.h"
-#include "src/search/parallel_evaluator.h"
+#include "src/search/search_execution.h"
 #include "src/search/search_result.h"
 
 namespace hos::search {
@@ -46,7 +46,7 @@ class SubspaceSearch {
 
   /// Runs a complete search for the evaluator's query point: on return
   /// every subspace is decided. `threshold` is the paper's T; a subspace s
-  /// is outlying iff OD(p, s) >= T. `exec` selects sequential or parallel
+  /// is outlying iff OD(p, s) >= T. `exec` selects sequential or pooled
   /// frontier evaluation and the lattice storage backend; neither changes
   /// the answer. Returns InvalidArgument when the strategy's configuration
   /// is inconsistent (e.g. priors sized for a different dimensionality,
@@ -88,7 +88,8 @@ class DynamicSubspaceSearch : public SubspaceSearch {
   lattice::PruningPriors priors_;
 };
 
-/// Evaluates all 2^d - 1 subspaces. No pruning.
+/// Evaluates all 2^d - 1 subspaces, level by level on the calling thread.
+/// No pruning; ignores exec.pool and exec.filter.
 class ExhaustiveSearch : public SubspaceSearch {
  public:
   explicit ExhaustiveSearch(int num_dims) : num_dims_(num_dims) {}

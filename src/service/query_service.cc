@@ -208,11 +208,10 @@ Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
   if (result.ok()) {
     const search::SearchCounters& counters = result.value().outcome.counters;
     stats_.RecordQuery(latency, counters.od_evaluations,
-                       counters.wasted_evaluations,
                        counters.bound_decisions, counters.risky_decisions,
                        counters.bound_gap, counters.gate_skips);
   } else {
-    stats_.RecordQuery(latency, 0, 0);
+    stats_.RecordQuery(latency, 0);
     if (result.status().IsNotFound()) {
       // The id was deleted / slid out of the window: a clean client-visible
       // rejection, counted separately from stale_fallbacks (which is an
@@ -257,7 +256,8 @@ void QueryService::RunTimedBlock(
   std::vector<Result<core::QueryResult>> results;
   {
     // The "batch" root span covers the whole fused block, so the span
-    // tree reads batch → search → batch-dynamic → wave → knn-batch.
+    // tree reads batch → search → dynamic → wave → knn, the same names a
+    // single query's tree has under its "service" root.
     obs::ScopedSpan batch_span(
         traced ? &tracer : nullptr, "batch", -1,
         traced ? "points=" + std::to_string(ids.size()) : std::string());
@@ -289,12 +289,11 @@ void QueryService::RunTimedBlock(
           result.value().outcome.counters;
       fused_evaluations += counters.od_evaluations;
       stats_.RecordQuery(latency, counters.od_evaluations,
-                         counters.wasted_evaluations,
                          counters.bound_decisions, counters.risky_decisions,
                          counters.bound_gap, counters.gate_skips);
       if (traced) result.value().trace = trace;
     } else {
-      stats_.RecordQuery(latency, 0, 0);
+      stats_.RecordQuery(latency, 0);
       if (result.status().IsNotFound()) stats_.RecordEvictedReject();
     }
     (*slots)[base + i] = std::move(result);

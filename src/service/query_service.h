@@ -119,8 +119,9 @@ struct IngestConfig {
 /// off by default; the default-configured service pays only a null-pointer
 /// check per query.
 struct ObservabilityConfig {
-  /// Attach a QueryTrace (service → search → level → knn span tree) to
-  /// every QueryResult the service returns.
+  /// Attach a QueryTrace (service → search → dynamic → wave → knn span
+  /// tree; a fused block's root is "batch") to every QueryResult the
+  /// service returns.
   bool trace_queries = false;
   /// When > 0, queries slower than this are counted (ServiceStatsSnapshot
   /// slow_queries) and their full trace is dumped to the log at Warning.
@@ -136,11 +137,11 @@ struct QueryServiceConfig {
   /// Worker threads executing queries.
   int num_threads = 4;
   /// Intra-query parallelism: when > 1, a second pool of this many threads
-  /// is shared by all in-flight queries for parallel frontier evaluation
-  /// (each lattice level's OD batch fans out across it). A separate pool —
-  /// never the query pool — because frontier waves block on their chunk
-  /// futures, and a pool waiting on itself deadlocks. Answers are
-  /// identical at any setting.
+  /// is shared by all in-flight queries and fused blocks for parallel
+  /// frontier evaluation (each frontier round's distinct subspaces fan out
+  /// across it). A separate pool — never the query pool — because frontier
+  /// rounds block on their chunk futures, and a pool waiting on itself
+  /// deadlocks. Answers are identical at any setting.
   int search_threads = 1;
   /// When false, no cross-query OD cache is attached (each query still has
   /// OdEvaluator's per-query memo).
@@ -403,7 +404,7 @@ class QueryService {
   /// not the trigger).
   std::atomic<bool> relearn_scheduled_{false};
 
-  /// Shared by every in-flight query's frontier waves; null when
+  /// Shared by every in-flight query's frontier rounds; null when
   /// search_threads <= 1. Declared before the pools so workers die first.
   std::unique_ptr<ThreadPool> search_pool_;
   /// Dedicated single-thread worker for background rebuilds and

@@ -13,8 +13,6 @@ ServiceStats::ServiceStats(obs::MetricsRegistry* registry)
           registry->GetCounter("service_rebuilds_completed")),
       slow_queries_(registry->GetCounter("service_slow_queries")),
       od_evaluations_(registry->GetCounter("service_od_evaluations")),
-      wasted_evaluations_(
-          registry->GetCounter("service_wasted_evaluations")),
       filter_bound_decisions_(
           registry->GetCounter("service_filter_bound_decisions")),
       filter_risky_decisions_(
@@ -43,16 +41,12 @@ ServiceStats::ServiceStats(obs::MetricsRegistry* registry)
 
 void ServiceStats::RecordQuery(double latency_seconds,
                                uint64_t od_evaluations,
-                               uint64_t wasted_evaluations,
                                uint64_t bound_decisions,
                                uint64_t risky_decisions, double bound_gap,
                                uint64_t gate_skips) {
   queries_served_->Increment();
   latencies_->Record(latency_seconds);
   if (od_evaluations > 0) od_evaluations_->Increment(od_evaluations);
-  if (wasted_evaluations > 0) {
-    wasted_evaluations_->Increment(wasted_evaluations);
-  }
   if (bound_decisions > 0) {
     filter_bound_decisions_->Increment(bound_decisions);
   }
@@ -76,7 +70,6 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snapshot.rebuilds_completed = rebuilds_completed_->value();
   snapshot.slow_queries = slow_queries_->value();
   snapshot.od_evaluations = od_evaluations_->value();
-  snapshot.wasted_evaluations = wasted_evaluations_->value();
   snapshot.filter_bound_decisions = filter_bound_decisions_->value();
   snapshot.filter_risky_decisions = filter_risky_decisions_->value();
   snapshot.last_bound_gap = last_bound_gap_->value();
@@ -114,7 +107,7 @@ std::string ServiceStatsSnapshot::ToJson() const {
       "\"delta_rows\": %llu, \"delta_fraction\": %.4f, "
       "\"live_rows\": %llu, \"tombstone_rows\": %llu, "
       "\"churn_fraction\": %.4f, \"learning_staleness\": %.4f, "
-      "\"od_evaluations\": %llu, \"wasted_evaluations\": %llu, "
+      "\"od_evaluations\": %llu, "
       "\"filter_bound_decisions\": %llu, "
       "\"filter_risky_decisions\": %llu, \"last_bound_gap\": %.6g, "
       "\"filter_gate_skips\": %llu, "
@@ -140,7 +133,6 @@ std::string ServiceStatsSnapshot::ToJson() const {
       static_cast<unsigned long long>(tombstone_rows), churn_fraction,
       learning_staleness,
       static_cast<unsigned long long>(od_evaluations),
-      static_cast<unsigned long long>(wasted_evaluations),
       static_cast<unsigned long long>(filter_bound_decisions),
       static_cast<unsigned long long>(filter_risky_decisions),
       last_bound_gap,

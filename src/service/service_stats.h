@@ -96,7 +96,6 @@ struct ServiceStatsSnapshot {
 
   // Search-work aggregates summed over every served query's counters.
   uint64_t od_evaluations = 0;
-  uint64_t wasted_evaluations = 0;
   /// Subspaces decided by the density-bound pre-filter instead of an exact
   /// kNN call, summed over every served query (0 with FilterMode::kOff).
   uint64_t filter_bound_decisions = 0;
@@ -140,7 +139,6 @@ class ServiceStats {
   /// search-work counters (0 for failed queries). The filter trio defaults
   /// keep pre-filter-unaware callers recording zeros.
   void RecordQuery(double latency_seconds, uint64_t od_evaluations,
-                   uint64_t wasted_evaluations,
                    uint64_t bound_decisions = 0,
                    uint64_t risky_decisions = 0, double bound_gap = 0.0,
                    uint64_t gate_skips = 0);
@@ -217,7 +215,6 @@ class ServiceStats {
   obs::Counter* rebuilds_completed_;
   obs::Counter* slow_queries_;
   obs::Counter* od_evaluations_;
-  obs::Counter* wasted_evaluations_;
   obs::Counter* filter_bound_decisions_;
   obs::Counter* filter_risky_decisions_;
   obs::Gauge* last_bound_gap_;

@@ -108,6 +108,48 @@ TEST(HosMinerBuildTest, AcceptsDimsPastTheDenseCap) {
   EXPECT_EQ(miner->num_dims(), d);
 }
 
+// A dataset handed to Build after a window slid over it: its first chunk
+// is all dead, sealed and reclaimed. Build must not touch that storage,
+// and the miner must answer for every survivor exactly like a miner built
+// on the survivors alone, at the same T.
+TEST(HosMinerBuildTest, BuildsOnAReclaimedDatasetLikeOnItsSurvivors) {
+  Rng rng(7);
+  data::Dataset dataset = data::GenerateUniform(600, 3, &rng);
+  std::vector<data::PointId> dead;
+  for (data::PointId id = 0; id < data::Dataset::kChunkRows; ++id) {
+    dead.push_back(id);
+  }
+  ASSERT_TRUE(dataset.DeleteRows(dead).ok());
+  dataset.SealBase();
+  ASSERT_EQ(dataset.ReclaimDeadChunks(), 1u);
+
+  data::Dataset survivors(3);
+  std::vector<data::PointId> live_ids;
+  for (data::PointId id = 0; id < dataset.size(); ++id) {
+    if (!dataset.IsLive(id)) continue;
+    live_ids.push_back(id);
+    survivors.Append(dataset.Row(id));
+  }
+  auto reference = HosMiner::Build(std::move(survivors), {});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  HosMinerConfig config;
+  config.threshold = reference->threshold();
+  auto miner = HosMiner::Build(std::move(dataset), config);
+  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+
+  for (size_t i = 0; i < live_ids.size(); ++i) {
+    auto expected = reference->Query(static_cast<data::PointId>(i));
+    auto actual = miner->Query(live_ids[i]);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(actual->outlying_subspaces(), expected->outlying_subspaces())
+        << "id " << live_ids[i];
+    EXPECT_EQ(actual->outcome.outlier_fraction,
+              expected->outcome.outlier_fraction)
+        << "id " << live_ids[i];
+  }
+}
+
 TEST(HosMinerBuildTest, AutoThresholdIsPositive) {
   auto generated = MakePlanted(2);
   auto miner = HosMiner::Build(std::move(generated.dataset), {});

@@ -114,8 +114,6 @@ void ExpectBitwiseOutcome(const core::QueryResult& streamed,
             reference.outcome.counters.pruned_downward);
   EXPECT_EQ(streamed.outcome.counters.steps,
             reference.outcome.counters.steps);
-  EXPECT_EQ(streamed.outcome.counters.wasted_evaluations,
-            reference.outcome.counters.wasted_evaluations);
 }
 
 /// OD(p, s) compared bit-for-bit at the engine level over every subspace of

@@ -73,12 +73,12 @@ double ReferenceTsf(int m, const PruningPriors& priors,
   return tsf;
 }
 
-int ReferenceBestLevel(const PruningPriors& priors, const LatticeStore& state,
-                       int exclude) {
+int ReferenceBestLevel(const PruningPriors& priors,
+                       const LatticeStore& state) {
   int best = 0;
   double best_tsf = -1.0;
   for (int m = 1; m <= state.num_dims(); ++m) {
-    if (m == exclude || state.UndecidedCount(m) == 0) continue;
+    if (state.UndecidedCount(m) == 0) continue;
     const double tsf = ReferenceTsf(m, priors, state);
     if (best == 0 || tsf > best_tsf) {
       best = m;
@@ -249,9 +249,9 @@ TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
 
 TEST_P(SavingFactorsTest, BestLevelMatchesDefinitionReferenceOnRandomWalks) {
   // Random priors (learned ones are arbitrary in [0, 1]) and a random
-  // monotone truth; at every step of a TSF-driven walk, BestLevel (with
-  // and without an excluded level) and every level's TSF must equal the
-  // definition-based reference bit for bit.
+  // monotone truth; at every step of a TSF-driven walk, BestLevel and
+  // every level's TSF must equal the definition-based reference bit for
+  // bit.
   Rng rng(4242);
   for (int d : {2, 5, 8, 11, 13}) {
     for (int trial = 0; trial < 4; ++trial) {
@@ -269,17 +269,13 @@ TEST_P(SavingFactorsTest, BestLevelMatchesDefinitionReferenceOnRandomWalks) {
       }
       auto state = Make(d);
       while (true) {
-        const int exclude = static_cast<int>(rng.UniformInt(0, d));
-        ASSERT_EQ(BestLevel(priors, *state, exclude),
-                  ReferenceBestLevel(priors, *state, exclude))
-            << "d=" << d << " exclude=" << exclude;
         for (int m = 1; m <= d; ++m) {
           ASSERT_EQ(TotalSavingFactor(m, priors, *state),
                     ReferenceTsf(m, priors, *state))
               << "d=" << d << " m=" << m;
         }
         const int m = BestLevel(priors, *state);
-        ASSERT_EQ(m, ReferenceBestLevel(priors, *state, 0));
+        ASSERT_EQ(m, ReferenceBestLevel(priors, *state)) << "d=" << d;
         if (m == 0) break;
         for (uint64_t mask : state->UndecidedMasks(m)) {
           bool outlier = false;

@@ -2,7 +2,8 @@
 // query answers — bitwise-identical outcomes and order-independent work
 // counters, across every kNN backend and both lattice stores — and the
 // trace that comes back must name every span level (service → search →
-// strategy → level → knn / od_store_hit).
+// strategy → wave → knn), with the same names for a single query and a
+// fused block.
 //
 // Also covers the service-level integration: traced batches through
 // QueryService (worker pool × shared search pool, the TSan shape), the
@@ -61,8 +62,6 @@ void ExpectIdentical(const core::QueryResult& off, const core::QueryResult& on,
             on.outcome.counters.pruned_upward);
   EXPECT_EQ(off.outcome.counters.pruned_downward,
             on.outcome.counters.pruned_downward);
-  EXPECT_EQ(off.outcome.counters.wasted_evaluations,
-            on.outcome.counters.wasted_evaluations);
   EXPECT_EQ(off.outcome.counters.steps, on.outcome.counters.steps);
 }
 
@@ -105,13 +104,21 @@ TEST(TraceDifferentialTest, TracingChangesNoAnswerOnAnyBackendOrLattice) {
         const obs::TraceSpan* strategy = trace.Find("dynamic");
         ASSERT_NE(strategy, nullptr) << context;
         EXPECT_EQ(strategy->parent, search->id) << context;
-        EXPECT_GT(trace.CountByName("level"), 0u) << context;
-        EXPECT_GT(trace.CountByName("knn"), 0u) << context;
+        EXPECT_EQ(trace.CountByName("wave"), on->outcome.counters.steps)
+            << context;
+        const obs::TraceSpan* wave = trace.Find("wave");
+        ASSERT_NE(wave, nullptr) << context;
+        EXPECT_EQ(wave->parent, strategy->id) << context;
+        EXPECT_EQ(trace.CountByName("knn"),
+                  on->outcome.counters.od_evaluations)
+            << context;
         const obs::TraceSpan* knn = trace.Find("knn");
         ASSERT_NE(knn, nullptr) << context;
-        EXPECT_EQ(trace.spans[static_cast<size_t>(knn->parent)].name, "level")
+        EXPECT_EQ(trace.spans[static_cast<size_t>(knn->parent)].name, "wave")
             << context;
         EXPECT_EQ(knn->detail.rfind("mask=0x", 0), 0u) << context;
+        EXPECT_NE(knn->detail.find(" points=1"), std::string::npos)
+            << context;
       }
     }
   }
@@ -155,8 +162,8 @@ TEST(TraceDifferentialTest, ServiceTracingMatchesUntracedService) {
     EXPECT_EQ(a.outcome.outlier_fraction, e.outcome.outlier_fraction);
 
     // QueryBatch runs fused blocks by default, so each result carries the
-    // block's shared span tree: batch -> search -> batch-dynamic -> wave
-    // -> knn-batch (store hits resolve silently inside the wave).
+    // block's shared span tree: batch -> search -> dynamic -> wave -> knn
+    // (store hits resolve silently inside the wave).
     ASSERT_NE(a.trace, nullptr);
     EXPECT_EQ(e.trace, nullptr);
     const obs::TraceSpan* root = a.trace->Find("batch");
@@ -165,10 +172,16 @@ TEST(TraceDifferentialTest, ServiceTracingMatchesUntracedService) {
     const obs::TraceSpan* search = a.trace->Find("search");
     ASSERT_NE(search, nullptr);
     EXPECT_EQ(search->parent, root->id);
-    const obs::TraceSpan* strategy = a.trace->Find("batch-dynamic");
+    const obs::TraceSpan* strategy = a.trace->Find("dynamic");
     ASSERT_NE(strategy, nullptr);
     EXPECT_EQ(strategy->parent, search->id);
-    EXPECT_GT(a.trace->CountByName("knn-batch"), 0u);
+    const obs::TraceSpan* wave = a.trace->Find("wave");
+    ASSERT_NE(wave, nullptr);
+    EXPECT_EQ(wave->parent, strategy->id);
+    EXPECT_GT(a.trace->CountByName("knn"), 0u);
+    const obs::TraceSpan* knn = a.trace->Find("knn");
+    ASSERT_NE(knn, nullptr);
+    EXPECT_EQ(a.trace->spans[static_cast<size_t>(knn->parent)].name, "wave");
   }
 
   // Aggregates reached the stats surface.
@@ -217,7 +230,7 @@ TEST(TraceDifferentialTest, OneMetricsSnapshotCoversEverySubsystem) {
            "\"service_queries_served\"", "\"service_batches_served\"",
            "\"service_query_latency_seconds\"", "\"service_slow_queries\"",
            // search aggregates
-           "\"service_od_evaluations\"", "\"service_wasted_evaluations\"",
+           "\"service_od_evaluations\"",
            // cache
            "\"od_cache_hits\"", "\"od_cache_misses\"", "\"od_cache_size\"",
            // ingest

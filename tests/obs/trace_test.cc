@@ -1,6 +1,7 @@
 // QueryTracer / QueryTrace unit tests: span tree shape, the span cap,
 // RAII behaviour with a null tracer, JSON shape, and concurrent span
-// recording (the situation ParallelEvaluator workers put the tracer in).
+// recording (the situation the frontier runner's pool workers put the
+// tracer in).
 
 #include "src/obs/trace.h"
 

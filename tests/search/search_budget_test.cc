@@ -120,34 +120,6 @@ TEST(SearchBudgetTest, BudgetDoesNotChangeAnswersWhenItFits) {
             unbounded->counters.od_evaluations);
 }
 
-// Speculatively prefetched masks are already paid for (they sit in the
-// evaluator's tally and memo), so a budget that covers the whole search
-// with speculation on must not fail when those masks' level comes up —
-// the pre-check subtracts the prepaid count instead of charging twice.
-TEST(SearchBudgetTest, SpeculationDoesNotDoubleChargeTheBudget) {
-  const int d = 8;
-  data::Dataset dataset = MakeData(70, d, 6);
-  knn::LinearScanKnn engine(dataset, knn::MetricKind::kL2);
-  lattice::PruningPriors priors = lattice::PruningPriors::Flat(d);
-  DynamicSubspaceSearch search(d, priors);
-
-  OdEvaluator od_free(engine, dataset.Row(3), 3, data::PointId{3});
-  SearchExecution speculative;
-  speculative.speculate = true;
-  auto unbounded = search.Run(&od_free, 0.8, speculative);
-  ASSERT_TRUE(unbounded.ok());
-  const uint64_t total_fresh = unbounded->counters.od_evaluations +
-                               unbounded->counters.wasted_evaluations;
-
-  OdEvaluator od_budgeted(engine, dataset.Row(3), 3, data::PointId{3});
-  SearchExecution budgeted = speculative;
-  budgeted.max_od_evaluations = total_fresh;  // exactly what the run costs
-  auto bounded = search.Run(&od_budgeted, 0.8, budgeted);
-  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
-  EXPECT_EQ(bounded->minimal_outlying_subspaces,
-            unbounded->minimal_outlying_subspaces);
-}
-
 // End-to-end: the knob reaches HosMiner::Query through QueryOptions.
 TEST(SearchBudgetTest, QueryOptionsBudgetReachesTheSearch) {
   Rng rng(5);

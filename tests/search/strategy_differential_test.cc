@@ -1,10 +1,10 @@
 // Cross-strategy differential harness: the proof that parallel frontier
 // evaluation AND the lattice storage backend are execution details, not
 // semantic changes. For every d in 4..12 and two thresholds per d, every
-// strategy {dynamic, bottom-up, top-down, exhaustive} is run
-// {sequentially, parallel across 2/4/8-thread pools, and (for the pruning
-// strategies) with speculative next-level prefetch} × {dense, sparse}
-// lattice backends, and held to:
+// pruning strategy {dynamic, bottom-up, top-down} is run {sequentially,
+// parallel across 2/4/8-thread pools} × {dense, sparse} lattice backends
+// (the exhaustive sweep, which takes no pool, sequentially on both), and
+// held to:
 //
 //   * the exact outlying-subspace answer of the ExhaustiveSearch oracle,
 //     for every one of the 2^d - 1 subspaces;
@@ -14,8 +14,7 @@
 //     the order-sensitive evaluated_outliers list (same masks, same order:
 //     the parallel merge fed the lattice store the identical seed sequence)
 //     the work counters (same evaluations, same pruning, same steps);
-//   * wasted_evaluations == 0 without speculation, and with speculation the
-//     order-independent counters still unchanged.
+//   * the memoised set of the sequential run: same masks, same values.
 
 #include <gtest/gtest.h>
 
@@ -108,22 +107,19 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
 
       struct Mode {
         service::ThreadPool* pool;  // null = sequential
-        bool speculate;
         lattice::LatticeBackend backend;
       };
       std::vector<Mode> modes;
-      // The sequential sparse run checks the backend alone against the
-      // sequential reference (which is dense: kAuto at d <= 12); the pool
-      // modes then cross both backends with every thread count (and
-      // speculation, where it applies). No sequential-dense mode — it
-      // would just repeat the reference run.
-      modes.push_back({nullptr, false, lattice::LatticeBackend::kSparse});
+      // Sequential on both backends (the reference run is kAuto, i.e.
+      // sparse); the pruning strategies then cross both backends with
+      // every thread count.
       for (lattice::LatticeBackend backend :
            {lattice::LatticeBackend::kDense,
             lattice::LatticeBackend::kSparse}) {
+        modes.push_back({nullptr, backend});
+        if (!prunes) continue;
         for (service::ThreadPool* pool : pools) {
-          modes.push_back({pool, false, backend});
-          if (prunes) modes.push_back({pool, true, backend});
+          modes.push_back({pool, backend});
         }
       }
 
@@ -131,12 +127,11 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
         SCOPED_TRACE(
             "threads=" +
             std::to_string(mode.pool ? mode.pool->num_threads() : 1) +
-            " speculate=" + std::to_string(mode.speculate) + " backend=" +
+            " backend=" +
             (mode.backend == lattice::LatticeBackend::kDense ? "dense"
                                                              : "sparse"));
         SearchExecution exec;
         exec.pool = mode.pool;
-        exec.speculate = mode.speculate;
         exec.lattice_backend = mode.backend;
 
         OdEvaluator par_od(engine, ds.Row(query), kK, query);
@@ -171,25 +166,16 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
                   seq->counters.pruned_downward);
         EXPECT_EQ(par->counters.steps, seq->counters.steps);
 
-        // (4) The whole lattice is accounted for, speculation or not.
+        // (4) The whole lattice is accounted for.
         EXPECT_EQ(par->counters.od_evaluations +
                       par->counters.pruned_upward +
                       par->counters.pruned_downward,
                   lattice);
 
-        if (!mode.speculate) {
-          // No speculation ⇒ no wasted work, and the memoised set is
-          // exactly the sequential run's (same masks, same values).
-          EXPECT_EQ(par->counters.wasted_evaluations, 0u);
-          EXPECT_EQ(MemoisedValues(par_od, d), seq_memo);
-        } else {
-          // Speculation may compute ahead, but every extra evaluation is
-          // declared: memo size = consumed evaluations + waste (shared
-          // hits impossible here: no SharedOdStore attached).
-          EXPECT_EQ(par_od.num_evaluations(),
-                    par->counters.od_evaluations +
-                        par->counters.wasted_evaluations);
-        }
+        // (5) The memoised set is exactly the sequential run's (same
+        // masks, same values), and each fresh evaluation is counted once.
+        EXPECT_EQ(MemoisedValues(par_od, d), seq_memo);
+        EXPECT_EQ(par_od.num_evaluations(), par->counters.od_evaluations);
       }
     }
   }
@@ -243,7 +229,6 @@ TEST(StrategyDifferentialAdversarialTest, AllStrategiesMatchTheOracle) {
       for (bool parallel : {false, true}) {
         SearchExecution exec;
         exec.pool = parallel ? &pool : nullptr;
-        exec.speculate = parallel;
 
         OdEvaluator od(engine, ds.Row(query), scenario.k, query);
         auto run = strategy->Run(&od, scenario.threshold, exec);

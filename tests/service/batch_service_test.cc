@@ -156,8 +156,23 @@ TEST(BatchServiceTest, TracedFusedBatchSharesOneSpanTree) {
   for (const auto& result : *batch) {
     EXPECT_EQ(result.trace, (*batch)[0].trace);
   }
-  EXPECT_NE((*batch)[0].trace->Find("batch"), nullptr);
-  EXPECT_NE((*batch)[0].trace->Find("batch-dynamic"), nullptr);
+  // Below it, the span names a single query's tree has: strategy → wave
+  // → knn, each under the one before.
+  const obs::QueryTrace& trace = *(*batch)[0].trace;
+  ASSERT_NE(trace.Find("batch"), nullptr);
+  const obs::TraceSpan* search = trace.Find("search");
+  ASSERT_NE(search, nullptr);
+  EXPECT_EQ(search->parent, trace.Find("batch")->id);
+  const obs::TraceSpan* strategy = trace.Find("dynamic");
+  ASSERT_NE(strategy, nullptr);
+  EXPECT_EQ(strategy->parent, search->id);
+  const obs::TraceSpan* wave = trace.Find("wave");
+  ASSERT_NE(wave, nullptr);
+  EXPECT_EQ(wave->parent, strategy->id);
+  const obs::TraceSpan* knn = trace.Find("knn");
+  ASSERT_NE(knn, nullptr);
+  EXPECT_EQ(trace.spans[static_cast<size_t>(knn->parent)].name, "wave");
+  EXPECT_EQ(knn->detail.rfind("mask=0x", 0), 0u);
 }
 
 // The TSan case: fused batches from several client threads race appends
