@@ -524,12 +524,7 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
   artifacts.folded_tombstones =
       artifacts.rows - dataset_->CountLiveBefore(artifacts.rows);
   if (config_.index == IndexKind::kXTree) {
-    auto built = config_.bulk_load
-                     ? index::XTree::BulkLoad(*dataset_, config_.metric,
-                                              config_.xtree)
-                     : index::XTree::BuildByInsertion(*dataset_,
-                                                      config_.metric,
-                                                      config_.xtree);
+    auto built = index::XTree::BulkLoad(*dataset_, config_.metric);
     if (!built.ok()) return built.status();
     artifacts.xtree =
         std::make_unique<index::XTree>(std::move(built).value());

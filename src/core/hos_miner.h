@@ -53,13 +53,11 @@ struct HosMinerConfig {
   /// Applied to the dataset at Build; query points given in raw coordinates
   /// are transformed with the same fitted parameters.
   data::NormalizationKind normalization = data::NormalizationKind::kMinMax;
+  /// The X-tree is always bulk-loaded with the default XTreeConfig.
   IndexKind index = IndexKind::kXTree;
-  index::XTreeConfig xtree;
   /// Resolution of the density pre-filter's grid: 2^bits equi-width cells
   /// per dimension (clamped to 1..8; see filter::DensitySummary::Build).
   int filter_bits_per_dim = 4;
-  /// Bulk-load the X-tree (fast) instead of repeated insertion.
-  bool bulk_load = true;
   /// Sample size S of the learning process; 0 disables learning and uses
   /// flat priors. Ignored (treated as 0) when the dataset is wider than
   /// lattice::kDenseMaxDims: each sample would cost a full sparse lattice

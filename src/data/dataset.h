@@ -9,9 +9,10 @@
 // index structures are built over. Rows appended afterwards form the
 // *delta* [base_size(), size()), which the kNN backends serve by an exact
 // scalar scan merged into their kernel/index results until the next rebuild
-// re-seals the base. In-place mutation of sealed base rows is a contract
-// violation (it silently invalidates every structure built over the base);
-// it is detectable after the fact through last_overwrite_version().
+// re-seals the base. In-place mutation of rows an engine has snapshotted is
+// a contract violation (it would silently invalidate every structure built
+// over them): the kNN engines assert last_overwrite_version() against their
+// snapshot's version, so debug builds catch it at the next query.
 //
 // Sliding-window model: rows never move and PointIds are stable forever;
 // deletion is a per-row *tombstone* (DeleteRows / EvictBefore /

@@ -190,8 +190,7 @@ SplitPlan ChooseMinOverlapSplit(const std::vector<Mbr>& boxes,
 
 XTree::XTree(const data::Dataset& dataset, knn::MetricKind metric,
              XTreeConfig config)
-    : dataset_(&dataset), metric_(metric), config_(config),
-      base_rows_(dataset.size()) {
+    : dataset_(&dataset), metric_(metric), config_(config) {
   assert(config_.max_entries >= 4);
   assert(config_.min_fill > 0.0 && config_.min_fill <= 0.5);
 }
@@ -204,27 +203,7 @@ int XTree::Capacity(const Node& node) const {
   return config_.max_entries * node.supernode_factor;
 }
 
-Status XTree::Insert(data::PointId id) {
-  if (id >= dataset_->size()) {
-    return Status::OutOfRange("point id " + std::to_string(id) +
-                              " outside dataset of size " +
-                              std::to_string(dataset_->size()));
-  }
-  // A hand-inserted appended row moves from the delta scan's coverage to
-  // the tree's, which is only unambiguous when the insertion is
-  // contiguous: skipping ahead would leave rows in [base_rows_, id)
-  // covered by neither (silently missing from every query), and without
-  // the bump the row would be double-counted by tree and delta scan.
-  if (static_cast<size_t>(id) > base_rows_) {
-    return Status::FailedPrecondition(
-        "inserting appended row " + std::to_string(id) +
-        " ahead of the delta boundary " + std::to_string(base_rows_) +
-        " would leave earlier appended rows covered by neither the tree "
-        "nor the delta scan; insert appended rows in order (or use "
-        "Rebuild to fold the whole delta)");
-  }
-  view_.reset();  // snapshot may no longer cover the inserted row
-  if (static_cast<size_t>(id) == base_rows_) ++base_rows_;
+void XTree::Insert(data::PointId id) {
   auto point = dataset_->Row(id);
   if (root_ == nullptr) {
     root_ = std::make_unique<Node>(/*leaf=*/true, dataset_->num_dims());
@@ -240,85 +219,6 @@ Status XTree::Insert(data::PointId id) {
     root_ = std::move(new_root);
   }
   ++num_points_;
-  return Status::OK();
-}
-
-int XTree::MinFill(const Node& node) const {
-  // Underflow bound: fraction of the *base* capacity, so supernodes are
-  // allowed to shrink back toward ordinary nodes before dissolving.
-  (void)node;
-  return std::max(2, static_cast<int>(config_.max_entries * config_.min_fill));
-}
-
-void XTree::CollectPoints(const Node* node,
-                          std::vector<data::PointId>* out) {
-  if (node->is_leaf) {
-    out->insert(out->end(), node->points.begin(), node->points.end());
-    return;
-  }
-  for (const auto& child : node->children) CollectPoints(child.get(), out);
-}
-
-bool XTree::RemoveRecursive(Node* node, data::PointId id,
-                            std::span<const double> point, bool is_root,
-                            std::vector<data::PointId>* orphans,
-                            bool* found) {
-  if (node->is_leaf) {
-    auto it = std::find(node->points.begin(), node->points.end(), id);
-    if (it == node->points.end()) return false;
-    node->points.erase(it);
-    *found = true;
-    RecomputeMbr(node);
-    return !is_root &&
-           static_cast<int>(node->points.size()) < MinFill(*node);
-  }
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    Node* child = node->children[i].get();
-    if (!child->mbr.ContainsPoint(point)) continue;
-    bool underfull =
-        RemoveRecursive(child, id, point, /*is_root=*/false, orphans, found);
-    if (!*found) continue;  // the point was in a different overlapping child
-    if (underfull) {
-      // Dissolve the child: its surviving points get reinserted later.
-      CollectPoints(child, orphans);
-      node->children.erase(node->children.begin() + i);
-    }
-    RecomputeMbr(node);
-    return !is_root &&
-           static_cast<int>(node->children.size()) < MinFill(*node);
-  }
-  return false;
-}
-
-Status XTree::Remove(data::PointId id) {
-  if (root_ == nullptr || id >= dataset_->size()) {
-    return Status::NotFound("point " + std::to_string(id) +
-                            " is not in the tree");
-  }
-  view_.reset();
-  auto point = dataset_->Row(id);
-  bool found = false;
-  std::vector<data::PointId> orphans;
-  RemoveRecursive(root_.get(), id, point, /*is_root=*/true, &orphans, &found);
-  if (!found) {
-    return Status::NotFound("point " + std::to_string(id) +
-                            " is not in the tree");
-  }
-  // The removed point and every orphan left the tree; reinserts add the
-  // orphans back one by one.
-  num_points_ -= 1 + orphans.size();
-
-  // Shrink a degenerate root.
-  while (!root_->is_leaf && root_->children.size() == 1) {
-    root_ = std::move(root_->children.front());
-  }
-  if (root_->NumEntries() == 0) {
-    root_.reset();
-  }
-  for (data::PointId orphan : orphans) {
-    HOS_RETURN_IF_ERROR(Insert(orphan));
-  }
-  return Status::OK();
 }
 
 XTree::Node* XTree::ChooseSubtree(Node* node,
@@ -482,34 +382,12 @@ void XTree::RefreshKernelView() {
     }
   };
   if (root_ != nullptr) lay_out(root_.get());
-  // Rows outside the tree (dead at build, removed, or appended since)
-  // still get positions, so the snapshot covers [0, n) like any other.
+  // Rows outside the tree (dead at build) still get positions, so the
+  // snapshot covers [0, n) like any other.
   for (size_t id = 0; id < n; ++id) {
     if (!placed[id]) order.push_back(static_cast<data::PointId>(id));
   }
-  view_ = std::make_shared<const kernels::DatasetView>(
-      kernels::DatasetView::BuildInOrder(*dataset_, std::move(order)));
-}
-
-Status XTree::Rebuild() {
-  auto built = BulkLoad(*dataset_, metric_, config_);
-  if (!built.ok()) return built.status();
-  // Preserve the monotonic query tallies across the swap so monitoring
-  // deltas computed around a rebuild stay meaningful.
-  const uint64_t dist = distance_count_;
-  const uint64_t nodes = node_access_count_;
-  const uint64_t stale = stale_fallbacks_;
-  const uint64_t kernel = kernel_scans_;
-  const uint64_t scalar = scalar_scans_;
-  const uint64_t merges = delta_merges_;
-  *this = std::move(built).value();
-  distance_count_ = dist;
-  node_access_count_ = nodes;
-  stale_fallbacks_ = stale;
-  kernel_scans_ = kernel;
-  scalar_scans_ = scalar;
-  delta_merges_ = merges;
-  return Status::OK();
+  view_ = kernels::DatasetView::BuildInOrder(*dataset_, std::move(order));
 }
 
 Result<XTree> XTree::BuildByInsertion(const data::Dataset& dataset,
@@ -518,7 +396,7 @@ Result<XTree> XTree::BuildByInsertion(const data::Dataset& dataset,
   XTree tree(dataset, metric, config);
   for (data::PointId id = 0; id < dataset.size(); ++id) {
     if (!dataset.IsLive(id)) continue;  // tombstones fold out at build
-    HOS_RETURN_IF_ERROR(tree.Insert(id));
+    tree.Insert(id);
   }
   tree.RefreshKernelView();
   return tree;
@@ -660,23 +538,19 @@ struct NodeGreater {
 
 }  // namespace
 
-const kernels::DatasetView* XTree::kernel_view() const {
-  return knn::GateKernelView(view_, *dataset_, base_rows_,
-                             &stale_fallbacks_, "XTree");
-}
-
 std::vector<knn::Neighbor> XTree::Knn(const knn::KnnQuery& query) const {
   std::vector<knn::Neighbor> out = KnnBase(query);
   // Exact merge of the append delta: the k smallest (distance, id) of
   // base ∪ delta are the k smallest of (base top-k) ∪ delta.
+  const data::PointId delta_begin = knn::DeltaBegin(view_, *dataset_);
   const auto live = static_cast<data::PointId>(dataset_->size());
-  if (live > base_rows_ && query.k > 0) {
+  if (live > delta_begin && query.k > 0) {
     ++delta_merges_;
     kernels::TopKCollector merged(static_cast<size_t>(query.k));
     for (const knn::Neighbor& n : out) merged.Offer(n.id, n.distance);
-    distance_count_ += knn::DeltaScanTopK(
-        *dataset_, metric_, query.point, query.subspace,
-        static_cast<data::PointId>(base_rows_), live, query.exclude, &merged);
+    distance_count_ += knn::DeltaScanTopK(*dataset_, metric_, query.point,
+                                          query.subspace, delta_begin, live,
+                                          query.exclude, &merged);
     return merged.TakeSorted();
   }
   return out;
@@ -684,12 +558,7 @@ std::vector<knn::Neighbor> XTree::Knn(const knn::KnnQuery& query) const {
 
 std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
   if (root_ == nullptr || query.k <= 0) return {};
-  const kernels::DatasetView* view = kernel_view();
-  if (view != nullptr) {
-    ++kernel_scans_;
-  } else {
-    ++scalar_scans_;
-  }
+  ++kernel_scans_;
   // Rows tombstoned after the tree was built are still in its leaves; the
   // collector rejects them at admission, so they neither reach the answer
   // nor tighten its bound.
@@ -719,19 +588,10 @@ std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
         heap.push({child->mbr.MinDistance(query.point, query.subspace, metric_),
                    child.get()});
       }
-    } else if (view != nullptr) {
-      computed += kernels::ScanRangeForTopK(*view, query.point, dims, metric_,
+    } else {
+      computed += kernels::ScanRangeForTopK(view_, query.point, dims, metric_,
                                             node->first, node->points.size(),
                                             query.exclude, &collector);
-    } else {
-      for (data::PointId id : node->points) {
-        if (query.exclude && *query.exclude == id) continue;
-        if (filter_dead && !dataset_->IsLive(id)) continue;
-        ++computed;
-        collector.Offer(id, knn::SubspaceDistance(query.point,
-                                                  dataset_->Row(id),
-                                                  query.subspace, metric_));
-      }
     }
   }
   node_access_count_ += nodes;
@@ -743,70 +603,44 @@ std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
                                               const Subspace& subspace,
                                               double radius) const {
   std::vector<knn::Neighbor> out;
-  if (root_ == nullptr) {
-    distance_count_ += knn::DeltaScanRange(
-        *dataset_, metric_, point, subspace,
-        static_cast<data::PointId>(base_rows_),
-        static_cast<data::PointId>(dataset_->size()), radius, &out);
-    std::sort(out.begin(), out.end(),
-              [](const knn::Neighbor& a, const knn::Neighbor& b) {
-                if (a.distance != b.distance) return a.distance < b.distance;
-                return a.id < b.id;
-              });
-    return out;
-  }
-
-  const kernels::DatasetView* view = kernel_view();
-  if (view != nullptr) {
+  const data::PointId delta_begin = knn::DeltaBegin(view_, *dataset_);
+  const auto live = static_cast<data::PointId>(dataset_->size());
+  if (root_ != nullptr) {
     ++kernel_scans_;
-  } else {
-    ++scalar_scans_;
-  }
-  if (dataset_->size() > base_rows_) ++delta_merges_;
-  const bool filter_dead = dataset_->num_tombstones() > 0;
-  const std::vector<int> dims = subspace.Dims();
-  std::vector<double> leaf_dist;
-  std::function<void(const Node*)> visit = [&](const Node* node) {
-    ++node_access_count_;
-    if (node->is_leaf) {
-      if (view != nullptr) {
+    if (live > delta_begin) ++delta_merges_;
+    const bool filter_dead = dataset_->num_tombstones() > 0;
+    const std::vector<int> dims = subspace.Dims();
+    std::vector<double> leaf_dist;
+    std::function<void(const Node*)> visit = [&](const Node* node) {
+      ++node_access_count_;
+      if (node->is_leaf) {
         const size_t count = node->points.size();
         leaf_dist.resize(count);
         kernels::BatchedSubspaceDistanceRange(
-            *view, point, dims, metric_,
+            view_, point, dims, metric_,
             static_cast<data::PointId>(node->first), count, radius, leaf_dist);
         distance_count_ += count;
         for (size_t j = 0; j < count; ++j) {
           if (leaf_dist[j] <= radius) {
-            const data::PointId id = view->RowAt(node->first + j);
+            const data::PointId id = view_.RowAt(node->first + j);
             if (filter_dead && !dataset_->IsLive(id)) continue;
             out.push_back({id, leaf_dist[j]});
           }
         }
         return;
       }
-      for (data::PointId id : node->points) {
-        if (filter_dead && !dataset_->IsLive(id)) continue;
-        double dist = knn::SubspaceDistance(point, dataset_->Row(id),
-                                            subspace, metric_);
-        ++distance_count_;
-        if (dist <= radius) out.push_back({id, dist});
-      }
-    } else {
       for (const auto& child : node->children) {
         if (child->mbr.MinDistance(point, subspace, metric_) <= radius) {
           visit(child.get());
         }
       }
+    };
+    if (root_->mbr.MinDistance(point, subspace, metric_) <= radius) {
+      visit(root_.get());
     }
-  };
-  if (root_->mbr.MinDistance(point, subspace, metric_) <= radius) {
-    visit(root_.get());
   }
-  distance_count_ += knn::DeltaScanRange(
-      *dataset_, metric_, point, subspace,
-      static_cast<data::PointId>(base_rows_),
-      static_cast<data::PointId>(dataset_->size()), radius, &out);
+  distance_count_ += knn::DeltaScanRange(*dataset_, metric_, point, subspace,
+                                         delta_begin, live, radius, &out);
   std::sort(out.begin(), out.end(),
             [](const knn::Neighbor& a, const knn::Neighbor& b) {
               if (a.distance != b.distance) return a.distance < b.distance;
@@ -825,9 +659,7 @@ knn::KnnBackendStats XTree::backend_stats() const {
   stats.distance_computations = distance_count_;
   stats.node_accesses = node_access_count_;
   stats.kernel_scans = kernel_scans_;
-  stats.scalar_scans = scalar_scans_;
   stats.delta_merges = delta_merges_;
-  stats.stale_fallbacks = stale_fallbacks_;
   return stats;
 }
 

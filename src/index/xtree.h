@@ -64,61 +64,40 @@ struct XTreeStats {
 };
 
 /// The index. Bound to a Dataset (not owned) whose rows provide the point
-/// coordinates; the tree stores point ids and boxes, plus a SoA snapshot of
-/// the rows laid out leaf by leaf (kernels::DatasetView::BuildInOrder), so
-/// each leaf scan is one contiguous kernel sweep.
+/// coordinates; the tree stores point ids and boxes, plus its own SoA
+/// snapshot of the rows laid out leaf by leaf
+/// (kernels::DatasetView::BuildInOrder), so each leaf scan is one
+/// contiguous kernel sweep.
+///
+/// A built tree is an immutable snapshot: the factories below are the only
+/// way to make one, and a changed dataset gets a new tree
+/// (HosMiner::PrepareRebuild). Rows appended after the build are merged in
+/// exactly by a scalar delta scan and tombstoned rows are filtered at
+/// admission; overwriting a snapshotted row in place is a contract
+/// violation, asserted in debug builds.
 class XTree {
  public:
-  /// Empty tree over `dataset`'s dimensionality. Points are added with
-  /// Insert; the dataset must outlive the tree.
-  XTree(const data::Dataset& dataset, knn::MetricKind metric,
-        XTreeConfig config = {});
   ~XTree();
 
   XTree(XTree&&) noexcept;
   XTree& operator=(XTree&&) noexcept;
 
-  /// Inserts one dataset row by id.
-  Status Insert(data::PointId id);
-
-  /// Removes a previously inserted point (R-tree condense-tree: underfull
-  /// nodes are dissolved and their surviving points reinserted; the root is
-  /// shrunk when it degenerates). NotFound if the id is not in the tree.
-  Status Remove(data::PointId id);
-
-  /// Builds by repeated insertion over all current dataset rows.
+  /// The paper's build: repeated insertion of every live dataset row.
   static Result<XTree> BuildByInsertion(const data::Dataset& dataset,
                                         knn::MetricKind metric,
                                         XTreeConfig config = {});
 
-  /// Sort-Tile-Recursive bulk load over all current dataset rows — much
+  /// Sort-Tile-Recursive bulk load over every live dataset row — much
   /// faster than repeated insertion and produces a well-packed tree.
   static Result<XTree> BulkLoad(const data::Dataset& dataset,
                                 knn::MetricKind metric,
                                 XTreeConfig config = {});
 
-  /// Re-snapshots the rows leaf by leaf (depth-first leaf order, then the
-  /// rows the tree does not hold) and records each leaf's position range.
-  /// The Build factories call this; Insert/Remove invalidate the snapshot
-  /// (queries then fall back to the scalar metric path), so call it again
-  /// after a batch of hand-driven mutations to restore the kernel path.
-  /// Not thread-safe with concurrent queries, like any tree mutation.
-  void RefreshKernelView();
-
-  /// Streaming-ingest rebuild: re-bulk-loads the tree over all current
-  /// dataset rows and re-snapshots them, folding the append delta back
-  /// into the index. Query counters survive the rebuild. Not thread-safe
-  /// with concurrent queries.
-  Status Rebuild();
-
-  /// Rows covered by the tree itself; rows appended after the tree was
-  /// (re)built — [base_rows(), dataset.size()) — are the delta, which Knn
-  /// and RangeSearch merge in exactly via a scalar scan.
-  size_t base_rows() const { return base_rows_; }
-
-  /// Queries that fell back to scalar leaf scans although a snapshot was
-  /// attached (in-place overwrite since the snapshot was taken).
-  uint64_t stale_fallbacks() const { return stale_fallbacks_; }
+  /// Rows covered by the tree's snapshot (the dataset's size at the
+  /// build); rows appended afterwards — [base_rows(), dataset.size()) —
+  /// are the delta, which Knn and RangeSearch merge in exactly via a
+  /// scalar scan.
+  size_t base_rows() const { return view_.num_points(); }
 
   /// Exact k nearest neighbours in `query.subspace`: nodes are visited in
   /// ascending MBR min-distance and their points collected into a top-k
@@ -142,7 +121,7 @@ class XTree {
   /// Tree nodes visited by queries so far.
   uint64_t node_accesses() const { return node_access_count_; }
   /// Work-counter snapshot under backend name "xtree": node accesses,
-  /// kernel vs. scalar leaf-scan queries, delta merges, stale fallbacks.
+  /// kernel leaf-scan queries and delta merges.
   knn::KnnBackendStats backend_stats() const;
 
   XTreeStats ComputeStats() const;
@@ -154,17 +133,19 @@ class XTree {
   struct Node;  // public so implementation helpers can name it
 
  private:
-  int Capacity(const Node& node) const;
-  int MinFill(const Node& node) const;
+  /// Empty tree over `dataset`'s dimensionality; the factories fill it.
+  XTree(const data::Dataset& dataset, knn::MetricKind metric,
+        XTreeConfig config);
 
-  /// Removes `id` from the subtree. Appends ids of points orphaned by
-  /// dissolved nodes to `orphans`; sets `found`. Returns true when `node`
-  /// itself became underfull and should be dissolved by its parent.
-  bool RemoveRecursive(Node* node, data::PointId id,
-                       std::span<const double> point, bool is_root,
-                       std::vector<data::PointId>* orphans, bool* found);
-  static void CollectPoints(const Node* node,
-                            std::vector<data::PointId>* out);
+  /// Build step of BuildByInsertion: inserts one live dataset row by id.
+  void Insert(data::PointId id);
+
+  /// Final build step: snapshots every dataset row leaf by leaf
+  /// (depth-first leaf order, then the rows the tree does not hold) and
+  /// records each leaf's position range.
+  void RefreshKernelView();
+
+  int Capacity(const Node& node) const;
 
   /// kNN over the tree (the base rows only); Knn merges the append delta
   /// into its result.
@@ -179,35 +160,25 @@ class XTree {
   std::unique_ptr<Node> SplitDirectory(Node* node);
   void RecomputeMbr(Node* node) const;
 
-  /// The SoA snapshot for leaf kernel scans, or null when it cannot serve:
-  /// no snapshot, an in-place overwrite since it was taken, or a snapshot
-  /// that does not cover every row the tree holds. Logs (once) when a
-  /// snapshot is attached but unusable.
-  const kernels::DatasetView* kernel_view() const;
-
   const data::Dataset* dataset_;
   knn::MetricKind metric_;
   XTreeConfig config_;
   std::unique_ptr<Node> root_;
   size_t num_points_ = 0;
-  /// Rows the tree covers; the delta [base_rows_, dataset size) is merged
-  /// into query results by a scalar scan.
-  size_t base_rows_ = 0;
-  std::shared_ptr<const kernels::DatasetView> view_;
+  kernels::DatasetView view_;
   // Query-path tallies; relaxed atomics so concurrent read-only Knn /
   // RangeSearch calls from service worker threads are race-free.
   mutable RelaxedCounter distance_count_;
   mutable RelaxedCounter node_access_count_;
-  mutable RelaxedCounter stale_fallbacks_;
   mutable RelaxedCounter kernel_scans_;
-  mutable RelaxedCounter scalar_scans_;
   mutable RelaxedCounter delta_merges_;
 };
 
 /// KnnEngine adapter so the OD evaluator can use the X-tree
 /// interchangeably with LinearScanKnn. Batches take the base class's
 /// per-point loop: a shared multi-point traversal ran slower than B
-/// separate Knn calls in bench/bench_batch.
+/// separate Knn calls (measured when it was removed; see the leaf-ordered
+/// X-tree entry in CHANGES.md).
 class XTreeKnn : public knn::KnnEngine {
  public:
   explicit XTreeKnn(const XTree& tree) : tree_(tree) {}

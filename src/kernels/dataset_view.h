@@ -13,26 +13,19 @@
 // A view is an independent snapshot: it stays valid (and consistent) if the
 // source dataset later grows or is destroyed, but it does not track such
 // changes. It records the dataset version it was built at
-// (snapshot_version), which together with Dataset::last_overwrite_version
-// decides exactly how a holder may keep using it (SplitBaseDelta below):
-//
-//  * rows only *appended* since the snapshot — the view still matches rows
-//    [0, num_points()) bit-for-bit and serves as the *base*; the live rows
-//    [num_points(), live.size()) are the *delta*, which the kNN backends
-//    cover with an exact scalar scan merged into the kernel results;
-//  * any row *overwritten in place* (Dataset::Set) since the snapshot — the
-//    base itself is suspect and the view must not serve at all; callers
-//    fall back to their scalar paths (and, as before the versioned-ingest
-//    refactor, the X-tree's MBRs are silently stale under Set, so a
-//    dataset must not be overwritten while engines built over it are in
-//    use; engines log this fallback when they detect it).
+// (snapshot_version). A kNN engine built over a view serves rows
+// [0, num_points()) from it as its *base*; rows appended afterwards are the
+// engine's *delta*, covered by an exact scalar scan merged into the kernel
+// results (src/knn/delta_scan.h). Overwriting a snapshotted row in place
+// (Dataset::Set after the build) breaks that contract: the engines assert
+// Dataset::last_overwrite_version() <= snapshot_version(), and a changed
+// dataset gets a freshly built engine instead.
 
 #ifndef HOS_KERNELS_DATASET_VIEW_H_
 #define HOS_KERNELS_DATASET_VIEW_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,8 +38,7 @@ class DatasetView {
   DatasetView() = default;
 
   /// Transposes `dataset` into column-major storage, position = row id.
-  /// O(n·d). Records the dataset's version so staleness is detected by
-  /// mutation, not size.
+  /// O(n·d). Records the dataset's version (snapshot_version).
   static DatasetView Build(const data::Dataset& dataset);
 
   /// Like Build, but position p holds row order[p]. `order` must be a
@@ -90,32 +82,6 @@ class DatasetView {
   std::vector<double> columns_;  // [dim * num_points + position]
   std::vector<data::PointId> row_ids_;
 };
-
-/// Decomposition of a live dataset against a SoA snapshot: the rows the
-/// snapshot still serves (the base) and where the un-snapshotted delta
-/// starts. `base == nullptr` means the snapshot cannot serve at all (no
-/// view, a foreign view, or an in-place overwrite since the snapshot) and
-/// the caller must take its scalar path for every row.
-struct BaseDeltaSplit {
-  const DatasetView* base = nullptr;
-  /// First live row not covered by `base`; rows [delta_begin, live.size())
-  /// need the scalar delta scan. 0 when base is null.
-  size_t delta_begin = 0;
-};
-
-/// The one staleness policy shared by every kNN backend (see the header
-/// comment): the snapshot serves rows [0, view->num_points()) iff no
-/// in-place overwrite happened after it was taken and the live dataset
-/// still contains at least those rows.
-inline BaseDeltaSplit SplitBaseDelta(
-    const std::shared_ptr<const DatasetView>& view,
-    const data::Dataset& live) {
-  if (view == nullptr || view->num_points() > live.size() ||
-      live.last_overwrite_version() > view->snapshot_version()) {
-    return {};
-  }
-  return {view.get(), view->num_points()};
-}
 
 }  // namespace hos::kernels
 

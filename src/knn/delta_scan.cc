@@ -1,7 +1,5 @@
 #include "src/knn/delta_scan.h"
 
-#include "src/common/logging.h"
-
 namespace hos::knn {
 
 uint64_t DeltaScanTopK(const data::Dataset& dataset, MetricKind metric,
@@ -33,28 +31,6 @@ uint64_t DeltaScanRange(const data::Dataset& dataset, MetricKind metric,
     if (dist <= radius) out->push_back({id, dist});
   }
   return computed;
-}
-
-const kernels::DatasetView* GateKernelView(
-    const std::shared_ptr<const kernels::DatasetView>& view,
-    const data::Dataset& dataset, size_t base_rows, RelaxedCounter* fallbacks,
-    const char* engine_name) {
-  const kernels::BaseDeltaSplit split = kernels::SplitBaseDelta(view, dataset);
-  if (split.base != nullptr && split.delta_begin >= base_rows) {
-    return split.base;
-  }
-  if (view != nullptr) NoteStaleFallback(fallbacks, engine_name);
-  return nullptr;
-}
-
-void NoteStaleFallback(RelaxedCounter* fallbacks, const char* engine_name) {
-  if ((*fallbacks)++ == 0) {
-    HOS_LOG(Warning)
-        << engine_name
-        << ": SoA snapshot no longer matches the dataset (in-place "
-           "overwrite since it was taken) — serving via the scalar "
-           "fallback; rebuild the engine to restore the kernel path";
-  }
 }
 
 }  // namespace hos::knn

@@ -1,28 +1,29 @@
 // Delta-scan helpers shared by every kNN backend's streaming-ingest path.
 //
-// An engine is built over an immutable base (the rows present when its SoA
-// snapshot / index structure was created). Rows appended afterwards — the
-// delta — are not in the structure, so exact answers come from the
+// An engine is an immutable snapshot over its base: the rows present when
+// its SoA snapshot / index structure was built. Rows appended afterwards —
+// the delta — are not in the structure, so exact answers come from the
 // structure's result over the base merged with a scalar sweep over the
-// delta rows. The sweep uses knn::SubspaceDistance, which the batched
-// kernel is held bitwise-identical to (tests/kernels/), so a merged answer
-// is bit-for-bit the answer a freshly rebuilt engine would produce: the
-// per-row distances are the same doubles, and the k-smallest /
-// within-radius selection over the union is order-insensitive under the
-// backends' (distance, id) tie-breaking.
+// delta rows; a rebuild replaces the engine whole. The sweep uses
+// knn::SubspaceDistance, which the batched kernel is held bitwise-identical
+// to (tests/kernels/), so a merged answer is bit-for-bit the answer a
+// freshly built engine would produce: the per-row distances are the same
+// doubles, and the k-smallest / within-radius selection over the union is
+// order-insensitive under the backends' (distance, id) tie-breaking.
 
 #ifndef HOS_KNN_DELTA_SCAN_H_
 #define HOS_KNN_DELTA_SCAN_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "src/common/atomic_counter.h"
 #include "src/common/subspace.h"
 #include "src/data/dataset.h"
 #include "src/kernels/batched_distance.h"
+#include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/metric.h"
 
@@ -47,22 +48,15 @@ uint64_t DeltaScanRange(const data::Dataset& dataset, MetricKind metric,
                         data::PointId end, double radius,
                         std::vector<Neighbor>* out);
 
-/// Bookkeeping for the backends' *stale-snapshot* fallback — taken when the
-/// SoA base itself is unusable (an in-place Dataset::Set since the
-/// snapshot), not for the normal append-delta path. Bumps the engine's
-/// fallback counter and logs a warning the first time an engine takes it,
-/// because for the index-backed engines a mutated base also means silently
-/// stale index geometry (MBRs / cell bounds / keys).
-void NoteStaleFallback(RelaxedCounter* fallbacks, const char* engine_name);
-
-/// The index backends' shared kernel gate: returns the snapshot when it is
-/// a valid base (no overwrite since it was taken) covering at least the
-/// `base_rows` the structure holds, else null — counting and logging the
-/// fallback (NoteStaleFallback) when a snapshot is attached but unusable.
-const kernels::DatasetView* GateKernelView(
-    const std::shared_ptr<const kernels::DatasetView>& view,
-    const data::Dataset& dataset, size_t base_rows, RelaxedCounter* fallbacks,
-    const char* engine_name);
+/// First row of the append delta of an engine whose base is `snapshot`:
+/// rows [0, snapshot.num_points()) are served from the snapshot, the rest
+/// by the scans above. Asserts the contract that keeps the base exact: no
+/// snapshotted row was overwritten in place (Dataset::Set) after the build.
+inline data::PointId DeltaBegin(const kernels::DatasetView& snapshot,
+                                [[maybe_unused]] const data::Dataset& dataset) {
+  assert(dataset.last_overwrite_version() <= snapshot.snapshot_version());
+  return static_cast<data::PointId>(snapshot.num_points());
+}
 
 }  // namespace hos::knn
 

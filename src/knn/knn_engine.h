@@ -62,11 +62,14 @@ struct KnnBackendStats {
   uint64_t node_accesses = 0;
   /// Scans answered through the batched SIMD kernel over the SoA base.
   uint64_t kernel_scans = 0;
-  /// Scans answered by the scalar per-point path (stale-snapshot fallback).
+  /// Always 0: engines have no scalar scan path. Kept only because the
+  /// benchmark harness still reads it.
   uint64_t scalar_scans = 0;
   /// Queries that merged appended delta rows into a base answer.
   uint64_t delta_merges = 0;
-  /// Queries forced fully scalar because the base snapshot was invalidated.
+  /// Always 0: an engine's snapshot is never stale (an in-place overwrite
+  /// after the build is asserted). Kept only because the benchmark
+  /// harness still reads it.
   uint64_t stale_fallbacks = 0;
 };
 

@@ -7,21 +7,10 @@
 
 namespace hos::knn {
 
-LinearScanKnn::LinearScanKnn(const data::Dataset& dataset, MetricKind metric,
-                             std::shared_ptr<const kernels::DatasetView> view)
-    : dataset_(dataset), metric_(metric), view_(std::move(view)) {
-  if (view_ == nullptr) {
-    view_ = std::make_shared<const kernels::DatasetView>(
-        kernels::DatasetView::Build(dataset));
-  }
-}
-
-void LinearScanKnn::Rebuild(
-    std::shared_ptr<const kernels::DatasetView> view) {
-  view_ = view != nullptr ? std::move(view)
-                          : std::make_shared<const kernels::DatasetView>(
-                                kernels::DatasetView::Build(dataset_));
-}
+LinearScanKnn::LinearScanKnn(const data::Dataset& dataset, MetricKind metric)
+    : dataset_(dataset),
+      metric_(metric),
+      view_(kernels::DatasetView::Build(dataset)) {}
 
 std::vector<Neighbor> LinearScanKnn::Search(const KnnQuery& query) const {
   const size_t k = static_cast<size_t>(std::max(query.k, 0));
@@ -31,32 +20,16 @@ std::vector<Neighbor> LinearScanKnn::Search(const KnnQuery& query) const {
   // without, the null filter keeps the hot path branch-free.
   kernels::TopKCollector collector(
       k, dataset_.num_tombstones() > 0 ? &dataset_ : nullptr);
-  const kernels::BaseDeltaSplit split =
-      kernels::SplitBaseDelta(view_, dataset_);
-  if (split.base != nullptr) {
-    ++kernel_scans_;
-    if (split.delta_begin < dataset_.size()) ++delta_merges_;
-    distance_count_ +=
-        kernels::ScanAllForTopK(*split.base, query.point, query.subspace,
-                                metric_, query.exclude, &collector);
-    distance_count_ += DeltaScanTopK(
-        dataset_, metric_, query.point, query.subspace,
-        static_cast<data::PointId>(split.delta_begin),
-        static_cast<data::PointId>(dataset_.size()), query.exclude,
-        &collector);
-    return collector.TakeSorted();
-  }
-
-  NoteStaleFallback(&stale_fallbacks_, "LinearScanKnn");
-  ++scalar_scans_;
-  for (data::PointId id = 0; id < dataset_.size(); ++id) {
-    if (query.exclude && *query.exclude == id) continue;
-    if (!dataset_.IsLive(id)) continue;
-    double dist = SubspaceDistance(query.point, dataset_.Row(id),
-                                   query.subspace, metric_);
-    ++distance_count_;
-    collector.Offer(id, dist);
-  }
+  const data::PointId delta_begin = DeltaBegin(view_, dataset_);
+  const auto end = static_cast<data::PointId>(dataset_.size());
+  ++kernel_scans_;
+  if (delta_begin < end) ++delta_merges_;
+  distance_count_ +=
+      kernels::ScanAllForTopK(view_, query.point, query.subspace, metric_,
+                              query.exclude, &collector);
+  distance_count_ +=
+      DeltaScanTopK(dataset_, metric_, query.point, query.subspace,
+                    delta_begin, end, query.exclude, &collector);
   return collector.TakeSorted();
 }
 
@@ -67,12 +40,8 @@ std::vector<std::vector<Neighbor>> LinearScanKnn::SearchBatch(
   if (kk == 0 || points.empty()) {
     return std::vector<std::vector<Neighbor>>(points.size());
   }
-  const kernels::BaseDeltaSplit split =
-      kernels::SplitBaseDelta(view_, dataset_);
-  if (split.base == nullptr) {
-    // Stale base: the scalar per-point loop is the only exact path left.
-    return KnnEngine::SearchBatch(points, subspace, k);
-  }
+  const data::PointId delta_begin = DeltaBegin(view_, dataset_);
+  const auto end = static_cast<data::PointId>(dataset_.size());
 
   const data::Dataset* live_filter =
       dataset_.num_tombstones() > 0 ? &dataset_ : nullptr;
@@ -89,18 +58,16 @@ std::vector<std::vector<Neighbor>> LinearScanKnn::SearchBatch(
   }
 
   kernel_scans_ += points.size();
-  if (split.delta_begin < dataset_.size()) delta_merges_ += points.size();
+  if (delta_begin < end) delta_merges_ += points.size();
   distance_count_ +=
-      kernels::ScanAllForTopKMulti(*split.base, queries, subspace, metric_);
+      kernels::ScanAllForTopKMulti(view_, queries, subspace, metric_);
 
   std::vector<std::vector<Neighbor>> results;
   results.reserve(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    distance_count_ += DeltaScanTopK(
-        dataset_, metric_, points[i].point, subspace,
-        static_cast<data::PointId>(split.delta_begin),
-        static_cast<data::PointId>(dataset_.size()), points[i].exclude,
-        &collectors[i]);
+    distance_count_ +=
+        DeltaScanTopK(dataset_, metric_, points[i].point, subspace,
+                      delta_begin, end, points[i].exclude, &collectors[i]);
     results.push_back(collectors[i].TakeSorted());
   }
   return results;
@@ -111,43 +78,29 @@ std::vector<Neighbor> LinearScanKnn::RangeSearch(std::span<const double> point,
                                                  double radius) const {
   std::vector<Neighbor> out;
   const bool filter_dead = dataset_.num_tombstones() > 0;
-  const kernels::BaseDeltaSplit split =
-      kernels::SplitBaseDelta(view_, dataset_);
-  if (split.base != nullptr) {
-    ++kernel_scans_;
-    if (split.delta_begin < dataset_.size()) ++delta_merges_;
-    const std::vector<int> dims = subspace.Dims();
-    const size_t n = split.base->num_points();
-    double dist[kernels::kDistanceBlock];
-    for (size_t start = 0; start < n; start += kernels::kDistanceBlock) {
-      const size_t m = std::min(kernels::kDistanceBlock, n - start);
-      kernels::BatchedSubspaceDistanceRange(
-          *split.base, point, dims, metric_,
-          static_cast<data::PointId>(start), m, radius, {dist, m});
-      distance_count_ += m;
-      for (size_t j = 0; j < m; ++j) {
-        if (dist[j] <= radius) {
-          const auto id = static_cast<data::PointId>(start + j);
-          if (filter_dead && !dataset_.IsLive(id)) continue;
-          out.push_back({id, dist[j]});
-        }
+  const data::PointId delta_begin = DeltaBegin(view_, dataset_);
+  const auto end = static_cast<data::PointId>(dataset_.size());
+  ++kernel_scans_;
+  if (delta_begin < end) ++delta_merges_;
+  const std::vector<int> dims = subspace.Dims();
+  const size_t n = view_.num_points();
+  double dist[kernels::kDistanceBlock];
+  for (size_t start = 0; start < n; start += kernels::kDistanceBlock) {
+    const size_t m = std::min(kernels::kDistanceBlock, n - start);
+    kernels::BatchedSubspaceDistanceRange(
+        view_, point, dims, metric_, static_cast<data::PointId>(start), m,
+        radius, {dist, m});
+    distance_count_ += m;
+    for (size_t j = 0; j < m; ++j) {
+      if (dist[j] <= radius) {
+        const auto id = static_cast<data::PointId>(start + j);
+        if (filter_dead && !dataset_.IsLive(id)) continue;
+        out.push_back({id, dist[j]});
       }
     }
-    distance_count_ += DeltaScanRange(
-        dataset_, metric_, point, subspace,
-        static_cast<data::PointId>(split.delta_begin),
-        static_cast<data::PointId>(dataset_.size()), radius, &out);
-  } else {
-    NoteStaleFallback(&stale_fallbacks_, "LinearScanKnn");
-    ++scalar_scans_;
-    for (data::PointId id = 0; id < dataset_.size(); ++id) {
-      if (filter_dead && !dataset_.IsLive(id)) continue;
-      double dist =
-          SubspaceDistance(point, dataset_.Row(id), subspace, metric_);
-      ++distance_count_;
-      if (dist <= radius) out.push_back({id, dist});
-    }
   }
+  distance_count_ += DeltaScanRange(dataset_, metric_, point, subspace,
+                                    delta_begin, end, radius, &out);
   std::sort(out.begin(), out.end(), [](const Neighbor& a, const Neighbor& b) {
     if (a.distance != b.distance) return a.distance < b.distance;
     return a.id < b.id;
@@ -160,9 +113,7 @@ KnnBackendStats LinearScanKnn::backend_stats() const {
   stats.backend = "linear_scan";
   stats.distance_computations = distance_count_;
   stats.kernel_scans = kernel_scans_;
-  stats.scalar_scans = scalar_scans_;
   stats.delta_merges = delta_merges_;
-  stats.stale_fallbacks = stale_fallbacks_;
   return stats;
 }
 

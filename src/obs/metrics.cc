@@ -74,8 +74,7 @@ double Histogram::Percentile(double q) const {
   total += over;
   if (total == 0) return 0.0;
   // Rank at least 1: q = 0 asks for the smallest recorded value's bucket,
-  // not unconditionally bucket 0 (the old LatencyHistogram returned the
-  // first bucket's bound for q = 0 even when nothing was recorded there).
+  // not unconditionally bucket 0.
   const double want = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
   const uint64_t rank = std::max<uint64_t>(
       1, static_cast<uint64_t>(std::ceil(want)));

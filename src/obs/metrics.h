@@ -77,11 +77,10 @@ struct HistogramOptions {
   int num_buckets = 128;
 };
 
-/// Thread-safe log-bucketed histogram (the generalisation of the old
-/// service-layer LatencyHistogram). Values above the top bucket are counted
-/// in a dedicated overflow bucket — not silently clamped into the top one —
-/// and the exact maximum ever recorded is kept, so Percentile can answer
-/// honestly for ranks that land in the overflow.
+/// Thread-safe log-bucketed histogram. Values above the top bucket are
+/// counted in a dedicated overflow bucket — not silently clamped into the
+/// top one — and the exact maximum ever recorded is kept, so Percentile can
+/// answer honestly for ranks that land in the overflow.
 class Histogram {
  public:
   explicit Histogram(HistogramOptions options = {});

@@ -36,38 +36,6 @@ QueryService::QueryService(core::HosMiner miner, QueryServiceConfig config)
     filter_margin_hist_ =
         registry_.GetHistogram("service_filter_margin_distribution");
   }
-  if (config_.observability.stats_log_period_seconds > 0.0) {
-    stats_logger_ = std::thread([this] { StatsLoggerLoop(); });
-  }
-}
-
-QueryService::~QueryService() {
-  if (stats_logger_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(logger_mu_);
-      logger_stop_ = true;
-    }
-    logger_cv_.notify_all();
-    stats_logger_.join();
-  }
-}
-
-void QueryService::StatsLoggerLoop() {
-  const auto period = std::chrono::duration<double>(
-      config_.observability.stats_log_period_seconds);
-  std::unique_lock<std::mutex> lock(logger_mu_);
-  while (true) {
-    // wait_for returning true means logger_stop_ was set; spurious wakeups
-    // re-wait for the remaining time via the predicate loop inside wait_for.
-    if (logger_cv_.wait_for(lock, period, [this] { return logger_stop_; })) {
-      return;
-    }
-    lock.unlock();
-    // Emitted unlocked: both snapshots take the epoch reader lock.
-    HOS_LOG(Info) << "service stats: " << Stats().ToJson();
-    HOS_LOG(Info) << "service metrics: " << MetricsJson();
-    lock.lock();
-  }
 }
 
 void QueryService::RegisterMetricCallbacks() {
@@ -142,9 +110,7 @@ void QueryService::RegisterMetricCallbacks() {
        &knn::KnnBackendStats::distance_computations},
       {"knn_node_accesses", &knn::KnnBackendStats::node_accesses},
       {"knn_kernel_scans", &knn::KnnBackendStats::kernel_scans},
-      {"knn_scalar_scans", &knn::KnnBackendStats::scalar_scans},
       {"knn_delta_merges", &knn::KnnBackendStats::delta_merges},
-      {"knn_stale_fallbacks", &knn::KnnBackendStats::stale_fallbacks},
   };
   for (const Field& field : kFields) {
     auto member = field.member;
@@ -162,9 +128,7 @@ knn::KnnBackendStats QueryService::EngineStatsLocked() const {
   stats.distance_computations += engine_offsets_.distance_computations;
   stats.node_accesses += engine_offsets_.node_accesses;
   stats.kernel_scans += engine_offsets_.kernel_scans;
-  stats.scalar_scans += engine_offsets_.scalar_scans;
   stats.delta_merges += engine_offsets_.delta_merges;
-  stats.stale_fallbacks += engine_offsets_.stale_fallbacks;
   return stats;
 }
 
@@ -173,9 +137,7 @@ void QueryService::FoldEngineStatsLocked() {
   engine_offsets_.distance_computations += old.distance_computations;
   engine_offsets_.node_accesses += old.node_accesses;
   engine_offsets_.kernel_scans += old.kernel_scans;
-  engine_offsets_.scalar_scans += old.scalar_scans;
   engine_offsets_.delta_merges += old.delta_merges;
-  engine_offsets_.stale_fallbacks += old.stale_fallbacks;
 }
 
 Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
@@ -214,8 +176,7 @@ Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
     stats_.RecordQuery(latency, 0);
     if (result.status().IsNotFound()) {
       // The id was deleted / slid out of the window: a clean client-visible
-      // rejection, counted separately from stale_fallbacks (which is an
-      // internal snapshot degradation that still answers exactly).
+      // rejection.
       stats_.RecordEvictedReject();
     }
   }
@@ -412,18 +373,19 @@ void QueryService::RecordVersionSample() {
 }
 
 size_t QueryService::EvictOlderThan(double seconds) {
-  const std::chrono::steady_clock::time_point horizon =
-      std::chrono::steady_clock::now() -
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(seconds));
+  const std::chrono::steady_clock::time_point now =
+      std::chrono::steady_clock::now();
   uint64_t watermark = 0;
   bool found = false;
   {
     std::lock_guard<std::mutex> lock(history_mu_);
-    // Samples are time-ordered; the last one at or before the horizon is
-    // the newest version fully older than `seconds`.
+    // Samples are time-ordered; the last one at least `seconds` old is the
+    // newest version fully older than the horizon. Ages are compared as
+    // doubles, so a huge, infinite or NaN `seconds` is never converted to
+    // an integer duration; NaN and +inf match no sample.
     for (const auto& [when, version] : version_history_) {
-      if (when > horizon) break;
+      const double age = std::chrono::duration<double>(now - when).count();
+      if (!(age >= seconds)) break;
       watermark = version;
       found = true;
     }
@@ -596,7 +558,6 @@ ServiceStatsSnapshot QueryService::Stats() const {
     snapshot.tombstone_rows = miner_.dataset().num_tombstones();
     snapshot.churn_fraction = miner_.churn_fraction();
     snapshot.learning_staleness = miner_.learning_staleness();
-    snapshot.stale_fallbacks = EngineStatsLocked().stale_fallbacks;
   }
   return snapshot;
 }

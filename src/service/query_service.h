@@ -59,7 +59,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <future>
 #include <memory>
@@ -68,7 +67,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -115,9 +113,10 @@ struct IngestConfig {
   double relearn_staleness_threshold = 0.0;
 };
 
-/// Tracing, slow-query logging and periodic stats emission. Everything is
-/// off by default; the default-configured service pays only a null-pointer
-/// check per query.
+/// Tracing and slow-query logging. Both are off by default; the
+/// default-configured service pays only a null-pointer check per query.
+/// Operators read counters through Stats(), MetricsJson() and
+/// MetricsPrometheus().
 struct ObservabilityConfig {
   /// Attach a QueryTrace (service → search → dynamic → wave → knn span
   /// tree; a fused block's root is "batch") to every QueryResult the
@@ -128,9 +127,6 @@ struct ObservabilityConfig {
   /// Enabling the threshold implies per-query tracing — a slow query can
   /// only be explained if its spans were recorded while it ran.
   double slow_query_threshold_seconds = 0.0;
-  /// When > 0, a background thread logs the stats snapshot and the full
-  /// metrics JSON every this-many seconds (Info level).
-  double stats_log_period_seconds = 0.0;
 };
 
 struct QueryServiceConfig {
@@ -194,7 +190,7 @@ struct QueryServiceConfig {
   int batch_fusion_width = 16;
   /// Streaming-ingest rebuild policy.
   IngestConfig ingest;
-  /// Tracing / slow-query log / periodic stats emission.
+  /// Tracing and the slow-query log.
   ObservabilityConfig observability;
 };
 
@@ -209,7 +205,7 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Drains in-flight queries and any scheduled rebuild.
-  ~QueryService();
+  ~QueryService() = default;
 
   /// Executes all ids across the worker pool, in fused blocks of
   /// config.batch_fusion_width (one co-scheduled lattice search per block;
@@ -254,7 +250,8 @@ class QueryService {
   /// keep their own version watermarks. Granularity is the append batch: a
   /// batch is evicted only once its *whole* commit is older than the
   /// horizon, so this never evicts a row younger than `seconds`. Returns
-  /// the number evicted.
+  /// the number evicted. Edge cases: `seconds <= 0` evicts every committed
+  /// row; a NaN or infinite `seconds` evicts nothing.
   size_t EvictOlderThan(double seconds);
 
   /// Blocks until no rebuild or relearn is scheduled or running, then
@@ -336,10 +333,6 @@ class QueryService {
   /// engine. Caller must hold either side of epoch_mu_.
   knn::KnnBackendStats EngineStatsLocked() const;
 
-  /// Body of the periodic stats-logger thread (started when
-  /// ObservabilityConfig::stats_log_period_seconds > 0).
-  void StatsLoggerLoop();
-
   /// True when the churn (delta + unsealed tombstones) currently exceeds
   /// the rebuild policy. Caller must hold either side of epoch_mu_.
   bool PolicyWantsRebuild() const;
@@ -413,13 +406,6 @@ class QueryService {
   /// background policy is active, so no lazy-creation synchronization is
   /// needed; null otherwise.
   std::unique_ptr<ThreadPool> rebuild_worker_;
-
-  /// Periodic stats-logger thread; joined first thing in the destructor
-  /// (before any member it reads through can die).
-  std::mutex logger_mu_;
-  std::condition_variable logger_cv_;
-  bool logger_stop_ = false;  // guarded by logger_mu_
-  std::thread stats_logger_;
 
   ThreadPool pool_;  // last member: workers must die before what they touch
 };

@@ -111,7 +111,7 @@ std::string ServiceStatsSnapshot::ToJson() const {
       "\"filter_bound_decisions\": %llu, "
       "\"filter_risky_decisions\": %llu, \"last_bound_gap\": %.6g, "
       "\"filter_gate_skips\": %llu, "
-      "\"stale_fallbacks\": %llu, \"slow_queries\": %llu, "
+      "\"slow_queries\": %llu, "
       "\"batched_queries\": %llu, \"batch_fused_evaluations\": %llu}",
       static_cast<unsigned long long>(queries_served),
       static_cast<unsigned long long>(batches_served),
@@ -137,7 +137,6 @@ std::string ServiceStatsSnapshot::ToJson() const {
       static_cast<unsigned long long>(filter_risky_decisions),
       last_bound_gap,
       static_cast<unsigned long long>(filter_gate_skips),
-      static_cast<unsigned long long>(stale_fallbacks),
       static_cast<unsigned long long>(slow_queries),
       static_cast<unsigned long long>(batched_queries),
       static_cast<unsigned long long>(batch_fused_evaluations));

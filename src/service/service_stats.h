@@ -21,35 +21,6 @@
 
 namespace hos::service {
 
-/// Thread-safe latency histogram with geometric buckets spanning
-/// 1 microsecond .. ~1 hour (ratio 2^(1/4) per bucket, so percentile error
-/// is bounded by ~19% of the value — plenty for p50/p99 monitoring). Now a
-/// thin veneer over obs::Histogram, which fixed two edge cases the original
-/// implementation had: values above the top bucket land in a dedicated
-/// overflow bucket (with the exact max retained) instead of silently
-/// clamping into the top bucket, and Percentile(0) reports the smallest
-/// recorded value's bucket instead of unconditionally bucket 0.
-class LatencyHistogram {
- public:
-  LatencyHistogram() : hist_(obs::HistogramOptions{}) {}
-
-  void Record(double seconds) { hist_.Record(seconds); }
-
-  /// The q-quantile (q clamped to [0, 1]) as the upper bound of the bucket
-  /// holding that rank; the exact maximum when the rank lands in the
-  /// overflow bucket; 0 when nothing was recorded.
-  double Percentile(double q) const { return hist_.Percentile(q); }
-
-  uint64_t count() const { return hist_.count(); }
-  /// Recordings above the top bucket's upper bound.
-  uint64_t overflow_count() const { return hist_.overflow_count(); }
-  /// Exact largest latency recorded; 0 when empty.
-  double max_recorded() const { return hist_.max_recorded(); }
-
- private:
-  obs::Histogram hist_;
-};
-
 /// Point-in-time view of a service's counters.
 struct ServiceStatsSnapshot {
   uint64_t queries_served = 0;
@@ -79,8 +50,7 @@ struct ServiceStatsSnapshot {
   /// policy).
   uint64_t rows_evicted = 0;
   /// Queries rejected with NotFound because the id was deleted/evicted —
-  /// a *client*-visible miss, distinct from stale_fallbacks (an internal
-  /// snapshot degradation that still answers exactly).
+  /// a client-visible miss.
   uint64_t evicted_query_rejects = 0;
   /// Background learning refreshes committed (drift-triggered or manual).
   uint64_t relearns_completed = 0;
@@ -108,10 +78,6 @@ struct ServiceStatsSnapshot {
   /// Refined filter passes skipped by the learned per-level gate, summed
   /// over every served query (0 unless the gate is enabled).
   uint64_t filter_gate_skips = 0;
-  /// kNN-backend queries forced fully scalar because the base snapshot was
-  /// invalidated (folded across engine swaps, so monotone over the
-  /// service's lifetime).
-  uint64_t stale_fallbacks = 0;
   /// Queries over ObservabilityConfig::slow_query_threshold_seconds.
   uint64_t slow_queries = 0;
 

@@ -350,15 +350,5 @@ TEST(HosMinerConfigTest, L1MetricWorks) {
   EXPECT_TRUE(result->is_outlier_anywhere());
 }
 
-TEST(HosMinerConfigTest, InsertionBuildWorks) {
-  auto generated = MakePlanted(13, 200, 4);
-  HosMinerConfig config;
-  config.bulk_load = false;
-  auto miner = HosMiner::Build(std::move(generated.dataset), config);
-  ASSERT_TRUE(miner.ok());
-  ASSERT_NE(miner->xtree(), nullptr);
-  EXPECT_TRUE(miner->xtree()->CheckInvariants().ok());
-}
-
 }  // namespace
 }  // namespace hos::core

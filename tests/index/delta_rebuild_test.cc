@@ -1,15 +1,14 @@
-// Per-backend streaming-ingest behaviour at the engine level:
+// Per-backend streaming-ingest behaviour at the engine level. Engines are
+// immutable snapshots, and a changed dataset gets a freshly built one:
 //
 //  * exactness past the snapshot: an engine whose dataset grew after it
 //    was built answers Search/RangeSearch bit-identically to an engine
-//    freshly built over the grown dataset (the satellite fix — the old
-//    "scalar fallback" for grown datasets was silently wrong for the
-//    index backends, which simply omitted the new rows);
-//  * Rebuild() folds the delta into the structure and keeps answering
-//    identically;
-//  * the stale-snapshot fallback (in-place overwrite) is detected,
-//    counted, and — for the scan backend, where the fallback is exact —
-//    still correct.
+//    freshly built over the grown dataset;
+//  * an in-place overwrite *before* the build is part of the snapshot, so
+//    appends after it still merge exactly;
+//  * an engine over a dataset with no appends has an empty delta;
+//  * an in-place overwrite *after* the build breaks the engine's contract,
+//    and debug builds assert at the next query.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 
 #include "src/data/generator.h"
 #include "src/index/xtree.h"
+#include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/linear_scan.h"
 
@@ -70,7 +70,33 @@ void ExpectEquivalentOnProbes(const data::Dataset& dataset, QueryFn&& knn,
   }
 }
 
-TEST(DeltaRebuildTest, XTreeServesDeltaExactlyAndRebuilds) {
+/// The probe protocol through the KnnEngine interface: Search in
+/// `knn_subspace`, RangeSearch in the full space.
+void ExpectSameAnswers(const data::Dataset& dataset,
+                       const knn::KnnEngine& engine,
+                       const knn::KnnEngine& fresh,
+                       const Subspace& knn_subspace,
+                       const std::string& label) {
+  ExpectEquivalentOnProbes(
+      dataset,
+      [&](data::PointId id, int k, const std::string& trace) {
+        knn::KnnQuery query;
+        query.point = dataset.Row(id);
+        query.subspace = knn_subspace;
+        query.k = k;
+        query.exclude = id;
+        ExpectSameNeighbors(engine.Search(query), fresh.Search(query), trace);
+      },
+      [&](data::PointId id, double radius, const std::string& trace) {
+        const Subspace s = Subspace::Full(kDims);
+        ExpectSameNeighbors(engine.RangeSearch(dataset.Row(id), s, radius),
+                            fresh.RangeSearch(dataset.Row(id), s, radius),
+                            trace);
+      },
+      label);
+}
+
+TEST(DeltaRebuildTest, XTreeServesDeltaExactly) {
   data::Dataset grown = MakeDataset(kBase, 3);
   auto tree = XTree::BulkLoad(grown, knn::MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
@@ -82,143 +108,118 @@ TEST(DeltaRebuildTest, XTreeServesDeltaExactlyAndRebuilds) {
   EXPECT_EQ(tree->base_rows(), kBase);
   EXPECT_EQ(fresh->base_rows(), grown.size());
 
-  auto compare = [&](const XTree& streamed, const std::string& label) {
-    ExpectEquivalentOnProbes(
-        grown,
-        [&](data::PointId id, int k, const std::string& trace) {
-          knn::KnnQuery query;
-          query.point = grown.Row(id);
-          query.subspace = Subspace::FromOneBased({1, 3});
-          query.k = k;
-          query.exclude = id;
-          ExpectSameNeighbors(streamed.Knn(query), fresh->Knn(query), trace);
-          query.subspace = Subspace::Full(kDims);
-          ExpectSameNeighbors(streamed.Knn(query), fresh->Knn(query),
-                              trace + " (full space)");
-        },
-        [&](data::PointId id, double radius, const std::string& trace) {
-          const Subspace s = Subspace::FromOneBased({2, 4});
-          ExpectSameNeighbors(streamed.RangeSearch(grown.Row(id), s, radius),
-                              fresh->RangeSearch(grown.Row(id), s, radius),
-                              trace);
-        },
-        label);
-  };
-
-  compare(*tree, "delta scan");
-  EXPECT_EQ(tree->stale_fallbacks(), 0u)
-      << "append-delta serving must not be treated as a stale fallback";
-
-  ASSERT_TRUE(tree->Rebuild().ok());
-  EXPECT_EQ(tree->base_rows(), grown.size());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  compare(*tree, "after Rebuild");
+  ExpectEquivalentOnProbes(
+      grown,
+      [&](data::PointId id, int k, const std::string& trace) {
+        knn::KnnQuery query;
+        query.point = grown.Row(id);
+        query.subspace = Subspace::FromOneBased({1, 3});
+        query.k = k;
+        query.exclude = id;
+        ExpectSameNeighbors(tree->Knn(query), fresh->Knn(query), trace);
+        query.subspace = Subspace::Full(kDims);
+        ExpectSameNeighbors(tree->Knn(query), fresh->Knn(query),
+                            trace + " (full space)");
+      },
+      [&](data::PointId id, double radius, const std::string& trace) {
+        const Subspace s = Subspace::FromOneBased({2, 4});
+        ExpectSameNeighbors(tree->RangeSearch(grown.Row(id), s, radius),
+                            fresh->RangeSearch(grown.Row(id), s, radius),
+                            trace);
+      },
+      "delta scan");
+  EXPECT_GT(tree->backend_stats().delta_merges, 0u);
+  EXPECT_EQ(fresh->backend_stats().delta_merges, 0u);
 }
 
-TEST(DeltaRebuildTest, LinearScanServesDeltaExactlyAndRebuilds) {
+TEST(DeltaRebuildTest, LinearScanServesDeltaExactly) {
   data::Dataset grown = MakeDataset(kBase, 7);
   knn::LinearScanKnn engine(grown, knn::MetricKind::kL2);
   AppendDelta(&grown, 8);
   knn::LinearScanKnn fresh(grown, knn::MetricKind::kL2);
 
-  auto compare = [&](const std::string& label) {
-    ExpectEquivalentOnProbes(
-        grown,
-        [&](data::PointId id, int k, const std::string& trace) {
-          knn::KnnQuery query;
-          query.point = grown.Row(id);
-          query.subspace = Subspace::FromOneBased({2, 3});
-          query.k = k;
-          query.exclude = id;
-          ExpectSameNeighbors(engine.Search(query), fresh.Search(query),
-                              trace);
-        },
-        [&](data::PointId id, double radius, const std::string& trace) {
-          const Subspace s = Subspace::Full(kDims);
-          ExpectSameNeighbors(engine.RangeSearch(grown.Row(id), s, radius),
-                              fresh.RangeSearch(grown.Row(id), s, radius),
-                              trace);
-        },
-        label);
-  };
-
-  compare("delta scan");
-  EXPECT_EQ(engine.stale_fallbacks(), 0u);
-
-  engine.Rebuild();
-  compare("after Rebuild");
-  EXPECT_EQ(engine.stale_fallbacks(), 0u);
+  ExpectSameAnswers(grown, engine, fresh, Subspace::FromOneBased({2, 3}),
+                    "delta scan");
+  EXPECT_GT(engine.backend_stats().delta_merges, 0u);
+  EXPECT_EQ(fresh.backend_stats().delta_merges, 0u);
 }
 
-// Hand-driven Insert interacts with the delta boundary: contiguous
-// insertion of appended rows moves them from delta-scan to tree coverage;
-// skipping ahead would leave rows covered by neither, so it is rejected.
-TEST(DeltaRebuildTest, XTreeInsertRespectsTheDeltaBoundary) {
-  data::Dataset grown = MakeDataset(kBase, 11);
+// A row overwritten before an engine is built is part of its snapshot, so
+// rows appended afterwards merge exactly and the engine answers like one
+// built over the final dataset (no overwrite happened after the build, so
+// the contract assert stays quiet).
+TEST(DeltaRebuildTest, OverwriteBeforeBuildThenAppendsAnswersLikeFresh) {
+  data::Dataset grown = MakeDataset(kBase, 9);
+  grown.Set(10, 2, 0.123456);
+  grown.Set(0, 0, 0.987654);
+  // A snapshot records the version it was taken at, overwrites included.
+  EXPECT_EQ(kernels::DatasetView::Build(grown).snapshot_version(),
+            grown.version());
+  knn::LinearScanKnn scan(grown, knn::MetricKind::kL2);
   auto tree = XTree::BulkLoad(grown, knn::MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
-  AppendDelta(&grown, 12);
+  AppendDelta(&grown, 10);
 
-  // Skipping over appended rows would orphan [kBase, kBase + 1).
-  auto skipped =
-      tree->Insert(static_cast<data::PointId>(kBase + 1));
-  EXPECT_FALSE(skipped.ok());
-  EXPECT_TRUE(skipped.IsFailedPrecondition()) << skipped.ToString();
-  EXPECT_EQ(tree->base_rows(), kBase);
-
-  // Contiguous insertion is fine and advances the boundary, and the row
-  // appears exactly once in query results.
-  ASSERT_TRUE(tree->Insert(static_cast<data::PointId>(kBase)).ok());
-  EXPECT_EQ(tree->base_rows(), kBase + 1);
-  auto fresh = XTree::BulkLoad(grown, knn::MetricKind::kL2);
-  ASSERT_TRUE(fresh.ok());
-  knn::KnnQuery query;
-  query.point = grown.Row(static_cast<data::PointId>(kBase));
-  query.subspace = Subspace::Full(kDims);
-  query.k = 4;
-  ExpectSameNeighbors(tree->Knn(query), fresh->Knn(query),
-                      "contiguous insert at the delta boundary");
+  knn::LinearScanKnn fresh_scan(grown, knn::MetricKind::kL2);
+  auto fresh_tree = XTree::BulkLoad(grown, knn::MetricKind::kL2);
+  ASSERT_TRUE(fresh_tree.ok());
+  const Subspace s = Subspace::FromOneBased({1, 3});
+  ExpectSameAnswers(grown, scan, fresh_scan, s, "linear scan");
+  ExpectSameAnswers(grown, XTreeKnn(*tree), XTreeKnn(*fresh_tree), s,
+                    "xtree");
 }
 
-// The stale-snapshot fallback proper: an in-place overwrite after the
-// snapshot. For the linear scan the scalar fallback is still exact, so
-// results must match a fresh engine over the mutated data — and the
-// fallback must be visible in the counter (the satellite's assert/log).
-TEST(DeltaRebuildTest, OverwriteTriggersCountedFallback) {
-  data::Dataset mutated = MakeDataset(kBase, 9);
-  knn::LinearScanKnn engine(mutated, knn::MetricKind::kL2);
-  auto tree = XTree::BulkLoad(mutated, knn::MetricKind::kL2);
+TEST(DeltaRebuildTest, NoAppendsMeansAnEmptyDelta) {
+  const data::Dataset dataset = MakeDataset(kBase, 13);
+  knn::LinearScanKnn scan(dataset, knn::MetricKind::kL2);
+  auto tree = XTree::BulkLoad(dataset, knn::MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->base_rows(), dataset.size());
 
-  const uint64_t version_before = mutated.version();
-  mutated.Set(10, 2, 0.123456);
-  EXPECT_EQ(mutated.version(), version_before + 1);
-  EXPECT_EQ(mutated.last_overwrite_version(), mutated.version());
+  const XTreeKnn tree_engine(*tree);
+  for (const knn::KnnEngine* engine :
+       {static_cast<const knn::KnnEngine*>(&scan),
+        static_cast<const knn::KnnEngine*>(&tree_engine)}) {
+    knn::KnnQuery query;
+    query.point = dataset.Row(3);
+    query.subspace = Subspace::Full(kDims);
+    query.k = 4;
+    (void)engine->Search(query);
+    (void)engine->RangeSearch(dataset.Row(3), Subspace::Full(kDims), 0.5);
+    const knn::KnnBackendStats stats = engine->backend_stats();
+    SCOPED_TRACE(stats.backend);
+    EXPECT_EQ(stats.kernel_scans, 2u);
+    EXPECT_EQ(stats.delta_merges, 0u);
+  }
+}
 
+// Overwriting a snapshotted row in place after the build breaks the
+// engine's contract: debug builds abort at the next query, and release
+// builds simply run it.
+knn::KnnQuery ProbeQuery(const data::Dataset& dataset) {
   knn::KnnQuery query;
-  query.point = mutated.Row(0);
+  query.point = dataset.Row(0);
   query.subspace = Subspace::Full(kDims);
   query.k = 5;
   query.exclude = data::PointId{0};
+  return query;
+}
 
-  // Linear scan: fallback is exact — matches a fresh engine.
-  knn::LinearScanKnn fresh(mutated, knn::MetricKind::kL2);
-  ExpectSameNeighbors(engine.Search(query), fresh.Search(query),
-                      "overwrite fallback, linear scan");
-  EXPECT_GE(engine.stale_fallbacks(), 1u);
+TEST(DeltaRebuildDeathTest, OverwriteAfterBuildTripsTheLinearScanAssert) {
+  data::Dataset dataset = MakeDataset(kBase, 9);
+  knn::LinearScanKnn engine(dataset, knn::MetricKind::kL2);
+  dataset.Set(10, 2, 0.123456);
+  EXPECT_DEBUG_DEATH((void)engine.Search(ProbeQuery(dataset)),
+                     "last_overwrite_version");
+}
 
-  // The X-tree: the unusable snapshot is detected and counted (its
-  // geometry is stale under overwrite, so only the counter is asserted).
-  (void)tree->Knn(query);
-  EXPECT_GE(tree->stale_fallbacks(), 1u);
-
-  // Rebuilding clears the staleness: the snapshot matches again and the
-  // kernel path returns without further fallbacks.
-  const uint64_t fallbacks_after_probe = engine.stale_fallbacks();
-  engine.Rebuild();
-  ExpectSameNeighbors(engine.Search(query), fresh.Search(query),
-                      "post-rebuild, linear scan");
-  EXPECT_EQ(engine.stale_fallbacks(), fallbacks_after_probe);
+TEST(DeltaRebuildDeathTest, OverwriteAfterBuildTripsTheXTreeAssert) {
+  data::Dataset dataset = MakeDataset(kBase, 9);
+  auto tree = XTree::BulkLoad(dataset, knn::MetricKind::kL2);
+  ASSERT_TRUE(tree.ok());
+  dataset.Set(10, 2, 0.123456);
+  EXPECT_DEBUG_DEATH((void)tree->Knn(ProbeQuery(dataset)),
+                     "last_overwrite_version");
 }
 
 }  // namespace

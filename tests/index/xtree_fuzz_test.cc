@@ -68,13 +68,6 @@ TEST_P(XTreeFuzzTest, InvariantsAndOracleAgreement) {
       EXPECT_NEAR(got[i].distance, want[i].distance, 1e-9);
     }
   }
-
-  // Mutate: remove a slice, re-check.
-  for (size_t idx : rng.SampleWithoutReplacement(ds.size(), 150)) {
-    ASSERT_TRUE(tree->Remove(static_cast<data::PointId>(idx)).ok());
-  }
-  EXPECT_EQ(tree->size(), 750u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(

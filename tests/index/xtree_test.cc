@@ -14,23 +14,16 @@ using knn::MetricKind;
 
 TEST(XTreeTest, EmptyTreeAnswersEmpty) {
   data::Dataset ds(2);
-  XTree tree(ds, MetricKind::kL2);
+  auto tree = XTree::BulkLoad(ds, MetricKind::kL2);
+  ASSERT_TRUE(tree.ok());
   std::vector<double> q{0.0, 0.0};
   KnnQuery query;
   query.point = q;
   query.subspace = Subspace::Full(2);
   query.k = 3;
-  EXPECT_TRUE(tree.Knn(query).empty());
-  EXPECT_TRUE(tree.RangeSearch(q, Subspace::Full(2), 1.0).empty());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(XTreeTest, InsertRejectsBadId) {
-  data::Dataset ds(2);
-  ds.Append(std::vector<double>{0.0, 0.0});
-  XTree tree(ds, MetricKind::kL2);
-  EXPECT_TRUE(tree.Insert(0).ok());
-  EXPECT_TRUE(tree.Insert(1).IsOutOfRange());
+  EXPECT_TRUE(tree->Knn(query).empty());
+  EXPECT_TRUE(tree->RangeSearch(q, Subspace::Full(2), 1.0).empty());
+  EXPECT_TRUE(tree->CheckInvariants().ok());
 }
 
 TEST(XTreeTest, SinglePoint) {
@@ -50,18 +43,19 @@ TEST(XTreeTest, SinglePoint) {
 
 TEST(XTreeTest, InvariantsHoldThroughIncrementalInserts) {
   Rng rng(3);
-  data::Dataset ds = data::GenerateUniform(800, 4, &rng);
-  XTree tree(ds, MetricKind::kL2);
-  for (data::PointId id = 0; id < ds.size(); ++id) {
-    ASSERT_TRUE(tree.Insert(id).ok());
-    if (id % 100 == 99) {
-      ASSERT_TRUE(tree.CheckInvariants().ok()) << "after insert " << id;
-    }
+  const data::Dataset all = data::GenerateUniform(800, 4, &rng);
+  // The insertion build on every 100-row prefix: the tree after n inserts.
+  for (size_t rows = 100; rows <= all.size(); rows += 100) {
+    data::Dataset prefix(all.num_dims());
+    for (data::PointId id = 0; id < rows; ++id) prefix.Append(all.Row(id));
+    auto tree = XTree::BuildByInsertion(prefix, MetricKind::kL2);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_TRUE(tree->CheckInvariants().ok()) << "after " << rows << " rows";
+    const XTreeStats stats = tree->ComputeStats();
+    EXPECT_EQ(stats.num_points, rows);
+    EXPECT_GT(stats.num_leaves, 1u);
+    EXPECT_GE(stats.height, 2);
   }
-  auto stats = tree.ComputeStats();
-  EXPECT_EQ(stats.num_points, 800u);
-  EXPECT_GT(stats.num_leaves, 1u);
-  EXPECT_GE(stats.height, 2);
 }
 
 TEST(XTreeTest, BulkLoadInvariantsAndShape) {
@@ -214,109 +208,6 @@ TEST(XTreeTest, PrunesNodesComparedToLinearScan) {
   query.k = 5;
   tree->Knn(query);
   EXPECT_LT(tree->distance_computations(), 5000u / 2);
-}
-
-TEST(XTreeRemoveTest, RemoveFromEmptyTreeIsNotFound) {
-  data::Dataset ds(2);
-  ds.Append(std::vector<double>{0.0, 0.0});
-  XTree tree(ds, MetricKind::kL2);
-  EXPECT_TRUE(tree.Remove(0).IsNotFound());
-}
-
-TEST(XTreeRemoveTest, RemoveSinglePointEmptiesTree) {
-  data::Dataset ds(2);
-  ds.Append(std::vector<double>{0.5, 0.5});
-  auto tree = XTree::BuildByInsertion(ds, MetricKind::kL2);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Remove(0).ok());
-  EXPECT_EQ(tree->size(), 0u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
-  std::vector<double> q{0.0, 0.0};
-  KnnQuery query;
-  query.point = q;
-  query.subspace = Subspace::Full(2);
-  query.k = 1;
-  EXPECT_TRUE(tree->Knn(query).empty());
-  // Double delete is NotFound.
-  EXPECT_TRUE(tree->Remove(0).IsNotFound());
-}
-
-TEST(XTreeRemoveTest, RemovedPointsNeverReturnedAndInvariantsHold) {
-  Rng rng(29);
-  data::Dataset ds = data::GenerateUniform(600, 4, &rng);
-  auto tree = XTree::BuildByInsertion(ds, MetricKind::kL2);
-  ASSERT_TRUE(tree.ok());
-
-  std::vector<bool> removed(ds.size(), false);
-  // Remove a third of the points in random order.
-  for (size_t idx : rng.SampleWithoutReplacement(ds.size(), 200)) {
-    auto id = static_cast<data::PointId>(idx);
-    ASSERT_TRUE(tree->Remove(id).ok()) << "id " << id;
-    removed[id] = true;
-  }
-  EXPECT_EQ(tree->size(), 400u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-
-  // kNN answers match a linear scan over the surviving points.
-  for (int trial = 0; trial < 25; ++trial) {
-    std::vector<double> q(4);
-    for (auto& v : q) v = rng.Uniform();
-    KnnQuery query;
-    query.point = q;
-    query.subspace = Subspace(rng.UniformInt(1, 15));
-    query.k = 8;
-    auto got = tree->Knn(query);
-
-    // Oracle: brute force over non-removed ids.
-    std::vector<knn::Neighbor> want;
-    for (data::PointId id = 0; id < ds.size(); ++id) {
-      if (removed[id]) continue;
-      want.push_back({id, knn::SubspaceDistance(q, ds.Row(id),
-                                                query.subspace,
-                                                MetricKind::kL2)});
-    }
-    std::sort(want.begin(), want.end(),
-              [](const knn::Neighbor& a, const knn::Neighbor& b) {
-                if (a.distance != b.distance) return a.distance < b.distance;
-                return a.id < b.id;
-              });
-    want.resize(8);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id) << "trial " << trial;
-      EXPECT_NEAR(got[i].distance, want[i].distance, 1e-9);
-    }
-  }
-}
-
-TEST(XTreeRemoveTest, InterleavedInsertAndRemove) {
-  Rng rng(31);
-  data::Dataset ds = data::GenerateUniform(400, 3, &rng);
-  XTree tree(ds, MetricKind::kL2);
-  // Insert the first 300.
-  for (data::PointId id = 0; id < 300; ++id) {
-    ASSERT_TRUE(tree.Insert(id).ok());
-  }
-  // Interleave: remove one, insert one of the remaining.
-  for (int i = 0; i < 100; ++i) {
-    auto remove_id = static_cast<data::PointId>(i * 3);
-    ASSERT_TRUE(tree.Remove(remove_id).ok());
-    ASSERT_TRUE(tree.Insert(static_cast<data::PointId>(300 + i)).ok());
-  }
-  EXPECT_EQ(tree.size(), 300u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(XTreeRemoveTest, RemoveAllPointsOneByOne) {
-  Rng rng(37);
-  data::Dataset ds = data::GenerateUniform(150, 3, &rng);
-  auto tree = XTree::BulkLoad(ds, MetricKind::kL2);
-  ASSERT_TRUE(tree.ok());
-  for (data::PointId id = 0; id < ds.size(); ++id) {
-    ASSERT_TRUE(tree->Remove(id).ok()) << "id " << id;
-    ASSERT_TRUE(tree->CheckInvariants().ok()) << "after removing " << id;
-  }
-  EXPECT_EQ(tree->size(), 0u);
 }
 
 TEST(XTreeTest, DuplicatePointsHandled) {

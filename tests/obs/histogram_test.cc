@@ -1,8 +1,7 @@
-// Unit tests for obs::Histogram, including the two edge cases the old
-// service-layer LatencyHistogram got wrong: values above the top bucket
-// were silently clamped into it (now: dedicated overflow bucket plus exact
-// max), and Percentile(0) always answered bucket 0's upper bound (now: the
-// bucket of the smallest recorded value).
+// Unit tests for obs::Histogram, including two edge cases: values above the
+// top bucket land in a dedicated overflow bucket (with the exact max kept)
+// instead of being clamped into the top bucket, and Percentile(0) answers
+// the bucket of the smallest recorded value, not bucket 0's upper bound.
 
 #include "src/obs/metrics.h"
 

@@ -239,8 +239,7 @@ TEST(TraceDifferentialTest, OneMetricsSnapshotCoversEverySubsystem) {
            "\"dataset_delta_rows\"",
            // per-backend kNN internals
            "\"knn_distance_computations\"", "\"knn_node_accesses\"",
-           "\"knn_kernel_scans\"", "\"knn_scalar_scans\"",
-           "\"knn_delta_merges\"", "\"knn_stale_fallbacks\"",
+           "\"knn_kernel_scans\"", "\"knn_delta_merges\"",
        }) {
     EXPECT_NE(json.find(series), std::string::npos) << series;
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -91,6 +92,16 @@ TEST(TtlEvictTest, HugeHorizonNeverEvictsFreshRows) {
   EXPECT_EQ(service.EvictOlderThan(3600.0), 0u);
   EXPECT_EQ(service.Stats().live_rows, 25u);
   EXPECT_TRUE(service.Query(0).ok());
+
+  // Horizons too large for an integer duration, infinite or NaN match no
+  // row (and must not overflow a float-to-integer conversion on the way).
+  for (double seconds : {1e10, 1e300, std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(seconds);
+    EXPECT_EQ(service.EvictOlderThan(seconds), 0u);
+    EXPECT_EQ(service.Stats().live_rows, 25u);
+  }
 }
 
 }  // namespace
