@@ -1,14 +1,17 @@
 // E8: the X-tree indexing module — subspace-kNN latency of the X-tree vs a
 // linear scan, across dataset sizes and query-subspace dimensionalities.
 // google-benchmark microbenchmarks (time per kNN query) plus a summary
-// table of distance computations saved.
+// table of time and distance computations per query, both engines timed
+// query by query in one interleaved loop.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/timer.h"
 #include "src/data/generator.h"
 #include "src/eval/report.h"
 #include "src/index/xtree.h"
@@ -88,40 +91,57 @@ BENCHMARK(BM_LinearScanKnn)
     ->ArgsProduct({{2000, 10000, 50000}, {2, 5, 10}})
     ->ArgNames({"N", "subdims"});
 
-void PrintDistanceSavings() {
+void PrintTimeAndDistances() {
   bench::Banner("E8",
-                "X-tree vs linear scan: distance computations per kNN");
-  eval::Table table({"N", "subspace dims", "x-tree dists/query",
-                     "scan dists/query", "x-tree saving"});
+                "X-tree vs linear scan: time and distance computations per "
+                "kNN");
+  eval::Table table({"N", "subspace dims", "x-tree ns/query",
+                     "scan ns/query", "x-tree speedup", "x-tree dists/query",
+                     "scan dists/query"});
   for (size_t n : bench::SmokeSweep<size_t>({2000, 10000, 50000})) {
     Fixture& f = Fixture::Get(n);
     for (int subspace_dims : {2, 5, 10}) {
       Rng rng(2);
       knn::LinearScanKnn scan(f.dataset, knn::MetricKind::kL2);
-      const uint64_t tree_before = f.tree->distance_computations();
-      const int kQueries = bench::SmokeMode() ? 10 : 50;
+      const int kQueries = bench::SmokeMode() ? 10 : 500;
+      std::vector<knn::KnnQuery> queries;
       for (int i = 0; i < kQueries; ++i) {
-        auto query = MakeQuery(f.dataset, subspace_dims, &rng);
-        f.tree->Knn(query);
-        scan.Search(query);
+        queries.push_back(MakeQuery(f.dataset, subspace_dims, &rng));
       }
-      double tree_per_query =
+      // Both engines answer each query back to back, so host drift lands
+      // on both columns alike.
+      const uint64_t tree_before = f.tree->distance_computations();
+      AccumulatingTimer tree_time, scan_time;
+      for (const knn::KnnQuery& query : queries) {
+        tree_time.Start();
+        benchmark::DoNotOptimize(f.tree->Knn(query));
+        tree_time.Stop();
+        scan_time.Start();
+        benchmark::DoNotOptimize(scan.Search(query));
+        scan_time.Stop();
+      }
+      const double tree_ns = tree_time.TotalSeconds() * 1e9 / kQueries;
+      const double scan_ns = scan_time.TotalSeconds() * 1e9 / kQueries;
+      const double tree_dists =
           static_cast<double>(f.tree->distance_computations() - tree_before) /
           kQueries;
-      double scan_per_query =
+      const double scan_dists =
           static_cast<double>(scan.distance_computations()) / kQueries;
       table.AddRow({std::to_string(n), std::to_string(subspace_dims),
-                    eval::FormatDouble(tree_per_query, 0),
-                    eval::FormatDouble(scan_per_query, 0),
-                    eval::FormatDouble(scan_per_query / tree_per_query, 1) +
-                        "x"});
+                    eval::FormatDouble(tree_ns, 0),
+                    eval::FormatDouble(scan_ns, 0),
+                    eval::FormatDouble(scan_ns / tree_ns, 2) + "x",
+                    eval::FormatDouble(tree_dists, 0),
+                    eval::FormatDouble(scan_dists, 0)});
     }
   }
   table.Print();
   std::printf(
-      "\nPaper shape: the single full-dimensional X-tree accelerates kNN in\n"
-      "low-dimensional subspaces most (tight MBR bounds); the advantage\n"
-      "narrows as the query subspace approaches the full dimensionality.\n");
+      "\nPaper shape: the single full-dimensional X-tree answers kNN in any\n"
+      "subspace. Its leaf boxes separate the data best in low-dimensional\n"
+      "subspaces, and a query whose boxes cannot be separated sweeps every\n"
+      "leaf like the scan. Speed is the ns/query columns; distance counts\n"
+      "show pruned work, which is not the same as time saved.\n");
 }
 
 }  // namespace
@@ -131,7 +151,7 @@ void PrintDistanceSavings() {
 // still executes once; the filter keeps only the smallest-argument variants.
 int main(int argc, char** argv) {
   hos::bench::ConsumeSmokeFlag(&argc, argv);
-  PrintDistanceSavings();
+  PrintTimeAndDistances();
   std::vector<char*> args(argv, argv + argc);
   char min_time[] = "--benchmark_min_time=0.001";
   char filter[] = "--benchmark_filter=2000";

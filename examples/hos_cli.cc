@@ -5,18 +5,25 @@
 //   hos_cli <data.csv> --query <row-id> [options]
 //   hos_cli <data.csv> --point v1,v2,...,vd [options]
 //
+// Every number must be a whole, finite token (row ids >= 0); a malformed
+// value names its flag and exits 2 with the usage text.
+//
 // Options:
 //   --k <int>            neighbours of the OD measure        (default 5)
-//   --threshold <float>  outlier threshold T                 (default auto)
+//   --threshold <float>  outlier threshold T; <= 0 means auto (default auto)
 //   --percentile <float> percentile for auto T               (default 0.95)
 //   --metric <L1|L2|LInf>                                    (default L2)
 //   --samples <int>      learning sample size S              (default 20)
 //   --no-header          CSV has no header row
 //   --linear-scan        use brute-force kNN instead of the X-tree
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -37,13 +44,41 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-std::vector<double> ParsePoint(const std::string& text) {
+/// The whole of `text` as an integer in [lo, hi], or nullopt.
+std::optional<long> ParseInt(const char* text, long lo, long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// The whole of `text` as a finite double, or nullopt.
+std::optional<double> ParseDouble(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Comma-separated finite coordinates, or nullopt if any field is not one.
+std::optional<std::vector<double>> ParsePoint(const std::string& text) {
   std::vector<double> out;
   std::stringstream stream(text);
   std::string field;
   while (std::getline(stream, field, ',')) {
-    out.push_back(std::atof(field.c_str()));
+    const std::optional<double> value = ParseDouble(field.c_str());
+    if (!value) return std::nullopt;
+    out.push_back(*value);
   }
+  if (out.empty()) return std::nullopt;
   return out;
 }
 
@@ -58,6 +93,8 @@ int main(int argc, char** argv) {
   long query_id = -1;
   std::vector<double> query_point;
 
+  constexpr long kIntMin = std::numeric_limits<int>::min();
+  constexpr long kIntMax = std::numeric_limits<int>::max();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -67,18 +104,38 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A malformed value names its flag and exits 2 with the usage text.
+    auto bad_value = [&](const char* value) {
+      std::fprintf(stderr, "invalid value '%s' for %s\n", value, arg.c_str());
+      std::exit(Usage(argv[0]));
+    };
+    auto next_int = [&](long lo, long hi) {
+      const char* value = next();
+      const std::optional<long> parsed = ParseInt(value, lo, hi);
+      if (!parsed) bad_value(value);
+      return *parsed;
+    };
+    auto next_double = [&]() {
+      const char* value = next();
+      const std::optional<double> parsed = ParseDouble(value);
+      if (!parsed) bad_value(value);
+      return *parsed;
+    };
     if (arg == "--query") {
-      query_id = std::atol(next());
+      query_id = next_int(0, std::numeric_limits<data::PointId>::max());
     } else if (arg == "--point") {
-      query_point = ParsePoint(next());
+      const char* value = next();
+      std::optional<std::vector<double>> point = ParsePoint(value);
+      if (!point) bad_value(value);
+      query_point = std::move(*point);
     } else if (arg == "--k") {
-      config.k = std::atoi(next());
+      config.k = static_cast<int>(next_int(kIntMin, kIntMax));
     } else if (arg == "--threshold") {
-      config.threshold = std::atof(next());
+      config.threshold = next_double();
     } else if (arg == "--percentile") {
-      config.threshold_percentile = std::atof(next());
+      config.threshold_percentile = next_double();
     } else if (arg == "--samples") {
-      config.sample_size = std::atoi(next());
+      config.sample_size = static_cast<int>(next_int(kIntMin, kIntMax));
     } else if (arg == "--metric") {
       const std::string metric = next();
       if (metric == "L1") {

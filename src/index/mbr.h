@@ -53,9 +53,10 @@ class Mbr {
   bool ContainsMbr(const Mbr& other) const;
 
   /// Smallest possible distance from `point` to any point inside the box,
-  /// measured only over the dimensions of `subspace`. This is the exact
-  /// lower bound used by best-first kNN: for any point q in the box,
-  /// dist_s(point, q) >= MinDistance(point, s).
+  /// measured only over the dimensions of `subspace`: for any point q in
+  /// the box, dist_s(point, q) >= MinDistance(point, s). The X-tree's leaf
+  /// filter applies this bound, computed in accumulation space for all
+  /// leaves at once (kernels::LeafFilteredTopK).
   double MinDistance(std::span<const double> point, const Subspace& subspace,
                      knn::MetricKind metric) const;
 

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <span>
 #include <utility>
 
-#include "src/kernels/batched_distance.h"
 #include "src/knn/delta_scan.h"
 
 namespace hos::index {
@@ -27,9 +25,6 @@ struct XTree::Node {
   Mbr mbr;
   std::vector<std::unique_ptr<Node>> children;  // directory entries
   std::vector<data::PointId> points;            // leaf entries
-  /// Leaves: the snapshot position of points[0]; the leaf owns positions
-  /// [first, first + points.size()). Set by RefreshKernelView.
-  size_t first = 0;
 
   size_t NumEntries() const {
     return is_leaf ? points.size() : children.size();
@@ -367,25 +362,46 @@ std::unique_ptr<XTree::Node> XTree::SplitDirectory(Node* node) {
 
 void XTree::RefreshKernelView() {
   const size_t n = dataset_->size();
+  const int dims = dataset_->num_dims();
   std::vector<data::PointId> order;
   order.reserve(n);
   std::vector<bool> placed(n, false);
-  std::function<void(Node*)> lay_out = [&](Node* node) {
+  std::vector<const Node*> leaves;
+  std::vector<size_t> first;
+  std::function<void(const Node*)> lay_out = [&](const Node* node) {
     if (!node->is_leaf) {
       for (const auto& child : node->children) lay_out(child.get());
       return;
     }
-    node->first = order.size();
+    leaves.push_back(node);
+    first.push_back(order.size());
     for (data::PointId id : node->points) {
       order.push_back(id);
       placed[id] = true;
     }
   };
   if (root_ != nullptr) lay_out(root_.get());
+  first.push_back(order.size());
   // Rows outside the tree (dead at build) still get positions, so the
-  // snapshot covers [0, n) like any other.
+  // snapshot covers [0, n) like any other; they lie past every leaf.
   for (size_t id = 0; id < n; ++id) {
     if (!placed[id]) order.push_back(static_cast<data::PointId>(id));
+  }
+
+  const size_t num_leaves = leaves.size();
+  leaves_.first = std::move(first);
+  leaves_.lo.resize(num_leaves * static_cast<size_t>(dims));
+  leaves_.hi.resize(num_leaves * static_cast<size_t>(dims));
+  for (int dim = 0; dim < dims; ++dim) {
+    const size_t offset = static_cast<size_t>(dim) * num_leaves;
+    for (size_t l = 0; l < num_leaves; ++l) {
+      leaves_.lo[offset + l] = leaves[l]->mbr.min(dim);
+      leaves_.hi[offset + l] = leaves[l]->mbr.max(dim);
+    }
+  }
+  leaves_.position.resize(n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    leaves_.position[order[pos]] = static_cast<data::PointId>(pos);
   }
   view_ = kernels::DatasetView::BuildInOrder(*dataset_, std::move(order));
 }
@@ -523,21 +539,6 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
 // Queries
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct NodeItem {
-  double dist;  // the node's MBR min-distance to the query
-  const XTree::Node* node;
-};
-
-struct NodeGreater {
-  bool operator()(const NodeItem& a, const NodeItem& b) const {
-    return a.dist > b.dist;
-  }
-};
-
-}  // namespace
-
 std::vector<knn::Neighbor> XTree::Knn(const knn::KnnQuery& query) const {
   std::vector<knn::Neighbor> out = KnnBase(query);
   // Exact merge of the append delta: the k smallest (distance, id) of
@@ -566,36 +567,10 @@ std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
   kernels::TopKCollector collector(static_cast<size_t>(query.k),
                                    filter_dead ? dataset_ : nullptr);
   const std::vector<int> dims = query.subspace.Dims();
-
-  // Nodes pop in ascending min-distance. Every point of a node is at least
-  // its min-distance away, and the collector's bound only falls towards
-  // the final k-th distance, so the first node strictly beyond the bound
-  // ends the search; a node exactly at the bound is still scanned, since
-  // it may hold a tie with a smaller id.
-  std::priority_queue<NodeItem, std::vector<NodeItem>, NodeGreater> heap;
-  heap.push({root_->mbr.MinDistance(query.point, query.subspace, metric_),
-             root_.get()});
-  uint64_t nodes = 0;
-  uint64_t computed = 0;
-  while (!heap.empty()) {
-    const NodeItem item = heap.top();
-    if (item.dist > collector.bound()) break;
-    heap.pop();
-    const Node* node = item.node;
-    ++nodes;
-    if (!node->is_leaf) {
-      for (const auto& child : node->children) {
-        heap.push({child->mbr.MinDistance(query.point, query.subspace, metric_),
-                   child.get()});
-      }
-    } else {
-      computed += kernels::ScanRangeForTopK(view_, query.point, dims, metric_,
-                                            node->first, node->points.size(),
-                                            query.exclude, &collector);
-    }
-  }
-  node_access_count_ += nodes;
-  distance_count_ += computed;
+  const kernels::LeafScanCounts counts = kernels::LeafFilteredTopK(
+      view_, leaves_, query.point, dims, metric_, query.exclude, &collector);
+  node_access_count_ += counts.leaves;
+  distance_count_ += counts.examined;
   return collector.TakeSorted();
 }
 
@@ -610,34 +585,11 @@ std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
     if (live > delta_begin) ++delta_merges_;
     const bool filter_dead = dataset_->num_tombstones() > 0;
     const std::vector<int> dims = subspace.Dims();
-    std::vector<double> leaf_dist;
-    std::function<void(const Node*)> visit = [&](const Node* node) {
-      ++node_access_count_;
-      if (node->is_leaf) {
-        const size_t count = node->points.size();
-        leaf_dist.resize(count);
-        kernels::BatchedSubspaceDistanceRange(
-            view_, point, dims, metric_,
-            static_cast<data::PointId>(node->first), count, radius, leaf_dist);
-        distance_count_ += count;
-        for (size_t j = 0; j < count; ++j) {
-          if (leaf_dist[j] <= radius) {
-            const data::PointId id = view_.RowAt(node->first + j);
-            if (filter_dead && !dataset_->IsLive(id)) continue;
-            out.push_back({id, leaf_dist[j]});
-          }
-        }
-        return;
-      }
-      for (const auto& child : node->children) {
-        if (child->mbr.MinDistance(point, subspace, metric_) <= radius) {
-          visit(child.get());
-        }
-      }
-    };
-    if (root_->mbr.MinDistance(point, subspace, metric_) <= radius) {
-      visit(root_.get());
-    }
+    const kernels::LeafScanCounts counts = kernels::LeafFilteredRange(
+        view_, leaves_, point, dims, metric_, radius,
+        filter_dead ? dataset_ : nullptr, &out);
+    node_access_count_ += counts.leaves;
+    distance_count_ += counts.examined;
   }
   distance_count_ += knn::DeltaScanRange(*dataset_, metric_, point, subspace,
                                          delta_begin, live, radius, &out);

@@ -9,6 +9,14 @@
 // in *any* subspace, because an MBR min-distance restricted to the
 // subspace's dimensions remains a valid lower bound.
 //
+// The directory (splits, supernodes) is a build-time structure: it decides
+// which rows share a leaf. Queries never walk it. They filter the leaves'
+// boxes in one vectorized pass and sweep the surviving leaves of the
+// leaf-ordered snapshot in contiguous runs (kernels::LeafFilteredTopK), so
+// where the directory cannot separate the data — at d = 32 every box
+// survives — a query degrades into one linear sweep instead of a traversal
+// that visits every node anyway.
+//
 // Implementation notes (documented deviations from the original papers):
 //  * Splits use the R*-tree topological split (minimum-margin axis, then
 //    minimum-overlap distribution). The X-tree's overlap-minimal split is
@@ -31,6 +39,7 @@
 #include "src/common/subspace.h"
 #include "src/data/dataset.h"
 #include "src/index/mbr.h"
+#include "src/kernels/batched_distance.h"
 #include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/metric.h"
@@ -66,8 +75,9 @@ struct XTreeStats {
 /// The index. Bound to a Dataset (not owned) whose rows provide the point
 /// coordinates; the tree stores point ids and boxes, plus its own SoA
 /// snapshot of the rows laid out leaf by leaf
-/// (kernels::DatasetView::BuildInOrder), so each leaf scan is one
-/// contiguous kernel sweep.
+/// (kernels::DatasetView::BuildInOrder) and a table of the leaves' position
+/// ranges and boxes (kernels::LeafTable), so a run of consecutive leaves is
+/// one contiguous kernel sweep.
 ///
 /// A built tree is an immutable snapshot: the factories below are the only
 /// way to make one, and a changed dataset gets a new tree
@@ -99,15 +109,17 @@ class XTree {
   /// scalar scan.
   size_t base_rows() const { return view_.num_points(); }
 
-  /// Exact k nearest neighbours in `query.subspace`: nodes are visited in
-  /// ascending MBR min-distance and their points collected into a top-k
-  /// collector, stopping at the first node strictly beyond its k-th
-  /// distance — so the visited nodes are exactly those with min-distance
-  /// <= the k-th neighbour distance. Ordering matches LinearScanKnn:
-  /// ascending (distance, id).
+  /// Exact k nearest neighbours in `query.subspace`, ascending
+  /// (distance, id), bitwise equal to LinearScanKnn's answer. The leaf
+  /// nearest the query (by box min-distance) is scanned first; every other
+  /// leaf is swept in position order unless its box lies strictly beyond
+  /// the current k-th distance. So every leaf whose box is within the final
+  /// k-th distance is scanned, and a leaf exactly at it too, since it may
+  /// hold a tie with a smaller id.
   std::vector<knn::Neighbor> Knn(const knn::KnnQuery& query) const;
 
-  /// All points within `radius` (inclusive), ascending (distance, id).
+  /// All points within `radius` (inclusive), ascending (distance, id): the
+  /// leaves whose box is within `radius` are swept in position order.
   std::vector<knn::Neighbor> RangeSearch(std::span<const double> point,
                                          const Subspace& subspace,
                                          double radius) const;
@@ -118,10 +130,11 @@ class XTree {
 
   /// Point-to-point distance computations performed by queries so far.
   uint64_t distance_computations() const { return distance_count_; }
-  /// Tree nodes visited by queries so far.
+  /// Leaves scanned by queries so far. Queries read no directory node, so
+  /// this counts only the leaves whose rows a Knn or RangeSearch swept.
   uint64_t node_accesses() const { return node_access_count_; }
-  /// Work-counter snapshot under backend name "xtree": node accesses,
-  /// kernel leaf-scan queries and delta merges.
+  /// Work-counter snapshot under backend name "xtree": leaves scanned
+  /// (reported as node accesses), kernel queries and delta merges.
   knn::KnnBackendStats backend_stats() const;
 
   XTreeStats ComputeStats() const;
@@ -130,9 +143,9 @@ class XTree {
   /// depth, point count. Used heavily by tests.
   Status CheckInvariants() const;
 
-  struct Node;  // public so implementation helpers can name it
-
  private:
+  struct Node;
+
   /// Empty tree over `dataset`'s dimensionality; the factories fill it.
   XTree(const data::Dataset& dataset, knn::MetricKind metric,
         XTreeConfig config);
@@ -142,7 +155,8 @@ class XTree {
 
   /// Final build step: snapshots every dataset row leaf by leaf
   /// (depth-first leaf order, then the rows the tree does not hold) and
-  /// records each leaf's position range.
+  /// records the leaf table: each leaf's position range and box, and every
+  /// row's position.
   void RefreshKernelView();
 
   int Capacity(const Node& node) const;
@@ -166,6 +180,7 @@ class XTree {
   std::unique_ptr<Node> root_;
   size_t num_points_ = 0;
   kernels::DatasetView view_;
+  kernels::LeafTable leaves_;
   // Query-path tallies; relaxed atomics so concurrent read-only Knn /
   // RangeSearch calls from service worker threads are race-free.
   mutable RelaxedCounter distance_count_;

@@ -48,6 +48,56 @@ inline double SelectionBound(double bound) {
   }
 }
 
+/// Every leaf's min-accumulation from `query` in the subspace `dims`: the
+/// gap from the query to the leaf's box, accumulated per dimension exactly
+/// as Accumulate sums a row's terms and in the same ascending order, so no
+/// row of the leaf accumulates less (the header comment has the argument).
+/// One unit-stride pass over the leaves per dimension.
+template <knn::MetricKind kMetric>
+std::vector<double> LeafMinAccumulations(const LeafTable& leaves,
+                                         const double* query,
+                                         std::span<const int> dims) {
+  const size_t num_leaves = leaves.num_leaves();
+  std::vector<double> minacc(num_leaves, 0.0);
+  for (const int dim : dims) {
+    const size_t offset = static_cast<size_t>(dim) * num_leaves;
+    const double* lo = leaves.lo.data() + offset;
+    const double* hi = leaves.hi.data() + offset;
+    const double qv = query[dim];
+    for (size_t l = 0; l < num_leaves; ++l) {
+      Accumulate<kMetric>(minacc[l],
+                          std::max(0.0, std::max(lo[l] - qv, qv - hi[l])));
+    }
+  }
+  return minacc;
+}
+
+/// The skip test of the leaf filter: true when every member of a leaf with
+/// this min-accumulation is provably strictly beyond `bound_acc`, a bound
+/// already translated by SelectionBound. A leaf exactly at it survives.
+inline bool LeafBeyond(double minacc, double bound_acc) {
+  return minacc > bound_acc;
+}
+
+/// Calls visit(lo, hi) for each maximal run [lo, hi) of consecutive leaves
+/// that pass `keep(leaf)`, in leaf order. keep is asked again after each
+/// visit, so a run is decided by the state its predecessors left.
+template <typename KeepFn, typename VisitFn>
+void ForEachLeafRun(size_t num_leaves, const KeepFn& keep,
+                    const VisitFn& visit) {
+  size_t l = 0;
+  while (l < num_leaves) {
+    if (!keep(l)) {
+      ++l;
+      continue;
+    }
+    size_t r = l + 1;
+    while (r < num_leaves && keep(r)) ++r;
+    visit(l, r);
+    l = r;
+  }
+}
+
 /// The shared accumulation loop of both block kernels: sums the per-
 /// dimension terms of the m candidates at view positions [first, first + m)
 /// in ascending dimension order (the bitwise-identity contract with the
@@ -225,23 +275,21 @@ void MultiTopKDispatch(const DatasetView& view,
   }
 }
 
-template <bool kMapped>
 void TopKDispatch(const DatasetView& view, const double* query,
                   std::span<const int> dims, knn::MetricKind metric,
-                  const data::PointId* ids, data::PointId first, size_t m,
-                  TopKCollector* collector) {
+                  data::PointId first, size_t m, TopKCollector* collector) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      TopKBlock<knn::MetricKind::kL1, kMapped>(view, query, dims, ids, first,
-                                               m, collector);
+      TopKBlock<knn::MetricKind::kL1, false>(view, query, dims, nullptr, first,
+                                             m, collector);
       return;
     case knn::MetricKind::kL2:
-      TopKBlock<knn::MetricKind::kL2, kMapped>(view, query, dims, ids, first,
-                                               m, collector);
+      TopKBlock<knn::MetricKind::kL2, false>(view, query, dims, nullptr, first,
+                                             m, collector);
       return;
     case knn::MetricKind::kLInf:
-      TopKBlock<knn::MetricKind::kLInf, kMapped>(view, query, dims, ids,
-                                                 first, m, collector);
+      TopKBlock<knn::MetricKind::kLInf, false>(view, query, dims, nullptr,
+                                               first, m, collector);
       return;
   }
 }
@@ -263,6 +311,110 @@ void Dispatch(const DatasetView& view, const double* query,
                                             bound, out);
       return;
   }
+}
+
+/// Sweeps the positions [lo, hi) of a leaf-ordered view in kernel blocks,
+/// offering under the row ids held there, around the position `skip`
+/// (neither offered nor counted). Returns the candidates examined.
+template <knn::MetricKind kMetric>
+uint64_t SweepForTopK(const DatasetView& view, const double* query,
+                      std::span<const int> dims, size_t lo, size_t hi,
+                      size_t skip, TopKCollector* collector) {
+  const data::PointId* rows = view.row_ids().data();
+  auto sweep = [&](size_t begin, size_t end) {
+    for (size_t start = begin; start < end; start += kDistanceBlock) {
+      const size_t m = std::min(kDistanceBlock, end - start);
+      TopKBlock<kMetric, true>(view, query, dims, rows + start,
+                               static_cast<data::PointId>(start), m,
+                               collector);
+    }
+  };
+  if (skip < lo || skip >= hi) {
+    sweep(lo, hi);
+    return hi - lo;
+  }
+  sweep(lo, skip);
+  sweep(skip + 1, hi);
+  return hi - lo - 1;
+}
+
+template <knn::MetricKind kMetric>
+LeafScanCounts LeafFilteredTopKImpl(const DatasetView& view,
+                                    const LeafTable& leaves,
+                                    const double* query,
+                                    std::span<const int> dims,
+                                    std::optional<data::PointId> exclude,
+                                    TopKCollector* collector) {
+  LeafScanCounts counts;
+  const size_t num_leaves = leaves.num_leaves();
+  if (num_leaves == 0) return counts;
+  const std::vector<double> minacc =
+      LeafMinAccumulations<kMetric>(leaves, query, dims);
+
+  // Positions past the leaves are never swept, so an excluded row outside
+  // them needs no skip.
+  const size_t skip = exclude && *exclude < leaves.position.size()
+                          ? leaves.position[*exclude]
+                          : view.num_points();
+  auto scan = [&](size_t lo, size_t hi) {
+    counts.examined += SweepForTopK<kMetric>(view, query, dims,
+                                             leaves.first[lo],
+                                             leaves.first[hi], skip,
+                                             collector);
+    counts.leaves += hi - lo;
+  };
+
+  // The nearest box first, so the bound is tight before the sweep starts.
+  const size_t seed = static_cast<size_t>(
+      std::min_element(minacc.begin(), minacc.end()) - minacc.begin());
+  scan(seed, seed + 1);
+  double bound_acc = SelectionBound<kMetric>(collector->bound());
+  ForEachLeafRun(
+      num_leaves,
+      [&](size_t l) { return l != seed && !LeafBeyond(minacc[l], bound_acc); },
+      [&](size_t lo, size_t hi) {
+        scan(lo, hi);
+        bound_acc = SelectionBound<kMetric>(collector->bound());
+      });
+  return counts;
+}
+
+template <knn::MetricKind kMetric>
+LeafScanCounts LeafFilteredRangeImpl(const DatasetView& view,
+                                     const LeafTable& leaves,
+                                     const double* query,
+                                     std::span<const int> dims, double radius,
+                                     const data::Dataset* live_filter,
+                                     std::vector<knn::Neighbor>* out) {
+  LeafScanCounts counts;
+  const std::vector<double> minacc =
+      LeafMinAccumulations<kMetric>(leaves, query, dims);
+  const data::PointId* rows = view.row_ids().data();
+  const double bound_acc = SelectionBound<kMetric>(radius);
+  double dist[kDistanceBlock];
+  ForEachLeafRun(
+      leaves.num_leaves(),
+      [&](size_t l) { return !LeafBeyond(minacc[l], bound_acc); },
+      [&](size_t lo, size_t hi) {
+        const size_t end = leaves.first[hi];
+        for (size_t start = leaves.first[lo]; start < end;
+             start += kDistanceBlock) {
+          const size_t m = std::min(kDistanceBlock, end - start);
+          DistanceBlock<kMetric>(view, query, dims,
+                                 static_cast<data::PointId>(start), m, radius,
+                                 dist);
+          for (size_t j = 0; j < m; ++j) {
+            if (dist[j] <= radius) {
+              const data::PointId id = rows[start + j];
+              if (live_filter != nullptr && !live_filter->IsLive(id)) continue;
+              out->push_back({id, dist[j]});
+            }
+          }
+        }
+        counts.examined += end - leaves.first[lo];
+        counts.leaves += hi - lo;
+      });
+  return counts;
 }
 
 }  // namespace
@@ -314,8 +466,8 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
   auto scan_segment = [&](size_t lo, size_t hi) {
     for (size_t start = lo; start < hi; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, hi - start);
-      TopKDispatch<false>(view, query.data(), dims, metric, nullptr,
-                          static_cast<data::PointId>(start), m, collector);
+      TopKDispatch(view, query.data(), dims, metric,
+                   static_cast<data::PointId>(start), m, collector);
       examined += m;
     }
   };
@@ -330,37 +482,48 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
   return examined;
 }
 
-uint64_t ScanRangeForTopK(const DatasetView& view,
-                          std::span<const double> query,
-                          std::span<const int> dims, knn::MetricKind metric,
-                          size_t first, size_t count,
-                          std::optional<data::PointId> exclude,
-                          TopKCollector* collector) {
-  const std::span<const data::PointId> rows = view.row_ids();
-  assert(first + count <= rows.size());
-  auto scan = [&](size_t lo, size_t hi) {
-    for (size_t start = lo; start < hi; start += kDistanceBlock) {
-      const size_t m = std::min(kDistanceBlock, hi - start);
-      TopKDispatch<true>(view, query.data(), dims, metric,
-                         rows.data() + start,
-                         static_cast<data::PointId>(start), m, collector);
-    }
-  };
-  // Like ScanAllForTopK, scan around the excluded row's position, so it is
-  // neither offered nor counted.
-  size_t cut = count;
-  if (exclude) {
-    for (size_t j = 0; j < count; ++j) {
-      if (rows[first + j] == *exclude) {
-        cut = j;
-        break;
-      }
-    }
+LeafScanCounts LeafFilteredTopK(const DatasetView& view,
+                                const LeafTable& leaves,
+                                std::span<const double> query,
+                                std::span<const int> dims,
+                                knn::MetricKind metric,
+                                std::optional<data::PointId> exclude,
+                                TopKCollector* collector) {
+  assert(leaves.first.back() <= view.row_ids().size());
+  switch (metric) {
+    case knn::MetricKind::kL1:
+      return LeafFilteredTopKImpl<knn::MetricKind::kL1>(
+          view, leaves, query.data(), dims, exclude, collector);
+    case knn::MetricKind::kL2:
+      return LeafFilteredTopKImpl<knn::MetricKind::kL2>(
+          view, leaves, query.data(), dims, exclude, collector);
+    case knn::MetricKind::kLInf:
+      return LeafFilteredTopKImpl<knn::MetricKind::kLInf>(
+          view, leaves, query.data(), dims, exclude, collector);
   }
-  scan(first, first + cut);
-  if (cut == count) return count;
-  scan(first + cut + 1, first + count);
-  return count - 1;
+  return {};
+}
+
+LeafScanCounts LeafFilteredRange(const DatasetView& view,
+                                 const LeafTable& leaves,
+                                 std::span<const double> query,
+                                 std::span<const int> dims,
+                                 knn::MetricKind metric, double radius,
+                                 const data::Dataset* live_filter,
+                                 std::vector<knn::Neighbor>* out) {
+  assert(leaves.first.back() <= view.row_ids().size());
+  switch (metric) {
+    case knn::MetricKind::kL1:
+      return LeafFilteredRangeImpl<knn::MetricKind::kL1>(
+          view, leaves, query.data(), dims, radius, live_filter, out);
+    case knn::MetricKind::kL2:
+      return LeafFilteredRangeImpl<knn::MetricKind::kL2>(
+          view, leaves, query.data(), dims, radius, live_filter, out);
+    case knn::MetricKind::kLInf:
+      return LeafFilteredRangeImpl<knn::MetricKind::kLInf>(
+          view, leaves, query.data(), dims, radius, live_filter, out);
+  }
+  return {};
 }
 
 uint64_t ScanAllForTopKMulti(const DatasetView& view,

@@ -22,11 +22,27 @@
 // implies fl(sqrt(acc)) > b *strictly*: a pruned candidate can neither beat
 // the bound nor tie it, while every possible tie survives screening.
 //
-// The top-k scan entry points (ScanAllForTopK / ScanRangeForTopK /
+// The top-k scan entry points (ScanAllForTopK / LeafFilteredTopK /
 // ScanAllForTopKMulti) screen each surviving candidate the same way, so only
 // the rare near-bound candidates pay a square root; their admission then
 // uses the exact fl(sqrt(acc)) — bit-identical to the scalar path's
 // comparisons.
+//
+// Leaf filter (LeafFilteredTopK / LeafFilteredRange): a leaf-ordered view
+// comes with one box per leaf (LeafTable), and a query first computes every
+// leaf's min-accumulation — the per-dimension gap from the query to the box,
+// accumulated like a row's terms, in ascending dimension order — and skips
+// a leaf only when that exceeds SelectionBound(bound). The skip is exact:
+//  * every row x of a leaf lies inside its box, so per dimension
+//    |fl(q − x)| >= fl(gap) (rounding is monotone, and the gap is
+//    fl(lo − q), fl(q − hi) or 0);
+//  * both sums start at 0 and add their terms in the same order, and every
+//    step (+, the square, max) is monotone under rounding, so the row's
+//    accumulation is at least the leaf's min-accumulation;
+//  * hence minacc > SelectionBound(bound) proves every member *strictly*
+//    beyond the bound, so no member could be admitted, not even on a tie.
+// A leaf exactly at the bound is still scanned, so cross-leaf ties keep
+// their id break.
 //
 // Caveat: kPrunedDistance is +infinity, so a candidate whose *true* distance
 // is infinite (infinite coordinates) is indistinguishable from a pruned one.
@@ -158,18 +174,63 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
                         std::optional<data::PointId> exclude,
                         TopKCollector* collector);
 
-/// Top-k over the view positions [first, first + count) — one leaf of the
-/// X-tree's leaf-ordered view — read unit-stride and offered in position
-/// order under the row ids they hold (DatasetView::RowAt). The position
-/// holding `exclude` is skipped, neither offered nor counted. Returns the
-/// candidates examined: `count`, less one when the excluded row lies in
-/// the range. Requires a view built by BuildInOrder.
-uint64_t ScanRangeForTopK(const DatasetView& view,
-                          std::span<const double> query,
-                          std::span<const int> dims, knn::MetricKind metric,
-                          size_t first, size_t count,
-                          std::optional<data::PointId> exclude,
-                          TopKCollector* collector);
+/// The leaves of a leaf-ordered view (DatasetView::BuildInOrder) as
+/// structure-of-arrays boxes: leaf l owns the view positions
+/// [first[l], first[l + 1]), and every row there lies inside
+/// [lo, hi] in every dimension. The X-tree records it from its leaves at
+/// build (XTree::RefreshKernelView).
+struct LeafTable {
+  /// num_leaves() + 1 entries: each leaf's first position, then the end of
+  /// the last leaf. Positions from there on hold rows outside every leaf.
+  std::vector<size_t> first{0};
+  /// Box bounds, dimension-major: [dim * num_leaves() + leaf].
+  std::vector<double> lo;
+  std::vector<double> hi;
+  /// Row id -> view position, the inverse of DatasetView::row_ids().
+  std::vector<data::PointId> position;
+
+  size_t num_leaves() const { return first.size() - 1; }
+};
+
+/// Work done by one leaf-filtered query.
+struct LeafScanCounts {
+  /// Candidates examined, pruned included (the distance-counter unit).
+  uint64_t examined = 0;
+  /// Leaves whose positions were swept.
+  uint64_t leaves = 0;
+};
+
+/// Exact top-k over the leaves of a leaf-ordered view. One pass computes
+/// every leaf's min-accumulation (one unit-stride sweep per dimension of
+/// `dims`); the leaf with the smallest, lowest index on ties, is scanned
+/// first to seed the collector's bound; then the other leaves are swept in
+/// position order, skipping a leaf only when its min-accumulation exceeds
+/// the bound read at the start of each run of consecutive surviving
+/// leaves (see the header comment for why the skip is exact). Each run is
+/// one contiguous kernel range, offered in position order under the row
+/// ids it holds. The position holding `exclude` is skipped, neither offered
+/// nor counted. The collector's content is exactly what a scan of every
+/// leaf would leave.
+LeafScanCounts LeafFilteredTopK(const DatasetView& view,
+                                const LeafTable& leaves,
+                                std::span<const double> query,
+                                std::span<const int> dims,
+                                knn::MetricKind metric,
+                                std::optional<data::PointId> exclude,
+                                TopKCollector* collector);
+
+/// Every leaf row within `radius` (inclusive) of `query`, appended to `out`
+/// in position order with its exact distance; rows dead in `live_filter`
+/// (when given) are left out. Leaves whose min-accumulation exceeds
+/// SelectionBound(radius) are skipped, the rest swept in runs as in
+/// LeafFilteredTopK.
+LeafScanCounts LeafFilteredRange(const DatasetView& view,
+                                 const LeafTable& leaves,
+                                 std::span<const double> query,
+                                 std::span<const int> dims,
+                                 knn::MetricKind metric, double radius,
+                                 const data::Dataset* live_filter,
+                                 std::vector<knn::Neighbor>* out);
 
 /// Query-points per fused scan block (the query-point-inner-inner unroll of
 /// the multi-point kernel below): kQueryBlock accumulator rows of

@@ -58,7 +58,7 @@ struct KnnBackendStats {
   /// Implementation name: "linear_scan" or "xtree".
   std::string backend;
   uint64_t distance_computations = 0;
-  /// X-tree nodes touched (0 for the linear scan).
+  /// X-tree leaves scanned (0 for the linear scan).
   uint64_t node_accesses = 0;
   /// Scans answered through the batched SIMD kernel over the SoA base.
   uint64_t kernel_scans = 0;

@@ -108,8 +108,8 @@ TEST(MbrTest, MinDistanceRespectsSubspace) {
 }
 
 // MinDistance must lower-bound, MaxDistance upper-bound, the true distance
-// to any point inside the box — the correctness requirement of best-first
-// kNN over every metric and subspace.
+// to any point inside the box — the correctness requirement of the
+// X-tree's leaf filter over every metric and subspace.
 TEST(MbrTest, MinMaxDistanceBoundsRandomised) {
   Rng rng(17);
   const int d = 5;

@@ -210,6 +210,47 @@ TEST(XTreeTest, PrunesNodesComparedToLinearScan) {
   EXPECT_LT(tree->distance_computations(), 5000u / 2);
 }
 
+// Rows tombstoned before the build get snapshot positions past every leaf,
+// with zeroed columns. A query must sweep only the leaves: with
+// self-exclusion it examines at most size() - 1 rows, even when k exceeds
+// the live rows and nothing can be skipped.
+TEST(XTreeTest, SweepStopsAtTheLeavesWhenRowsWereDeadAtBuild) {
+  Rng rng(29);
+  data::Dataset ds = data::GenerateUniform(600, 5, &rng);
+  std::vector<data::PointId> dead;
+  for (data::PointId id = 3; id < ds.size(); id += 7) dead.push_back(id);
+  ASSERT_TRUE(ds.DeleteRows(dead).ok());
+  knn::LinearScanKnn oracle(ds, MetricKind::kL2);
+  const std::vector<data::PointId> live = ds.LiveIds();
+
+  for (const bool bulk : {true, false}) {
+    auto tree = bulk ? XTree::BulkLoad(ds, MetricKind::kL2)
+                     : XTree::BuildByInsertion(ds, MetricKind::kL2);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_EQ(tree->size(), live.size());
+    for (int trial = 0; trial < 30; ++trial) {
+      const data::PointId id = live[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+      KnnQuery query;
+      query.point = ds.Row(id);
+      query.subspace = Subspace::Full(5);
+      query.k = trial % 3 == 0 ? static_cast<int>(live.size()) + 2 : 5;
+      query.exclude = id;
+
+      const uint64_t before = tree->distance_computations();
+      const auto got = tree->Knn(query);
+      EXPECT_LE(tree->distance_computations() - before, tree->size() - 1)
+          << (bulk ? "bulk" : "insertion") << " trial " << trial;
+      const auto want = oracle.Search(query);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "trial " << trial << " i " << i;
+        EXPECT_EQ(got[i].distance, want[i].distance);
+      }
+    }
+  }
+}
+
 TEST(XTreeTest, DuplicatePointsHandled) {
   data::Dataset ds(2);
   for (int i = 0; i < 100; ++i) {

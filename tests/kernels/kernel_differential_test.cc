@@ -234,10 +234,11 @@ TEST_P(KernelDifferentialTest, AllBackendsMatchScalarReference) {
 // The leaf-ordered X-tree against the scalar reference, bitwise: Knn and
 // RangeSearch on bulk-loaded and insertion-built trees. Knn's radius-k
 // range (the k-th distance) is where ties across leaves decide the answer.
-// Knn must also visit exactly the nodes whose MBR min-distance is <= the
-// k-th neighbour distance — the nodes RangeSearch visits at that radius —
-// which pins its stop rule: a node exactly at the bound is still scanned,
-// since it may hold a tie with a smaller id.
+// Knn must also scan at least every leaf RangeSearch scans at that radius
+// (both count leaves scanned): its bound only falls towards the k-th
+// distance, and a leaf exactly at the bound is still scanned, since it may
+// hold a tie with a smaller id. Which further leaves it scans depends on
+// how early the bound tightens, so only containment is pinned.
 TEST_P(KernelDifferentialTest, XTreeMatchesScalarReferenceExactly) {
   const DiffParam param = GetParam();
   Rng rng(param.n * 577 + param.d);
@@ -276,12 +277,12 @@ TEST_P(KernelDifferentialTest, XTreeMatchesScalarReferenceExactly) {
       const std::string label =
           (tree == &*bulk_tree ? "bulk" : "insertion") +
           std::string(" trial ") + std::to_string(trial);
-      const uint64_t nodes_before = tree->node_accesses();
+      const uint64_t leaves_before = tree->node_accesses();
       ExpectExactNeighbors(tree->Knn(query), want, label + " knn");
-      const uint64_t knn_nodes = tree->node_accesses() - nodes_before;
+      const uint64_t knn_leaves = tree->node_accesses() - leaves_before;
       ExpectExactNeighbors(tree->RangeSearch(q, query.subspace, kth_distance),
                            want_range, label + " range");
-      EXPECT_EQ(knn_nodes, tree->node_accesses() - nodes_before - knn_nodes)
+      EXPECT_GE(knn_leaves, tree->node_accesses() - leaves_before - knn_leaves)
           << label;
     }
   }

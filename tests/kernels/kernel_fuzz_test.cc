@@ -2,7 +2,10 @@
 // xtree_fuzz_test / lattice_fuzz_test: seeded RNG sweeps over duplicate
 // points, zero-variance dimensions, candidate blocks smaller than the
 // kernel's unroll width, k >= n and empty subspaces, always checked against
-// the scalar knn::SubspaceDistance oracle.
+// the scalar knn::SubspaceDistance oracle. The top-k sweep runs both kNN
+// backends: with duplicates or the empty subspace every X-tree leaf can sit
+// exactly at the k-th distance, where only a strict leaf skip keeps the
+// smaller-id ties.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 
 #include "src/common/rng.h"
 #include "src/data/dataset.h"
+#include "src/index/xtree.h"
 #include "src/kernels/batched_distance.h"
 #include "src/kernels/dataset_view.h"
 #include "src/knn/linear_scan.h"
@@ -125,6 +129,12 @@ TEST(KernelFuzzTest, TopKScansMatchOracleOnDegenerateData) {
     data::Dataset ds = MakeDegenerate(n, d, &rng);
     const MetricKind metric = kMetrics[seed % 3];
     knn::LinearScanKnn engine(ds, metric);
+    // Small nodes, so even these datasets make multi-leaf trees.
+    index::XTreeConfig config;
+    config.max_entries = 4;
+    auto bulk_tree = index::XTree::BulkLoad(ds, metric, config);
+    auto grown_tree = index::XTree::BuildByInsertion(ds, metric, config);
+    ASSERT_TRUE(bulk_tree.ok() && grown_tree.ok());
 
     for (int trial = 0; trial < 6; ++trial) {
       KnnQuery query;
@@ -170,6 +180,20 @@ TEST(KernelFuzzTest, TopKScansMatchOracleOnDegenerateData) {
         ASSERT_EQ(got[i].distance, want[i].distance)
             << "seed " << seed << " rank " << i;
       }
+      for (const auto* tree : {&*bulk_tree, &*grown_tree}) {
+        const char* label = tree == &*bulk_tree ? "bulk" : "insertion";
+        const auto tree_got = tree->Knn(query);
+        ASSERT_EQ(tree_got.size(), want.size())
+            << label << " seed " << seed << " trial " << trial;
+        for (size_t i = 0; i < tree_got.size(); ++i) {
+          ASSERT_EQ(tree_got[i].id, want[i].id)
+              << label << " seed " << seed << " trial " << trial << " rank "
+              << i;
+          ASSERT_EQ(tree_got[i].distance, want[i].distance)
+              << label << " seed " << seed << " trial " << trial << " rank "
+              << i;
+        }
+      }
 
       // RangeSearch against the same oracle distances.
       const double radius = rng.Uniform(0.0, 1.5);
@@ -183,6 +207,16 @@ TEST(KernelFuzzTest, TopKScansMatchOracleOnDegenerateData) {
       ASSERT_EQ(in_range.size(), expect_count) << "seed " << seed;
       for (const auto& neighbor : in_range) {
         ASSERT_LE(neighbor.distance, radius);
+      }
+      // The trees' range answers match the scan's bitwise, order included.
+      for (const auto* tree : {&*bulk_tree, &*grown_tree}) {
+        const auto tree_range = tree->RangeSearch(q, query.subspace, radius);
+        ASSERT_EQ(tree_range.size(), in_range.size()) << "seed " << seed;
+        for (size_t i = 0; i < tree_range.size(); ++i) {
+          ASSERT_EQ(tree_range[i].id, in_range[i].id) << "seed " << seed;
+          ASSERT_EQ(tree_range[i].distance, in_range[i].distance)
+              << "seed " << seed;
+        }
       }
     }
   }
