@@ -1,21 +1,41 @@
 #include "src/common/combinatorics.h"
 
+#include <array>
 #include <bit>
 #include <cassert>
 
 namespace hos {
+namespace {
+
+/// The largest n Binomial answers (its documented exact range).
+constexpr int kMaxBinomialN = 62;
+
+using PascalTriangle =
+    std::array<std::array<uint64_t, kMaxBinomialN + 1>, kMaxBinomialN + 1>;
+
+/// C(n, k) for 0 <= k <= n <= kMaxBinomialN by Pascal's rule; entries with
+/// k > n stay 0. Every entry fits 64 bits: the largest, C(62, 31), is
+/// below 2^59.
+constexpr PascalTriangle MakePascalTriangle() {
+  PascalTriangle table{};
+  table[0][0] = 1;
+  for (int n = 1; n <= kMaxBinomialN; ++n) {
+    table[n][0] = 1;
+    for (int k = 1; k <= n; ++k) {
+      table[n][k] = table[n - 1][k - 1] + table[n - 1][k];
+    }
+  }
+  return table;
+}
+
+constexpr PascalTriangle kPascal = MakePascalTriangle();
+
+}  // namespace
 
 uint64_t Binomial(int n, int k) {
-  if (k < 0 || k > n || n < 0) return 0;
-  if (k > n - k) k = n - k;
-  uint64_t result = 1;
-  for (int i = 1; i <= k; ++i) {
-    // Multiply before divide stays exact because C(n, i) is an integer
-    // and result * (n - k + i) fits 64 bits for n <= 62.
-    result = result * static_cast<uint64_t>(n - k + i) /
-             static_cast<uint64_t>(i);
-  }
-  return result;
+  assert(n <= kMaxBinomialN);
+  if (k < 0 || k > n || n < 0 || n > kMaxBinomialN) return 0;
+  return kPascal[n][k];
 }
 
 uint64_t DownwardSavingFactor(int m) {

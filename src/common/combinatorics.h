@@ -9,8 +9,10 @@
 
 namespace hos {
 
-/// Binomial coefficient C(n, k) computed in 64-bit arithmetic.
-/// Exact for every (n, k) with n <= 62; returns 0 for k < 0 or k > n.
+/// Binomial coefficient C(n, k), one lookup in a compile-time Pascal
+/// triangle of 64-bit entries. Exact for every (n, k) with n <= 62;
+/// returns 0 for k < 0 or k > n. n > 62 is outside the table: a caller
+/// error, asserted in debug builds, that returns 0.
 uint64_t Binomial(int n, int k);
 
 /// Sum_{i=1..m-1} C(i, m) * i — the Downward Saving Factor of an

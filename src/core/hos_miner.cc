@@ -105,6 +105,12 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
   auto owned = std::make_unique<data::Dataset>(std::move(dataset));
   normalizer.Apply(owned.get());
   HOS_RETURN_IF_ERROR(CheckRowsFinite(*owned, /*normalized=*/true));
+  // An infinite scale maps a column to zeros, which the row check passes.
+  if (const int dim = normalizer.FirstNonFiniteScale(); dim >= 0) {
+    return Status::InvalidArgument(
+        "dimension " + std::to_string(dim) +
+        " cannot be normalized: its spread overflows a double");
+  }
 
   HosMiner miner(std::move(config), std::move(owned), std::move(normalizer));
 

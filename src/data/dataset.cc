@@ -234,7 +234,13 @@ std::vector<ColumnStats> ComputeColumnStats(const Dataset& dataset) {
   std::vector<ColumnStats> stats(d);
   if (dataset.live_size() == 0) return stats;
 
-  std::vector<double> sum(d, 0.0), sum_sq(d, 0.0);
+  // The variance comes from sums of x - shift, where shift is the column's
+  // first live value: Σx²/n - mean² cancels catastrophically once a
+  // column's offset dwarfs its spread (1e6 + 0.001·i reads stddev 0) and
+  // overflows for |x| past ~1e154, while the shifted sums keep the spread's
+  // own magnitude.
+  std::vector<double> sum(d, 0.0), shift(d, 0.0), shifted_sum(d, 0.0),
+      shifted_sum_sq(d, 0.0);
   bool first = true;
   for (PointId i = 0; i < dataset.size(); ++i) {
     if (!dataset.IsLive(i)) continue;
@@ -244,20 +250,26 @@ std::vector<ColumnStats> ComputeColumnStats(const Dataset& dataset) {
       if (first) {
         stats[j].min = v;
         stats[j].max = v;
+        shift[j] = v;
       } else {
         stats[j].min = std::min(stats[j].min, v);
         stats[j].max = std::max(stats[j].max, v);
       }
       sum[j] += v;
-      sum_sq[j] += v * v;
+      const double delta = v - shift[j];
+      shifted_sum[j] += delta;
+      shifted_sum_sq[j] += delta * delta;
     }
     first = false;
   }
   const double n = static_cast<double>(dataset.live_size());
   for (int j = 0; j < d; ++j) {
     stats[j].mean = sum[j] / n;
-    double var = sum_sq[j] / n - stats[j].mean * stats[j].mean;
-    stats[j].stddev = var > 0.0 ? std::sqrt(var) : 0.0;
+    const double shifted_mean = shifted_sum[j] / n;
+    const double var = shifted_sum_sq[j] / n - shifted_mean * shifted_mean;
+    // Rounding may leave a tiny negative variance, which is 0; a NaN or
+    // infinite one (the spread overflows a double) stays non-finite.
+    stats[j].stddev = var < 0.0 ? 0.0 : std::sqrt(var);
   }
   return stats;
 }

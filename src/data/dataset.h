@@ -292,7 +292,9 @@ struct ColumnStats {
 
 /// Computes min/max/mean/stddev for every column in one pass over the
 /// *live* rows (tombstoned rows are invisible, matching a fresh build on
-/// the survivors).
+/// the survivors). stddev is the population standard deviation, accurate
+/// for columns whose offset dwarfs their spread; it is NaN or +Inf when the
+/// spread overflows a double.
 std::vector<ColumnStats> ComputeColumnStats(const Dataset& dataset);
 
 }  // namespace hos::data

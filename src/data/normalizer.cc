@@ -21,11 +21,20 @@ Normalizer Normalizer::Fit(const Dataset& dataset, NormalizationKind kind) {
         scale[j] = std::max(stats[j].max - stats[j].min, kMinScale);
       } else {  // kZScore
         offset[j] = stats[j].mean;
+        // std::max returns its first argument for a NaN stddev, so a
+        // non-finite spread stays visible to FirstNonFiniteScale.
         scale[j] = std::max(stats[j].stddev, kMinScale);
       }
     }
   }
   return Normalizer(kind, std::move(offset), std::move(scale));
+}
+
+int Normalizer::FirstNonFiniteScale() const {
+  for (int j = 0; j < num_dims(); ++j) {
+    if (!std::isfinite(scale_[j])) return j;
+  }
+  return -1;
 }
 
 void Normalizer::Apply(Dataset* dataset) const {

@@ -37,6 +37,10 @@ class Normalizer {
   /// Inverse-transforms a single point in place.
   void Invert(std::vector<double>* point) const;
 
+  /// The first dimension whose fitted scale is not finite (a column whose
+  /// spread overflows a double), or -1.
+  int FirstNonFiniteScale() const;
+
   NormalizationKind kind() const { return kind_; }
   int num_dims() const { return static_cast<int>(offset_.size()); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace hos::kernels {
 namespace {
@@ -11,6 +12,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Dimensions accumulated between early-exit checks.
 constexpr size_t kDimChunk = 8;
+
+/// Candidates whose accumulators stay in vector registers across a
+/// dimension chunk: four AVX2 registers. GCC 12 keeps a 32-wide tile in
+/// memory instead.
+constexpr size_t kTile = 16;
+
+/// Independent lanes of BlockMin, so the reduction vectorizes instead of
+/// running one serial min chain.
+constexpr size_t kMinLanes = 8;
+
+/// Two lanes of BlockMin: a GCC/Clang vector extension type, because
+/// `a < b ? a : b` on it is one (v)minpd, which the auto-vectorizer does not
+/// form from a min reduction without -ffast-math. Two doubles fill an SSE2
+/// register, which every x86-64 target has; a type wider than the target's
+/// registers goes through the stack.
+using MinPair = double __attribute__((vector_size(2 * sizeof(double))));
 
 template <knn::MetricKind kMetric>
 inline void Accumulate(double& acc, double diff) {
@@ -98,6 +115,46 @@ void ForEachLeafRun(size_t num_leaves, const KeepFn& keep,
   }
 }
 
+/// The smallest of acc[0, m), m >= 1, reduced in kMinLanes independent
+/// lanes. Exact: every accumulation is a non-NaN value >= +0 (it starts at
+/// +0 and only adds |d|, d² or takes max(·, |d|)), and the minimum of such
+/// values does not depend on the order they are compared in.
+inline double BlockMin(const double* acc, size_t m) {
+  constexpr size_t kPairs = kMinLanes / 2;
+  MinPair lane[kPairs];
+  for (MinPair& pair : lane) pair = MinPair{kInf, kInf};
+  size_t j = 0;
+  for (; j + kMinLanes <= m; j += kMinLanes) {
+    for (size_t p = 0; p < kPairs; ++p) {
+      MinPair x;
+      std::memcpy(&x, acc + j + 2 * p, sizeof x);
+      lane[p] = x < lane[p] ? x : lane[p];
+    }
+  }
+  for (size_t p = 1; p < kPairs; ++p) {
+    lane[0] = lane[p] < lane[0] ? lane[p] : lane[0];
+  }
+  double min = std::min(lane[0][0], lane[0][1]);
+  for (; j < m; ++j) min = std::min(min, acc[j]);
+  return min;
+}
+
+/// Adds the terms of dimensions [c, chunk_end) to the `count` accumulators
+/// of view positions [first, first + count), in ascending dimension order.
+template <knn::MetricKind kMetric>
+inline void AccumulateChunk(const DatasetView& view, const double* query,
+                            std::span<const int> dims, size_t c,
+                            size_t chunk_end, data::PointId first,
+                            size_t count, double* acc) {
+  for (; c < chunk_end; ++c) {
+    const double* base = view.Column(dims[c]) + first;
+    const double qv = query[dims[c]];
+    for (size_t j = 0; j < count; ++j) {
+      Accumulate<kMetric>(acc[j], qv - base[j]);
+    }
+  }
+}
+
 /// The shared accumulation loop of both block kernels: sums the per-
 /// dimension terms of the m candidates at view positions [first, first + m)
 /// in ascending dimension order (the bitwise-identity contract with the
@@ -106,6 +163,12 @@ void ForEachLeafRun(size_t num_leaves, const KeepFn& keep,
 /// translated into accumulation space by SelectionBound, so exceeding it
 /// proves every final distance strictly greater than the caller's distance
 /// bound. Returns false when the block was abandoned that way.
+///
+/// Within a chunk, each kTile-candidate tile is loaded into a local array
+/// once, swept over the chunk's dimensions in registers and stored once;
+/// the block's last m % kTile candidates are swept in place. Tiling only
+/// regroups candidates, so every accumulation and every check is the one
+/// the untiled loop computes.
 template <knn::MetricKind kMetric>
 bool AccumulateBlock(const DatasetView& view, const double* query,
                      std::span<const int> dims, data::PointId first,
@@ -114,21 +177,23 @@ bool AccumulateBlock(const DatasetView& view, const double* query,
 
   const size_t num_dims = dims.size();
   const bool bounded = threshold < kInf;
+  const size_t tiled = m - m % kTile;
   size_t c = 0;
   while (c < num_dims) {
     const size_t chunk_end = std::min(c + kDimChunk, num_dims);
-    for (; c < chunk_end; ++c) {
-      const double* base = view.Column(dims[c]) + first;
-      const double qv = query[dims[c]];
-      for (size_t j = 0; j < m; ++j) {
-        Accumulate<kMetric>(acc[j], qv - base[j]);
-      }
+    for (size_t t = 0; t < tiled; t += kTile) {
+      double tile[kTile];
+      for (size_t j = 0; j < kTile; ++j) tile[j] = acc[t + j];
+      AccumulateChunk<kMetric>(view, query, dims, c, chunk_end,
+                               first + static_cast<data::PointId>(t), kTile,
+                               tile);
+      for (size_t j = 0; j < kTile; ++j) acc[t + j] = tile[j];
     }
-    if (bounded && c < num_dims) {
-      double partial = acc[0];
-      for (size_t j = 1; j < m; ++j) partial = std::min(partial, acc[j]);
-      if (partial > threshold) return false;
-    }
+    AccumulateChunk<kMetric>(view, query, dims, c, chunk_end,
+                             first + static_cast<data::PointId>(tiled),
+                             m - tiled, acc + tiled);
+    c = chunk_end;
+    if (bounded && c < num_dims && BlockMin(acc, m) > threshold) return false;
   }
   return true;
 }
@@ -166,9 +231,7 @@ void TopKBlock(const DatasetView& view, const double* query,
                                 acc)) {
     return;  // whole block provably beyond the k-th neighbour
   }
-  double closest = acc[0];
-  for (size_t j = 1; j < m; ++j) closest = std::min(closest, acc[j]);
-  if (closest > bound_acc) return;  // no admissible candidate in the block
+  if (BlockMin(acc, m) > bound_acc) return;  // no admissible candidate
   for (size_t j = 0; j < m; ++j) {
     if (acc[j] <= bound_acc) {
       const double dist = Finalize<kMetric>(acc[j]);
@@ -230,9 +293,7 @@ void MultiTopKBlock(const DatasetView& view,
     if (c < num_dims) {
       for (size_t q = 0; q < nq; ++q) {
         if (!active[q] || !(bound_acc[q] < kInf)) continue;
-        double partial = acc[q][0];
-        for (size_t j = 1; j < m; ++j) partial = std::min(partial, acc[q][j]);
-        if (partial > bound_acc[q]) {
+        if (BlockMin(acc[q], m) > bound_acc[q]) {
           active[q] = false;
           --num_active;
         }
@@ -244,9 +305,7 @@ void MultiTopKBlock(const DatasetView& view,
   for (size_t q = 0; q < nq; ++q) {
     if (!active[q]) continue;
     const double* a = acc[q];
-    double closest = a[0];
-    for (size_t j = 1; j < m; ++j) closest = std::min(closest, a[j]);
-    if (closest > bound_acc[q]) continue;
+    if (BlockMin(a, m) > bound_acc[q]) continue;
     for (size_t j = 0; j < m; ++j) {
       if (a[j] <= bound_acc[q]) {
         const data::PointId id = first + static_cast<data::PointId>(j);

@@ -2,14 +2,22 @@
 // backends (knn/linear_scan over a view in row-id order, index/xtree over
 // its leaf-ordered view).
 //
-// Loop order: distances from one query point to a block of candidates are
-// computed dimension-outer / candidate-inner over the column-major
-// DatasetView, so the inner loop is a unit-stride sweep over a run of view
-// positions, which the compiler auto-vectorizes. Each candidate still
-// accumulates its per-dimension terms in ascending dimension order — the
-// same order knn::SubspaceDistance walks the mask — so kernel distances are
-// *bitwise identical* to the scalar metric path; the differential suite
+// Loop order: distances from one query point to a block of up to 64
+// candidates are computed in chunks of 8 dimensions over the column-major
+// DatasetView. Within a chunk, each tile of 16 candidates is loaded into
+// vector registers once, advanced through the chunk's dimensions (each a
+// unit-stride, auto-vectorized read of one column) and stored once; the
+// block's last m % 16 candidates run the same dimension-outer /
+// candidate-inner loop in memory. Each candidate still accumulates its
+// per-dimension terms in ascending dimension order — the same order
+// knn::SubspaceDistance walks the mask — so kernel distances are *bitwise
+// identical* to the scalar metric path; the differential suite
 // (tests/kernels/) asserts this on both backends.
+//
+// Block minima (the early-exit test below and the top-k screen) are
+// reduced in eight independent vector lanes, not one serial min chain.
+// That is exact too: every accumulation is a non-NaN value >= +0, and the
+// minimum of such values does not depend on the order of comparison.
 //
 // Partial-distance early exit: all three metrics are monotone in the
 // dimension set, so a block whose smallest partial accumulation already

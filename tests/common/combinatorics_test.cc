@@ -29,6 +29,21 @@ TEST(BinomialTest, PascalIdentityHoldsForAllSmallN) {
   }
 }
 
+// Binomial reads a Pascal triangle, so the Pascal identity above only
+// checks the table against itself; here every entry of its range is
+// recomputed independently, by the multiplicative formula in 128 bits.
+TEST(BinomialTest, MatchesMultiplicativeFormulaOverItsWholeRange) {
+  for (int n = 0; n <= 62; ++n) {
+    unsigned __int128 want = 1;  // C(n, k), advanced one k at a time
+    for (int k = 0; k <= n; ++k) {
+      if (k > 0) want = want * static_cast<unsigned>(n - k + 1) / k;
+      ASSERT_EQ(Binomial(n, k), static_cast<uint64_t>(want))
+          << "n=" << n << " k=" << k;
+    }
+    EXPECT_EQ(Binomial(n, n + 1), 0u) << "n=" << n;
+  }
+}
+
 TEST(BinomialTest, LargeExactValue) {
   EXPECT_EQ(Binomial(62, 31), 465428353255261088ull);
 }

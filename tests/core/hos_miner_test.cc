@@ -76,6 +76,26 @@ TEST(HosMinerBuildTest, RejectsRowsWhoseNormalizationOverflows) {
       << rejected.status().ToString();
 }
 
+TEST(HosMinerBuildTest, RejectsAZScoreColumnWhoseSpreadOverflows) {
+  // ±1e200 squares past the largest double, so does 1e155; at 1e155 the
+  // mean stays finite and an infinite scale would map the column to 0.
+  for (const bool alternating : {true, false}) {
+    Rng rng(4);
+    data::Dataset ds = data::GenerateUniform(40, 3, &rng);
+    for (data::PointId id = 0; id < ds.size(); ++id) {
+      if (alternating) ds.Set(id, 0, id % 2 == 0 ? 1e200 : -1e200);
+    }
+    if (!alternating) ds.Set(7, 0, 1e155);
+    HosMinerConfig config;
+    config.normalization = data::NormalizationKind::kZScore;
+    auto rejected = HosMiner::Build(std::move(ds), config);
+    ASSERT_FALSE(rejected.ok()) << alternating;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument()) << alternating;
+    EXPECT_TRUE(Mentions(rejected.status(), "dimension 0"))
+        << rejected.status().ToString();
+  }
+}
+
 TEST(HosMinerBuildTest, RejectsTooManyDims) {
   // The hard cap is now lattice::kMaxLatticeDims (58), not the dense
   // backend's 22: d = 23 builds fine (queries auto-select the sparse
@@ -336,6 +356,26 @@ TEST(HosMinerConfigTest, ZScoreNormalizationWorks) {
   auto result = miner->Query(planted);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->is_outlier_anywhere());
+}
+
+TEST(HosMinerConfigTest, ZScoreIgnoresALargeColumnOffset) {
+  Rng plain_rng(13);
+  Rng shifted_rng(13);
+  data::Dataset plain = data::GenerateUniform(200, 3, &plain_rng);
+  data::Dataset shifted = data::GenerateUniform(200, 3, &shifted_rng);
+  for (data::PointId id = 0; id < shifted.size(); ++id) {
+    shifted.Set(id, 0, shifted.At(id, 0) + 1e6);
+  }
+  HosMinerConfig config;
+  config.normalization = data::NormalizationKind::kZScore;
+  auto plain_miner = HosMiner::Build(std::move(plain), config);
+  auto shifted_miner = HosMiner::Build(std::move(shifted), config);
+  ASSERT_TRUE(plain_miner.ok() && shifted_miner.ok());
+  for (data::PointId id = 0; id < plain_miner->dataset().size(); ++id) {
+    EXPECT_NEAR(shifted_miner->dataset().At(id, 0),
+                plain_miner->dataset().At(id, 0), 1e-6)
+        << "row " << id;
+  }
 }
 
 TEST(HosMinerConfigTest, L1MetricWorks) {

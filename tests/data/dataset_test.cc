@@ -142,6 +142,44 @@ TEST(ColumnStatsTest, ComputesMinMaxMeanStddev) {
   EXPECT_DOUBLE_EQ(stats[1].mean, 10.0);
 }
 
+TEST(ColumnStatsTest, StddevIsAccurateUnderALargeColumnOffset) {
+  for (const double offset : {1e6, 1e8, 1e9, 1e10}) {
+    Dataset ds(1);
+    for (int i = 0; i < 100; ++i) {
+      ds.Append(std::vector<double>{offset + 0.001 * i});
+    }
+    // Reference: two passes over the stored values' differences from the
+    // first one (exact subtractions, since they are within a factor of 2).
+    const double n = static_cast<double>(ds.size());
+    double delta_sum = 0.0;
+    for (PointId i = 0; i < ds.size(); ++i) {
+      delta_sum += ds.At(i, 0) - ds.At(0, 0);
+    }
+    const double delta_mean = delta_sum / n;
+    double square_sum = 0.0;
+    for (PointId i = 0; i < ds.size(); ++i) {
+      const double centered = ds.At(i, 0) - ds.At(0, 0) - delta_mean;
+      square_sum += centered * centered;
+    }
+    const double want = std::sqrt(square_sum / n);
+    ASSERT_NEAR(want, 0.0288661, 1e-5) << offset;
+
+    const auto stats = ComputeColumnStats(ds);
+    EXPECT_NEAR(stats[0].stddev, want, 1e-9 * want) << offset;
+    EXPECT_EQ(stats[0].min, offset) << offset;
+  }
+}
+
+TEST(ColumnStatsTest, OverflowingSpreadIsNotFinite) {
+  // An odd count, so the mean is not 0 and Σx²/n - mean² would be
+  // Inf - Inf: a NaN that must not read as zero spread.
+  Dataset ds(1);
+  for (int i = 0; i < 11; ++i) {
+    ds.Append(std::vector<double>{i % 2 == 0 ? 1e200 : -1e200});
+  }
+  EXPECT_FALSE(std::isfinite(ComputeColumnStats(ds)[0].stddev));
+}
+
 TEST(ColumnStatsTest, EmptyDatasetYieldsZeros) {
   Dataset ds(2);
   auto stats = ComputeColumnStats(ds);

@@ -1,15 +1,20 @@
 // Degenerate-input fuzzing for the batched distance kernel, in the style of
 // xtree_fuzz_test / lattice_fuzz_test: seeded RNG sweeps over duplicate
 // points, zero-variance dimensions, candidate blocks smaller than the
-// kernel's unroll width, k >= n and empty subspaces, always checked against
-// the scalar knn::SubspaceDistance oracle. The top-k sweep runs both kNN
-// backends: with duplicates or the empty subspace every X-tree leaf can sit
-// exactly at the k-th distance, where only a strict leaf skip keeps the
-// smaller-id ties.
+// kernel's unroll width and its 16-candidate register tiles, k >= n and
+// empty subspaces, always checked against the scalar knn::SubspaceDistance
+// oracle. Dimensions reach 40 and subspaces the full space, so the early
+// exit between 8-dimension chunks runs at every chunk boundary up to 32.
+// The top-k sweep runs both kNN backends and the linear scan's fused
+// multi-point batch: with duplicates or the empty subspace every X-tree
+// leaf can sit exactly at the k-th distance, where only a strict leaf skip
+// keeps the smaller-id ties.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -29,6 +34,47 @@ using knn::Neighbor;
 
 constexpr MetricKind kMetrics[] = {MetricKind::kL1, MetricKind::kL2,
                                    MetricKind::kLInf};
+
+/// Dimensionalities drawn: up to 40, so subspaces span five 8-dimension
+/// chunks.
+constexpr int kMaxFuzzDims = 40;
+
+/// A non-empty subspace of d dimensions: sometimes the full space,
+/// otherwise each dimension kept with a per-draw probability, so sizes
+/// spread over 1..d rather than bunching at d / 2.
+Subspace RandomSubspace(int d, Rng* rng) {
+  if (rng->Bernoulli(0.2)) return Subspace::Full(d);
+  const double keep = rng->Uniform();
+  uint64_t mask = 0;
+  for (int dim = 0; dim < d; ++dim) {
+    if (rng->Bernoulli(keep)) mask |= uint64_t{1} << dim;
+  }
+  if (mask == 0) mask = uint64_t{1} << rng->UniformInt(0, d - 1);
+  return Subspace(mask);
+}
+
+/// The scalar oracle's k nearest neighbours of q, (distance, id) ordered.
+std::vector<Neighbor> OracleKnn(const data::Dataset& ds,
+                                std::span<const double> q,
+                                const Subspace& subspace, MetricKind metric,
+                                std::optional<data::PointId> exclude,
+                                int k) {
+  std::vector<Neighbor> want;
+  for (data::PointId id = 0; id < ds.size(); ++id) {
+    if (exclude && *exclude == id) continue;
+    want.push_back({id, knn::SubspaceDistance(q, ds.Row(id), subspace,
+                                              metric)});
+  }
+  std::sort(want.begin(), want.end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.id < b.id;
+            });
+  if (want.size() > static_cast<size_t>(std::max(k, 0))) {
+    want.resize(static_cast<size_t>(std::max(k, 0)));
+  }
+  return want;
+}
 
 /// Degenerate dataset: clusters of exact duplicates, zero-variance
 /// dimensions, and a few isolated points.
@@ -50,12 +96,13 @@ data::Dataset MakeDegenerate(size_t n, int d, Rng* rng) {
 }
 
 TEST(KernelFuzzTest, TinyBlocksAndDuplicatesMatchOracle) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed);
-    // Deliberately spans sizes below, at, and just above the unroll width.
+    // Deliberately spans sizes below, at, and above the unroll width, so
+    // blocks end in every tile tail.
     const size_t n = 1 + static_cast<size_t>(rng.UniformInt(
-                             0, static_cast<int64_t>(2 * kDistanceBlock)));
-    const int d = 1 + static_cast<int>(rng.UniformInt(0, 9));
+                             0, static_cast<int64_t>(3 * kDistanceBlock) - 1));
+    const int d = 1 + static_cast<int>(rng.UniformInt(0, kMaxFuzzDims - 1));
     data::Dataset ds = MakeDegenerate(n, d, &rng);
     DatasetView view = DatasetView::Build(ds);
     const MetricKind metric = kMetrics[seed % 3];
@@ -65,8 +112,7 @@ TEST(KernelFuzzTest, TinyBlocksAndDuplicatesMatchOracle) {
     const Subspace subspace =
         rng.Bernoulli(0.15)
             ? Subspace()  // empty: every distance is exactly 0
-            : Subspace(1 + static_cast<uint64_t>(rng.UniformInt(
-                           0, (int64_t{1} << d) - 2)));
+            : RandomSubspace(d, &rng);
 
     // Oracle distances.
     std::vector<double> want(n);
@@ -122,10 +168,11 @@ TEST(KernelFuzzTest, TinyBlocksAndDuplicatesMatchOracle) {
 }
 
 TEST(KernelFuzzTest, TopKScansMatchOracleOnDegenerateData) {
-  for (uint64_t seed = 100; seed < 120; ++seed) {
+  for (uint64_t seed = 100; seed < 140; ++seed) {
     Rng rng(seed);
-    const size_t n = 1 + static_cast<size_t>(rng.UniformInt(0, 150));
-    const int d = 1 + static_cast<int>(rng.UniformInt(0, 7));
+    const size_t n = 1 + static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(3 * kDistanceBlock) - 1));
+    const int d = 1 + static_cast<int>(rng.UniformInt(0, kMaxFuzzDims - 1));
     data::Dataset ds = MakeDegenerate(n, d, &rng);
     const MetricKind metric = kMetrics[seed % 3];
     knn::LinearScanKnn engine(ds, metric);
@@ -148,31 +195,12 @@ TEST(KernelFuzzTest, TopKScansMatchOracleOnDegenerateData) {
         query.exclude = row;
       }
       query.point = q;
-      query.subspace =
-          trial == 0 ? Subspace()
-                     : Subspace(1 + static_cast<uint64_t>(rng.UniformInt(
-                                    0, (int64_t{1} << d) - 2)));
+      query.subspace = trial == 0 ? Subspace() : RandomSubspace(d, &rng);
       // k spans 0, < n, == n and > n.
       query.k = static_cast<int>(rng.UniformInt(0, static_cast<int64_t>(n) + 2));
 
-      // Oracle: scalar metric scan with (distance, id) ordering.
-      std::vector<Neighbor> want;
-      for (data::PointId id = 0; id < n; ++id) {
-        if (query.exclude && *query.exclude == id) continue;
-        want.push_back({id, knn::SubspaceDistance(q, ds.Row(id),
-                                                  query.subspace, metric)});
-      }
-      std::sort(want.begin(), want.end(),
-                [](const Neighbor& a, const Neighbor& b) {
-                  if (a.distance != b.distance) {
-                    return a.distance < b.distance;
-                  }
-                  return a.id < b.id;
-                });
-      if (want.size() > static_cast<size_t>(query.k)) {
-        want.resize(static_cast<size_t>(query.k));
-      }
-
+      const std::vector<Neighbor> want =
+          OracleKnn(ds, q, query.subspace, metric, query.exclude, query.k);
       const auto got = engine.Search(query);
       ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
       for (size_t i = 0; i < got.size(); ++i) {
@@ -192,6 +220,43 @@ TEST(KernelFuzzTest, TopKScansMatchOracleOnDegenerateData) {
           ASSERT_EQ(tree_got[i].distance, want[i].distance)
               << label << " seed " << seed << " trial " << trial << " rank "
               << i;
+        }
+      }
+
+      // The fused multi-point scan: 1..9 points (across kQueryBlock),
+      // mixing self-excluded rows and external points, each answered
+      // exactly as the oracle answers it alone.
+      const size_t batch = 1 + static_cast<size_t>(rng.UniformInt(0, 8));
+      std::vector<std::vector<double>> batch_points(batch);
+      std::vector<knn::BatchPointQuery> points(batch);
+      for (size_t b = 0; b < batch; ++b) {
+        if (rng.Bernoulli(0.5)) {
+          const auto row = static_cast<data::PointId>(
+              rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+          batch_points[b] = ds.RowCopy(row);
+          points[b].exclude = row;
+        } else {
+          batch_points[b].resize(d);
+          for (auto& v : batch_points[b]) v = rng.Uniform(-0.5, 1.5);
+        }
+        points[b].point = batch_points[b];
+      }
+      const auto batch_got =
+          engine.SearchBatch(points, query.subspace, query.k);
+      ASSERT_EQ(batch_got.size(), batch) << "seed " << seed;
+      for (size_t b = 0; b < batch; ++b) {
+        const std::vector<Neighbor> batch_want =
+            OracleKnn(ds, batch_points[b], query.subspace, metric,
+                      points[b].exclude, query.k);
+        ASSERT_EQ(batch_got[b].size(), batch_want.size())
+            << "seed " << seed << " trial " << trial << " point " << b;
+        for (size_t i = 0; i < batch_want.size(); ++i) {
+          ASSERT_EQ(batch_got[b][i].id, batch_want[i].id)
+              << "seed " << seed << " trial " << trial << " point " << b
+              << " rank " << i;
+          ASSERT_EQ(batch_got[b][i].distance, batch_want[i].distance)
+              << "seed " << seed << " trial " << trial << " point " << b
+              << " rank " << i;
         }
       }
 
