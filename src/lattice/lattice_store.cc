@@ -1,13 +1,38 @@
 #include "src/lattice/lattice_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <mutex>
 #include <string>
 
 #include "src/lattice/dense_lattice_store.h"
 #include "src/lattice/sparse_lattice_store.h"
 
 namespace hos::lattice {
+namespace {
+
+/// The two reference lattices of one dimensionality.
+struct ReferenceLattices {
+  std::once_flag built;
+  std::unique_ptr<SparseLatticeStore> fresh;
+  std::unique_ptr<SparseLatticeStore> full_space_inlier;
+};
+
+const ReferenceLattices& ReferenceLatticesFor(int num_dims) {
+  assert(num_dims >= 1 && num_dims <= kMaxLatticeDims);
+  static std::array<ReferenceLattices, kMaxLatticeDims + 1> table;
+  ReferenceLattices& refs = table[num_dims];
+  std::call_once(refs.built, [&refs, num_dims] {
+    refs.fresh = std::make_unique<SparseLatticeStore>(num_dims);
+    refs.full_space_inlier = std::make_unique<SparseLatticeStore>(num_dims);
+    refs.full_space_inlier->MarkEvaluated(Subspace::Full(num_dims), false);
+    refs.full_space_inlier->Propagate();
+  });
+  return refs;
+}
+
+}  // namespace
 
 bool IsOutlierState(SubspaceState s) {
   return s == SubspaceState::kEvaluatedOutlier ||
@@ -168,6 +193,14 @@ Result<std::unique_ptr<LatticeStore>> MakeLatticeStore(
   }
   return std::unique_ptr<LatticeStore>(
       std::make_unique<SparseLatticeStore>(num_dims));
+}
+
+const LatticeStore& FreshLattice(int num_dims) {
+  return *ReferenceLatticesFor(num_dims).fresh;
+}
+
+const LatticeStore& FullSpaceInlierLattice(int num_dims) {
+  return *ReferenceLatticesFor(num_dims).full_space_inlier;
 }
 
 }  // namespace hos::lattice

@@ -29,6 +29,10 @@
 // dense one is used only when asked for. Both are answer-identical on every
 // search strategy (held bitwise by
 // tests/search/strategy_differential_test.cc).
+//
+// FreshLattice and FullSpaceInlierLattice (below) are two shared,
+// read-only sparse stores per d that every walk starts on, so a walk
+// builds a store of its own only when its verdicts leave them.
 
 #ifndef HOS_LATTICE_LATTICE_STORE_H_
 #define HOS_LATTICE_LATTICE_STORE_H_
@@ -211,6 +215,30 @@ Status ValidateLatticeStoreConfig(int num_dims, LatticeBackend backend);
 /// ValidateLatticeStoreConfig.
 Result<std::unique_ptr<LatticeStore>> MakeLatticeStore(
     int num_dims, LatticeBackend backend = LatticeBackend::kAuto);
+
+/// Reference lattices: two states of a d-dimensional walk, shared by every
+/// search in the process, so that a walk needs a store of its own only
+/// once its verdicts leave them (BatchFrontierRunner's copy on first
+/// write).
+///
+///  * FreshLattice(d) is SparseLatticeStore(d): every subspace undecided.
+///    Every walk starts here.
+///  * FullSpaceInlierLattice(d) is SparseLatticeStore(d) after
+///    MarkEvaluated(Subspace::Full(d), false) and Propagate(): the full
+///    space evaluated non-outlying and, by downward pruning (Property 1),
+///    every other subspace inferred non-outlying. Every level is decided.
+///
+/// Each is built by exactly the calls a walk's private sparse store would
+/// receive, so its tallies, seed lists and enumerations are bitwise that
+/// store's. Both lattices of one d are built together on first use, under
+/// one std::once_flag per d, so dimensionalities no search asks for cost
+/// nothing. They are never mutated afterwards, and concurrent const reads
+/// are safe: SparseLatticeStore keeps no mutable member, so UndecidedCount,
+/// UndecidedMasks / ForEachUndecided, StateOf, the tallies and seed lists
+/// (what NextLevel and AssembleOutcome read) only load. Requires
+/// 1 <= d <= kMaxLatticeDims.
+const LatticeStore& FreshLattice(int num_dims);
+const LatticeStore& FullSpaceInlierLattice(int num_dims);
 
 }  // namespace hos::lattice
 

@@ -32,6 +32,28 @@ LevelConstants BuildLevelConstants(int d) {
   return c;
 }
 
+/// TSF(m) of Definition 3 for a level with undecided subspaces, given the
+/// remaining workloads C_down_left(m) (`below`) and C_up_left(m) (`above`).
+double LevelTsf(int m, int d, const PruningPriors& priors,
+                const LevelConstants& c, uint64_t below, uint64_t above) {
+  double tsf = 0.0;
+  if (m > 1) {
+    const uint64_t c_down = c.workload_below[m];
+    const double f_down =
+        c_down == 0 ? 0.0
+                    : static_cast<double>(below) / static_cast<double>(c_down);
+    tsf += priors.down[m] * f_down * static_cast<double>(c.dsf[m]);
+  }
+  if (m < d) {
+    const uint64_t c_up = c.workload_above[m];
+    const double f_up =
+        c_up == 0 ? 0.0
+                  : static_cast<double>(above) / static_cast<double>(c_up);
+    tsf += priors.up[m] * f_up * static_cast<double>(c.usf[m]);
+  }
+  return tsf;
+}
+
 }  // namespace
 
 PruningPriors PruningPriors::Flat(int d) {
@@ -64,39 +86,33 @@ double TotalSavingFactor(int m, const PruningPriors& priors,
   assert(m >= 1 && m <= d);
   assert(priors.num_dims() == d);
   if (state.UndecidedCount(m) == 0) return 0.0;
-
-  const LevelConstants& c = LevelConstantsFor(d);
-  double tsf = 0.0;
-  if (m > 1) {
-    const uint64_t c_down = c.workload_below[m];
-    const double f_down =
-        c_down == 0 ? 0.0
-                    : static_cast<double>(state.RemainingWorkloadBelow(m)) /
-                          static_cast<double>(c_down);
-    tsf += priors.down[m] * f_down * static_cast<double>(c.dsf[m]);
-  }
-  if (m < d) {
-    const uint64_t c_up = c.workload_above[m];
-    const double f_up =
-        c_up == 0 ? 0.0
-                  : static_cast<double>(state.RemainingWorkloadAbove(m)) /
-                        static_cast<double>(c_up);
-    tsf += priors.up[m] * f_up * static_cast<double>(c.usf[m]);
-  }
-  return tsf;
+  return LevelTsf(m, d, priors, LevelConstantsFor(d),
+                  state.RemainingWorkloadBelow(m),
+                  state.RemainingWorkloadAbove(m));
 }
 
 int BestLevel(const PruningPriors& priors, const LatticeStore& state) {
   const int d = state.num_dims();
+  assert(priors.num_dims() == d);
+  const LevelConstants& c = LevelConstantsFor(d);
+  // Running C_down_left(m) and C_up_left(m): the same uint64 sums that
+  // RemainingWorkloadBelow/Above return, kept as a prefix and a suffix.
+  uint64_t below = 0;
+  uint64_t above = state.RemainingWorkloadAbove(0);
   int best = 0;
   double best_tsf = -1.0;
   for (int m = 1; m <= d; ++m) {
-    if (state.UndecidedCount(m) == 0) continue;
-    double tsf = TotalSavingFactor(m, priors, state);
-    if (best == 0 || tsf > best_tsf) {
-      best = m;
-      best_tsf = tsf;
+    const uint64_t level_workload =
+        state.UndecidedCount(m) * static_cast<uint64_t>(m);
+    above -= level_workload;
+    if (level_workload != 0) {
+      const double tsf = LevelTsf(m, d, priors, c, below, above);
+      if (best == 0 || tsf > best_tsf) {
+        best = m;
+        best_tsf = tsf;
+      }
     }
+    below += level_workload;
   }
   return best;
 }

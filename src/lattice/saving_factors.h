@@ -49,13 +49,21 @@ const LevelConstants& LevelConstantsFor(int d);
 
 /// TSF(m, p) of Definition 3, combining DSF/USF with the priors and the
 /// fractions f_down/f_up of remaining (undecided) workload in the lattice.
-/// Levels with no undecided subspaces score 0.
+/// Levels with no undecided subspaces score 0. O(d): the remaining
+/// workloads are sums over the levels below and above m.
 double TotalSavingFactor(int m, const PruningPriors& priors,
                          const LatticeStore& state);
 
 /// The level in 1..d with the highest TSF among levels that still have
 /// undecided subspaces; returns 0 when every level is decided.
 /// Ties break toward the lower level.
+///
+/// One O(d) pass rather than d TotalSavingFactor calls (O(d^2)): the
+/// remaining workloads below and above each level are kept as running
+/// prefix and suffix sums of UndecidedCount(m) * m. Those are the same
+/// uint64 integers TotalSavingFactor sums, and both feed one shared TSF
+/// expression, so each level's TSF, and with it the choice, is bitwise
+/// TotalSavingFactor's.
 int BestLevel(const PruningPriors& priors, const LatticeStore& state);
 
 }  // namespace hos::lattice

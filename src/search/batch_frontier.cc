@@ -27,14 +27,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One point's walk state. The lattice, the counters and the round state
-/// are all private to the point — the only thing the block shares is the
-/// engine pass that computes coinciding OD values (and, optionally, the
-/// cross-query store), neither of which feeds the point's decisions
-/// anything but bitwise-exact OD doubles.
+/// One point's walk state. The counters and the round state are private
+/// to the point, and so is every lattice state it writes: it reads a
+/// shared, immutable reference lattice until its verdicts leave the
+/// reference states, then a store of its own (see batch_frontier.h). The
+/// only thing the block shares is the engine pass that computes coinciding
+/// OD values (and, optionally, the cross-query store), neither of which
+/// feeds the point's decisions anything but bitwise-exact OD doubles.
 struct PointRun {
   OdEvaluator* od = nullptr;
-  std::unique_ptr<lattice::LatticeStore> state;
+  // The lattice the walk reads: a reference lattice while `own` is null,
+  // else `own`.
+  const lattice::LatticeStore* state = nullptr;
+  std::unique_ptr<lattice::LatticeStore> own;
   uint64_t od_before = 0;
   uint64_t dist_before = 0;
   uint64_t steps = 0;
@@ -249,8 +254,9 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     const SearchExecution& exec) const {
   if (order_ == LevelOrder::kSavingFactor &&
       priors_->num_dims() != num_dims_) {
-    // Mis-sized priors would index out of bounds in TotalSavingFactor; they
-    // come from callers' learning reports, so this is an input error.
+    // Mis-sized priors would index out of bounds in BestLevel's TSF
+    // arithmetic; they come from callers' learning reports, so this is an
+    // input error.
     const Status bad = Status::InvalidArgument(
         "pruning priors cover " + std::to_string(priors_->num_dims()) +
         " dimensions but the search runs over " + std::to_string(num_dims_));
@@ -262,6 +268,12 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       exec.frontier_ordering == FrontierOrdering::kBoundMargin &&
       filter_active;
 
+  // Every walk starts on the shared fresh lattice. The configuration is
+  // still checked by MakeLatticeStore's rules, so a forced dense backend
+  // past its cap fails each point before any evaluation.
+  const Status lattice_config =
+      lattice::ValidateLatticeStoreConfig(num_dims_, exec.lattice_backend);
+
   Timer timer;
   std::vector<std::optional<Result<SearchOutcome>>> slots(ods.size());
   std::vector<PointRun> runs(ods.size());
@@ -271,13 +283,12 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     run.od = ods[q];
     run.od_before = run.od->num_evaluations();
     run.dist_before = run.od->engine().distance_computations();
-    auto made = lattice::MakeLatticeStore(num_dims_, exec.lattice_backend);
-    if (!made.ok()) {
-      slots[q] = made.status();
+    if (!lattice_config.ok()) {
+      slots[q] = lattice_config;
       run.done = true;
       continue;
     }
-    run.state = std::move(made).value();
+    run.state = &lattice::FreshLattice(num_dims_);
     ++live;
   }
 
@@ -424,14 +435,28 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
 
     // Phase 3 — per participating point: merge the wave in canonical mask
     // order (the seed sequence a one-point walk produces), then propagate
-    // both pruning directions.
+    // both pruning directions. A walk still on the fresh lattice writes
+    // nothing shared: a full-space non-outlier verdict (the test
+    // MarkEvaluatedBatch applies) moves it to the reference lattice those
+    // same calls build, and any other verdict gets it a store of its own.
     for (PointRun& run : runs) {
       if (run.done) continue;
       assert(std::none_of(run.values.begin(), run.values.end(),
                           [](double v) { return std::isnan(v); }));
-      run.state->MarkEvaluatedBatch(run.wave, run.values, threshold);
-      run.state->Propagate();
       ++run.steps;
+      if (run.own == nullptr) {
+        assert(run.state == &lattice::FreshLattice(num_dims_));
+        if (run.level == num_dims_ && !(run.values.front() >= threshold)) {
+          assert(run.wave.size() == 1);
+          run.state = &lattice::FullSpaceInlierLattice(num_dims_);
+          continue;
+        }
+        run.own =
+            lattice::MakeLatticeStore(num_dims_, exec.lattice_backend).value();
+        run.state = run.own.get();
+      }
+      run.own->MarkEvaluatedBatch(run.wave, run.values, threshold);
+      run.own->Propagate();
     }
   }
 

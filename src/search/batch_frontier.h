@@ -29,6 +29,27 @@
 // tests/search/batch_differential_test.cc holds this across backends,
 // lattice stores and filter modes.
 //
+// Copy on first write. A walk does not build a lattice store up front: it
+// starts on lattice::FreshLattice(d), a shared immutable store, and reads
+// it for its first NextLevel, budget check and wave. At its first merge it
+// leaves the shared state. If that round was level d (the full space) and
+// its value fails the test MarkEvaluatedBatch applies (!(od >= T)), the
+// walk moves to lattice::FullSpaceInlierLattice(d), which was built by
+// exactly the MarkEvaluated and Propagate calls its own store would have
+// received. Every level is decided there, so the next round's NextLevel
+// returns 0 and AssembleOutcome reads the shared lattice. A full-space
+// inlier (paper §3.1, Property 1: an outlier in no subspace) is thus
+// answered by its one OD probe, without constructing, marking or
+// propagating a store. Any other first merge builds the walk's own store
+// (MakeLatticeStore with the requested backend) and merges into it as
+// before. Each lattice state a walk reads is therefore the state its
+// private sparse store would hold. A kDense request reads the sparse
+// reference lattices until its first write; the two backends are answer-
+// and counter-identical, held by strategy_differential_test. The rounds
+// themselves are untouched: the full space still goes through the memo,
+// the filter and the fused kNN pass, so values, bound decisions, steps
+// and the strategy, wave and kNN spans are what they were.
+//
 // Parallel fan-out. With SearchExecution::pool set, a round's distinct
 // masks are evaluated on the pool in deterministic chunks (about four per
 // worker). Each mask's values land in pre-assigned slots, and every

@@ -1,17 +1,19 @@
 #include "src/search/search_result.h"
 
-#include <cmath>
-
-#include "src/common/combinatorics.h"
+#include "src/lattice/closure_counts.h"
 
 namespace hos::search {
 
 uint64_t SearchOutcome::TotalOutlyingCount() const {
-  uint64_t total = 0;
-  for (int m = 1; m <= num_dims; ++m) {
-    total += static_cast<uint64_t>(std::llround(
-        outlier_fraction[m] * static_cast<double>(Binomial(num_dims, m))));
+  std::vector<uint64_t> seeds;
+  seeds.reserve(minimal_outlying_subspaces.size());
+  for (const Subspace& s : minimal_outlying_subspaces) {
+    seeds.push_back(s.mask());
   }
+  const std::vector<uint64_t> per_level =
+      lattice::UpClosureLevelCounts(seeds, num_dims);
+  uint64_t total = 0;
+  for (int m = 1; m <= num_dims; ++m) total += per_level[m];
   return total;
 }
 

@@ -78,8 +78,10 @@ struct SearchOutcome {
     return false;
   }
 
-  /// Total number of outlying subspaces (up-closure size). Derived from the
-  /// per-level fractions, so O(d).
+  /// Total number of outlying subspaces: the size of the minimal outlying
+  /// subspaces' up-closure, counted exactly in uint64 by
+  /// lattice::UpClosureLevelCounts. (Rebuilding it from outlier_fraction
+  /// in double is off by a few at d >= 57, where C(d, m) exceeds 2^53.)
   uint64_t TotalOutlyingCount() const;
 
   /// The query point is an outlier in at least one subspace.

@@ -13,15 +13,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/hos_miner.h"
 #include "src/data/generator.h"
+#include "src/filter/density_filter.h"
+#include "src/filter/density_summary.h"
 #include "src/filter/filter_gate.h"
 #include "src/knn/linear_scan.h"
+#include "src/obs/trace.h"
 #include "src/lattice/saving_factors.h"
 #include "src/search/batch_frontier.h"
 #include "src/search/od_evaluator.h"
@@ -71,6 +80,46 @@ data::GeneratedData MakePlanted(uint64_t seed, int d) {
   auto generated = data::GenerateSubspaceOutliers(spec, &rng);
   EXPECT_TRUE(generated.ok());
   return std::move(generated).value();
+}
+
+/// A thread-safe, map-backed SharedOdStore.
+class MapStore : public SharedOdStore {
+ public:
+  bool Lookup(data::PointId id, uint64_t mask, double* od) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = values_.find({id, mask});
+    if (it == values_.end()) return false;
+    *od = it->second;
+    return true;
+  }
+  void Store(data::PointId id, uint64_t mask, double od) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    values_[{id, mask}] = od;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::pair<data::PointId, uint64_t>, double> values_;
+};
+
+/// 200 uniform rows in [0, 1]^d plus one far row at 10 in every dimension.
+/// With k = 3 and T = kFarThreshold every uniform row is a full-space
+/// inlier (OD at most ~6 even at d = 32), and the far row is outlying in
+/// every singleton (OD ~27).
+constexpr double kFarThreshold = 15.0;
+
+data::Dataset CloudWithFarRow(int d, uint64_t seed) {
+  Rng rng(seed);
+  data::Dataset ds = data::GenerateUniform(200, d, &rng);
+  const std::vector<double> far(static_cast<size_t>(d), 10.0);
+  ds.Append(far);
+  return ds;
+}
+
+std::set<std::string> SpanNames(const obs::QueryTrace& trace) {
+  std::set<std::string> names;
+  for (const obs::TraceSpan& span : trace.spans) names.insert(span.name);
+  return names;
 }
 
 // Direct runner-level differential: BatchFrontierRunner blocks against
@@ -210,6 +259,210 @@ TEST(BatchFrontierTest, BudgetExhaustionMatchesSequentialPerPoint) {
   // budget failure co-scheduled with at least one success.
   EXPECT_GE(exhausted, 1u);
   EXPECT_GE(succeeded, 1u);
+}
+
+// Copy on first write, end to end. One fused block holds full-space
+// inliers (which retire on the shared inlier lattice and never build a
+// store), the far outlier (which takes a store of its own after its first
+// round) and an inlier whose full-space OD comes from the shared store.
+// Each point must come out exactly as it does run alone: answers, counters
+// and the names of the spans it traces.
+TEST(BatchFrontierTest, InliersRetireOnTheSharedLatticeBesideAnOutlier) {
+  constexpr int kK = 3;
+  for (int d : {1, 8, 32}) {
+    const data::Dataset ds = CloudWithFarRow(d, 9600 + d);
+    const auto far = static_cast<data::PointId>(ds.size() - 1);
+    const data::PointId hit = 5;
+    const std::vector<data::PointId> ids = {0, far, hit, 1};
+    const knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
+    const lattice::PruningPriors priors = lattice::PruningPriors::Flat(d);
+    const BatchFrontierRunner runner(d, &priors);
+    const DynamicSubspaceSearch alone(d, priors);
+    const Subspace full = Subspace::Full(d);
+    // A store that already holds the `hit` row's full-space OD.
+    const auto seeded_store = [&] {
+      auto store = std::make_unique<MapStore>();
+      OdEvaluator probe(engine, ds.Row(hit), kK, hit);
+      store->Store(hit, full.mask(), probe.Evaluate(full));
+      return store;
+    };
+
+    std::vector<lattice::LatticeBackend> backends = {
+        lattice::LatticeBackend::kAuto};
+    if (d <= lattice::kDenseMaxDims) {
+      backends.push_back(lattice::LatticeBackend::kDense);
+    }
+    for (lattice::LatticeBackend backend : backends) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " backend=" +
+                   std::to_string(static_cast<int>(backend)));
+      const auto store = seeded_store();
+      obs::QueryTracer tracer;
+      SearchExecution exec;
+      exec.lattice_backend = backend;
+      exec.tracer = &tracer;
+      std::vector<OdEvaluator> evaluators;
+      std::vector<OdEvaluator*> pointers;
+      evaluators.reserve(ids.size());
+      for (data::PointId id : ids) {
+        evaluators.emplace_back(engine, ds.Row(id), kK, id, store.get());
+        pointers.push_back(&evaluators.back());
+      }
+      auto fused = runner.Run(pointers, kFarThreshold, exec);
+      const obs::QueryTrace fused_trace = tracer.Finish();
+      ASSERT_EQ(fused.size(), ids.size());
+
+      uint64_t max_steps = 0;
+      std::set<std::string> alone_names;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        SCOPED_TRACE("id " + std::to_string(ids[i]));
+        const auto alone_store = seeded_store();
+        obs::QueryTracer alone_tracer;
+        SearchExecution alone_exec = exec;
+        alone_exec.tracer = &alone_tracer;
+        OdEvaluator od(engine, ds.Row(ids[i]), kK, ids[i], alone_store.get());
+        auto seq = alone.Run(&od, kFarThreshold, alone_exec);
+        const obs::QueryTrace alone_trace = alone_tracer.Finish();
+        ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+        ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
+        ExpectOutcomeIdentical(fused[i].value(), seq.value(), "fused");
+        EXPECT_EQ(alone_trace.CountByName("dynamic"), 1u);
+        EXPECT_EQ(alone_trace.CountByName("wave"), seq->counters.steps);
+        const std::set<std::string> names = SpanNames(alone_trace);
+        alone_names.insert(names.begin(), names.end());
+        max_steps = std::max(max_steps, seq->counters.steps);
+
+        const SearchCounters& c = fused[i]->counters;
+        if (ids[i] == far) {
+          EXPECT_EQ(fused[i]->minimal_outlying_subspaces.size(),
+                    static_cast<size_t>(d));
+          EXPECT_EQ(c.steps, d == 1 ? 1u : 2u);
+        } else {
+          EXPECT_TRUE(fused[i]->minimal_outlying_subspaces.empty());
+          EXPECT_EQ(c.od_evaluations, ids[i] == hit ? 0u : 1u);
+          EXPECT_EQ(c.pruned_upward, 0u);
+          EXPECT_EQ(c.pruned_downward, (uint64_t{1} << d) - 2);
+          EXPECT_EQ(c.steps, 1u);
+          EXPECT_EQ(fused[i]->TotalOutlyingCount(), 0u);
+        }
+        if (d <= 8) {
+          OdEvaluator oracle_od(engine, ds.Row(ids[i]), kK, ids[i]);
+          auto oracle = ExhaustiveSearch(d).Run(&oracle_od, kFarThreshold);
+          ASSERT_TRUE(oracle.ok());
+          EXPECT_EQ(fused[i]->minimal_outlying_subspaces,
+                    oracle->minimal_outlying_subspaces);
+          EXPECT_EQ(fused[i]->outlier_fraction, oracle->outlier_fraction);
+        }
+      }
+      // One strategy span, one wave per round of the longest walk, and one
+      // fused kNN pass per distinct computed mask: the full space (the
+      // `hit` row's comes from the store), then the far row's singletons.
+      EXPECT_EQ(SpanNames(fused_trace), alone_names);
+      EXPECT_EQ(fused_trace.CountByName("dynamic"), 1u);
+      EXPECT_EQ(fused_trace.CountByName("wave"), max_steps);
+      EXPECT_EQ(fused_trace.CountByName("knn"),
+                1u + (d == 1 ? 0u : static_cast<size_t>(d)));
+    }
+  }
+}
+
+// OD >= T is outlying, so a full-space OD exactly at T must not retire a
+// walk on the shared inlier lattice: the walk goes on in a store of its
+// own and finds what the oracle finds.
+TEST(BatchFrontierTest, FullSpaceOdAtTheThresholdKeepsWalking) {
+  const int d = 8;
+  constexpr int kK = 3;
+  const data::Dataset ds = CloudWithFarRow(d, 9800);
+  const knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
+  const lattice::PruningPriors priors = lattice::PruningPriors::Flat(d);
+  const BatchFrontierRunner runner(d, &priors);
+  const DynamicSubspaceSearch alone(d, priors);
+  OdEvaluator probe(engine, ds.Row(0), kK, 0);
+  const double threshold = probe.Evaluate(Subspace::Full(d));
+
+  const std::vector<data::PointId> ids = {0, 1, 2};
+  std::vector<OdEvaluator> evaluators;
+  std::vector<OdEvaluator*> pointers;
+  evaluators.reserve(ids.size());
+  for (data::PointId id : ids) {
+    evaluators.emplace_back(engine, ds.Row(id), kK, id);
+    pointers.push_back(&evaluators.back());
+  }
+  auto fused = runner.Run(pointers, threshold, SearchExecution{});
+  ASSERT_EQ(fused.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SCOPED_TRACE("id " + std::to_string(ids[i]));
+    ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
+    OdEvaluator od(engine, ds.Row(ids[i]), kK, ids[i]);
+    auto seq = alone.Run(&od, threshold);
+    ASSERT_TRUE(seq.ok());
+    ExpectOutcomeIdentical(fused[i].value(), seq.value(), "at threshold");
+    OdEvaluator oracle_od(engine, ds.Row(ids[i]), kK, ids[i]);
+    auto oracle = ExhaustiveSearch(d).Run(&oracle_od, threshold);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(fused[i]->minimal_outlying_subspaces,
+              oracle->minimal_outlying_subspaces);
+    EXPECT_EQ(fused[i]->outlier_fraction, oracle->outlier_fraction);
+  }
+  EXPECT_TRUE(fused[0]->IsOutlying(Subspace::Full(d)));
+  EXPECT_GT(fused[0]->counters.steps, 1u);
+}
+
+// The conservative filter may decide a clear inlier's full space itself:
+// the verdict enters the walk as a -inf sentinel instead of an OD. The
+// point must still retire on the shared inlier lattice after one round,
+// with the decision counted as a bound decision and no OD evaluated, and
+// with the answer of the filter-off walk.
+TEST(BatchFrontierTest, FilterDecidedFullSpaceStillRetiresTheInlier) {
+  const int d = 8;
+  constexpr int kK = 3;
+  const data::Dataset ds = CloudWithFarRow(d, 9700);
+  const auto far = static_cast<data::PointId>(ds.size() - 1);
+  const knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
+  const filter::DensityBoundFilter filter(
+      ds, knn::MetricKind::kL2,
+      filter::DensitySummary::Build(ds, /*bits_per_dim=*/8));
+  const lattice::PruningPriors priors = lattice::PruningPriors::Flat(d);
+  const BatchFrontierRunner runner(d, &priors);
+  const DynamicSubspaceSearch alone(d, priors);
+
+  SearchExecution exec;
+  exec.filter = &filter;
+  exec.filter_mode = filter::FilterMode::kConservative;
+  const std::vector<data::PointId> ids = {0, 1, 2, 3, far};
+  std::vector<OdEvaluator> evaluators;
+  std::vector<OdEvaluator*> pointers;
+  evaluators.reserve(ids.size());
+  for (data::PointId id : ids) {
+    evaluators.emplace_back(engine, ds.Row(id), kK, id);
+    pointers.push_back(&evaluators.back());
+  }
+  auto fused = runner.Run(pointers, kFarThreshold, exec);
+  ASSERT_EQ(fused.size(), ids.size());
+
+  size_t filter_decided_inliers = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SCOPED_TRACE("id " + std::to_string(ids[i]));
+    ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
+    OdEvaluator od(engine, ds.Row(ids[i]), kK, ids[i]);
+    auto seq = alone.Run(&od, kFarThreshold, exec);
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    ExpectOutcomeIdentical(fused[i].value(), seq.value(), "filtered");
+    OdEvaluator off_od(engine, ds.Row(ids[i]), kK, ids[i]);
+    auto off = alone.Run(&off_od, kFarThreshold);
+    ASSERT_TRUE(off.ok());
+    EXPECT_EQ(fused[i]->minimal_outlying_subspaces,
+              off->minimal_outlying_subspaces);
+    EXPECT_EQ(fused[i]->outlier_fraction, off->outlier_fraction);
+
+    const SearchCounters& c = fused[i]->counters;
+    if (ids[i] != far && c.bound_decisions == 1) {
+      ++filter_decided_inliers;
+      EXPECT_EQ(c.od_evaluations, 0u);
+      EXPECT_EQ(c.pruned_downward, (uint64_t{1} << d) - 2);
+      EXPECT_EQ(c.steps, 1u);
+    }
+  }
+  EXPECT_GE(filter_decided_inliers, 1u);
 }
 
 // Miner-level differential: QueryBatchFused against per-point Query across

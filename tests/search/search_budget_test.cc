@@ -120,6 +120,40 @@ TEST(SearchBudgetTest, BudgetDoesNotChangeAnswersWhenItFits) {
             unbounded->counters.od_evaluations);
 }
 
+// A budget of one evaluation is exactly a full-space inlier's walk: the
+// full space is its one evaluation, and downward pruning decides the rest.
+// An outlier's walk must go on to level 1 and fails before evaluating it.
+TEST(SearchBudgetTest, OneEvaluationAnswersAnInlierAndStopsAnOutlier) {
+  const int d = 8;
+  data::Dataset dataset = MakeData(60, d, 6);
+  const std::vector<double> far_row(d, 10.0);
+  const data::PointId far = dataset.Append(far_row);
+  knn::LinearScanKnn engine(dataset, knn::MetricKind::kL2);
+  DynamicSubspaceSearch search(d, lattice::PruningPriors::Flat(d));
+  SearchExecution exec;
+  exec.max_od_evaluations = 1;
+  constexpr double kThreshold = 15.0;  // inliers ~2, the far row's OD >= 27
+
+  OdEvaluator inlier_od(engine, dataset.Row(0), 3, data::PointId{0});
+  auto inlier = search.Run(&inlier_od, kThreshold, exec);
+  ASSERT_TRUE(inlier.ok()) << inlier.status().ToString();
+  EXPECT_TRUE(inlier->minimal_outlying_subspaces.empty());
+  EXPECT_EQ(inlier->counters.od_evaluations, 1u);
+  EXPECT_EQ(inlier->counters.pruned_downward, (uint64_t{1} << d) - 2);
+  EXPECT_EQ(inlier->counters.steps, 1u);
+
+  OdEvaluator outlier_od(engine, dataset.Row(far), 3, far);
+  auto outlier = search.Run(&outlier_od, kThreshold, exec);
+  ASSERT_FALSE(outlier.ok());
+  EXPECT_TRUE(outlier.status().IsResourceExhausted());
+  EXPECT_EQ(outlier.status().message(),
+            "search work budget exceeded: level 1 holds 8 undecided "
+            "subspaces, but only 0 of the 1 budgeted OD evaluations remain "
+            "(raise SearchExecution::max_od_evaluations, use a "
+            "band-pruning-friendly strategy, or reduce dimensionality)");
+  EXPECT_EQ(outlier_od.num_evaluations(), 1u);
+}
+
 // End-to-end: the knob reaches HosMiner::Query through QueryOptions.
 TEST(SearchBudgetTest, QueryOptionsBudgetReachesTheSearch) {
   Rng rng(5);

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/common/combinatorics.h"
 #include "src/common/rng.h"
+#include "src/common/timer.h"
 #include "src/data/generator.h"
 #include "src/knn/linear_scan.h"
+#include "src/lattice/lattice_store.h"
+#include "src/search/frontier_support.h"
 
 namespace hos::search {
 namespace {
@@ -208,12 +213,40 @@ TEST(SearchOutcomeTest, IsOutlyingUsesUpClosure) {
   EXPECT_TRUE(outcome.IsOutlierAnywhere());
 }
 
-TEST(SearchOutcomeTest, TotalOutlyingCountFromFractions) {
+TEST(SearchOutcomeTest, TotalOutlyingCountFromMinimalSubspaces) {
   SearchOutcome outcome;
   outcome.num_dims = 4;
-  outcome.outlier_fraction = {0.0, 0.0, 0.5, 1.0, 1.0};
-  // 0*C(4,1) + 0.5*C(4,2) + 1*C(4,3) + 1*C(4,4) = 0 + 3 + 4 + 1.
+  outcome.minimal_outlying_subspaces = {Subspace::FromOneBased({1, 2}),
+                                        Subspace::FromOneBased({1, 3}),
+                                        Subspace::FromOneBased({3, 4})};
+  // Up-closure: the three seeds at level 2, all four 3-subsets ({2,3,4}
+  // holds {3,4}) and the full space: 3 + 4 + 1.
   EXPECT_EQ(outcome.TotalOutlyingCount(), 8u);
+}
+
+// At the dimensionality cap the outlying set of {1} is every subspace that
+// holds dimension 1: 2^57 of them, C(57, m - 1) per level. Several of those
+// level counts are not exact doubles, so a total rebuilt from the
+// outcome's per-level fractions misses 2^57; the count must not.
+TEST(SearchOutcomeTest, TotalOutlyingCountIsExactAtTheDimensionalityCap) {
+  const int d = lattice::kMaxLatticeDims;
+  Rng rng(58);
+  const data::Dataset dataset = data::GenerateUniform(8, d, &rng);
+  const knn::LinearScanKnn engine(dataset, knn::MetricKind::kL2);
+  const OdEvaluator od(engine, dataset.Row(0), 2, data::PointId{0});
+
+  auto state = lattice::MakeLatticeStore(d).value();
+  const Subspace dim1 = Subspace::FromOneBased({1});
+  state->MarkEvaluated(dim1, true);
+  state->MarkEvaluated(Subspace(Subspace::Full(d).mask() & ~dim1.mask()),
+                       false);
+  state->Propagate();
+  ASSERT_TRUE(state->AllDecided());
+
+  const SearchOutcome outcome =
+      internal::AssembleOutcome(*state, 1.0, od, 0, 0, 2, Timer());
+  ASSERT_EQ(outcome.minimal_outlying_subspaces, std::vector<Subspace>{dim1});
+  EXPECT_EQ(outcome.TotalOutlyingCount(), uint64_t{1} << 57);
 }
 
 TEST(SearchTest, ThresholdInfinityMeansNoOutliers) {
