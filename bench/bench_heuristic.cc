@@ -29,7 +29,7 @@ void Run() {
     const data::PointId query = workload.outliers[0].id;
     auto tree = index::XTree::BulkLoad(ds, knn::MetricKind::kL2);
     if (!tree.ok()) return;
-    index::XTreeKnn engine(*tree);
+    const index::XTree& engine = *tree;
 
     Rng rng(14);
     core::ThresholdOptions threshold_options;

@@ -15,7 +15,7 @@ using namespace hos;  // NOLINT
 
 constexpr int kDims = 10;
 
-void SweepK(const data::Dataset& ds, const index::XTreeKnn& engine,
+void SweepK(const data::Dataset& ds, const index::XTree& engine,
             data::PointId query) {
   std::printf("\n-- E9a: vary k (T = auto 95th percentile per k) --\n");
   eval::Table table(
@@ -45,7 +45,7 @@ void SweepK(const data::Dataset& ds, const index::XTreeKnn& engine,
   table.Print();
 }
 
-void SweepT(const data::Dataset& ds, const index::XTreeKnn& engine,
+void SweepT(const data::Dataset& ds, const index::XTree& engine,
             data::PointId query) {
   std::printf("\n-- E9b: vary T around the auto estimate (k = 5) --\n");
   constexpr int kK = 5;
@@ -93,7 +93,7 @@ void Run() {
   const data::Dataset& ds = workload.dataset;
   auto tree = index::XTree::BulkLoad(ds, knn::MetricKind::kL2);
   if (!tree.ok()) return;
-  index::XTreeKnn engine(*tree);
+  const index::XTree& engine = *tree;
   const data::PointId query = workload.outliers[0].id;
   SweepK(ds, engine, query);
   SweepT(ds, engine, query);

@@ -35,7 +35,7 @@ void Run() {
 
     auto tree = index::XTree::BulkLoad(ds, knn::MetricKind::kL2);
     if (!tree.ok()) return;
-    index::XTreeKnn engine(*tree);
+    const index::XTree& engine = *tree;
 
     Rng rng(7);
     core::ThresholdOptions threshold_options;

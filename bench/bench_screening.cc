@@ -1,4 +1,4 @@
-// E13 (extension): whole-dataset pipeline — screen every point by
+// E16 (extension): whole-dataset pipeline — screen every point by
 // full-space OD (by monotonicity, OD_full >= T iff the answer set is
 // non-empty), then run the lattice search only for the screened points.
 // This is the "find every outlier and its subspaces" mode of the system.
@@ -13,7 +13,7 @@ namespace {
 using namespace hos;  // NOLINT
 
 void Run() {
-  bench::Banner("E13", "screen-then-detail pipeline (d=10)");
+  bench::Banner("E16", "screen-then-detail pipeline (d=10)");
   eval::Table table({"N", "screen_ms", "screened", "detail_ms",
                      "avg evals/outlier", "planted found"});
   for (size_t n : bench::SmokeSweep<size_t>({1000, 3000, 10000})) {

@@ -2,10 +2,14 @@
 // linear scan, across dataset sizes and query-subspace dimensionalities.
 // google-benchmark microbenchmarks (time per kNN query) plus a summary
 // table of time and distance computations per query, both engines timed
-// query by query in one interleaved loop.
+// query by query in one interleaved loop. Exits 1 when an X-tree build
+// fails, its leaf table fails CheckInvariants, or the X-tree's and the
+// scan's neighbours differ on a query both answered.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <vector>
@@ -40,6 +44,12 @@ struct Fixture {
       slot = std::make_unique<Fixture>();
       slot->dataset = data::GenerateGaussianMixture(spec, &rng);
       auto tree = index::XTree::BulkLoad(slot->dataset, knn::MetricKind::kL2);
+      const Status status = tree.ok() ? tree->CheckInvariants() : tree.status();
+      if (!status.ok()) {
+        std::fprintf(stderr, "X-TREE FAILURE at N=%zu: %s\n", n,
+                     status.ToString().c_str());
+        std::exit(1);
+      }
       slot->tree = std::make_unique<index::XTree>(std::move(tree).value());
     }
     return *slot;
@@ -64,16 +74,16 @@ knn::KnnQuery MakeQuery(const data::Dataset& ds, int subspace_dims,
   return query;
 }
 
-void BM_XTreeKnn(benchmark::State& state) {
+void BM_XTreeSearch(benchmark::State& state) {
   Fixture& f = Fixture::Get(static_cast<size_t>(state.range(0)));
   const int subspace_dims = static_cast<int>(state.range(1));
   Rng rng(1);
   for (auto _ : state) {
     auto query = MakeQuery(f.dataset, subspace_dims, &rng);
-    benchmark::DoNotOptimize(f.tree->Knn(query));
+    benchmark::DoNotOptimize(f.tree->Search(query));
   }
 }
-BENCHMARK(BM_XTreeKnn)
+BENCHMARK(BM_XTreeSearch)
     ->ArgsProduct({{2000, 10000, 50000}, {2, 5, 10}})
     ->ArgNames({"N", "subdims"});
 
@@ -91,7 +101,9 @@ BENCHMARK(BM_LinearScanKnn)
     ->ArgsProduct({{2000, 10000, 50000}, {2, 5, 10}})
     ->ArgNames({"N", "subdims"});
 
-void PrintTimeAndDistances() {
+/// Prints the E8 table. Returns false, after reporting on stderr, when the
+/// X-tree and the scan answer a query differently.
+bool PrintTimeAndDistances() {
   bench::Banner("E8",
                 "X-tree vs linear scan: time and distance computations per "
                 "kNN");
@@ -114,11 +126,18 @@ void PrintTimeAndDistances() {
       AccumulatingTimer tree_time, scan_time;
       for (const knn::KnnQuery& query : queries) {
         tree_time.Start();
-        benchmark::DoNotOptimize(f.tree->Knn(query));
+        const std::vector<knn::Neighbor> tree_answer = f.tree->Search(query);
         tree_time.Stop();
         scan_time.Start();
-        benchmark::DoNotOptimize(scan.Search(query));
+        const std::vector<knn::Neighbor> scan_answer = scan.Search(query);
         scan_time.Stop();
+        if (tree_answer != scan_answer) {
+          std::fprintf(stderr,
+                       "NEIGHBOUR MISMATCH at N=%zu, %d subspace dims: the "
+                       "X-tree and the scan answer a query differently\n",
+                       n, subspace_dims);
+          return false;
+        }
       }
       const double tree_ns = tree_time.TotalSeconds() * 1e9 / kQueries;
       const double scan_ns = scan_time.TotalSeconds() * 1e9 / kQueries;
@@ -142,6 +161,7 @@ void PrintTimeAndDistances() {
       "subspaces, and a query whose boxes cannot be separated sweeps every\n"
       "leaf like the scan. Speed is the ns/query columns; distance counts\n"
       "show pruned work, which is not the same as time saved.\n");
+  return true;
 }
 
 }  // namespace
@@ -151,7 +171,7 @@ void PrintTimeAndDistances() {
 // still executes once; the filter keeps only the smallest-argument variants.
 int main(int argc, char** argv) {
   hos::bench::ConsumeSmokeFlag(&argc, argv);
-  PrintTimeAndDistances();
+  if (!PrintTimeAndDistances()) return 1;
   std::vector<char*> args(argv, argv + argc);
   char min_time[] = "--benchmark_min_time=0.001";
   char filter[] = "--benchmark_filter=2000";

@@ -13,11 +13,6 @@
 namespace hos::core {
 namespace {
 
-/// Rows per fused screening block: the linear scan's fused sweep serves a
-/// block as two full kernel query tiles (kernels::kQueryBlock = 8); the
-/// X-tree answers a block point by point.
-constexpr size_t kScreenBlock = 16;
-
 /// The first dimension of `row` holding NaN or ±Inf, or -1.
 int FirstNonFinite(std::span<const double> row) {
   for (size_t dim = 0; dim < row.size(); ++dim) {
@@ -91,6 +86,11 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
   }
   if (config.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
+  }
+  // A NaN threshold would silently fall through to estimation, and an
+  // infinite one cannot be written as JSON.
+  if (!std::isfinite(config.threshold)) {
+    return Status::InvalidArgument("threshold must be finite");
   }
   if (static_cast<size_t>(config.k) >= dataset.live_size()) {
     return Status::InvalidArgument(
@@ -213,17 +213,9 @@ std::vector<double> HosMiner::ScreenBatch(
   const Subspace full = Subspace::Full(dataset_->num_dims());
   std::vector<double> ods;
   ods.reserve(ids.size());
-  std::vector<knn::BatchPointQuery> block;
-  block.reserve(kScreenBlock);
-  for (size_t start = 0; start < ids.size(); start += kScreenBlock) {
-    const size_t end = std::min(ids.size(), start + kScreenBlock);
-    block.clear();
-    for (size_t i = start; i < end; ++i) {
-      block.push_back({dataset_->Row(ids[i]), ids[i]});
-    }
-    const std::vector<double> vals =
-        knn::OutlyingDegreeBatch(*engine_, block, full, config_.k);
-    ods.insert(ods.end(), vals.begin(), vals.end());
+  for (const data::PointId id : ids) {
+    ods.push_back(knn::OutlyingDegree(
+        *engine_, {dataset_->Row(id), full, config_.k, id}));
   }
   return ods;
 }
@@ -532,9 +524,8 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
   if (config_.index == IndexKind::kXTree) {
     auto built = index::XTree::BulkLoad(*dataset_, config_.metric);
     if (!built.ok()) return built.status();
-    artifacts.xtree =
+    artifacts.engine =
         std::make_unique<index::XTree>(std::move(built).value());
-    artifacts.engine = std::make_unique<index::XTreeKnn>(*artifacts.xtree);
   } else {
     artifacts.engine =
         std::make_unique<knn::LinearScanKnn>(*dataset_, config_.metric);
@@ -547,7 +538,6 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
 }
 
 void HosMiner::CommitRebuild(RebuildArtifacts artifacts) {
-  xtree_ = std::move(artifacts.xtree);
   engine_ = std::move(artifacts.engine);
   density_filter_ = std::move(artifacts.filter);
   // Rows appended or tombstoned between the prepare and this commit are

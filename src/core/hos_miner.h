@@ -35,11 +35,11 @@
 
 namespace hos::core {
 
-/// Which kNN backend serves the OD computations. Both are exact; they
-/// differ only in cost.
+/// How the one kNN engine (knn::LeafTableKnn) tiles the rows into leaves.
+/// Both are exact; they differ only in cost.
 enum class IndexKind {
-  kXTree,       ///< the paper's indexing module
-  kLinearScan,  ///< brute force; O(n) per query
+  kXTree,       ///< STR-packed leaves: the paper's indexing module
+  kLinearScan,  ///< one leaf over every row; O(n) per query
 };
 
 struct HosMinerConfig {
@@ -53,7 +53,6 @@ struct HosMinerConfig {
   /// Applied to the dataset at Build; query points given in raw coordinates
   /// are transformed with the same fitted parameters.
   data::NormalizationKind normalization = data::NormalizationKind::kMinMax;
-  /// The X-tree is always bulk-loaded with the default XTreeConfig.
   IndexKind index = IndexKind::kXTree;
   /// Resolution of the density pre-filter's grid: 2^bits equi-width cells
   /// per dimension (clamped to 1..8; see filter::DensitySummary::Build).
@@ -243,7 +242,7 @@ class HosMiner {
 
   /// TopOutliers, then a full lattice walk per returned point — with each
   /// walk *seeded* from the screening pass: the point's full-space OD
-  /// (already computed by the shared batched sweep) is deposited into the
+  /// (already computed by ScreenBatch) is deposited into the
   /// walk's memo up front, so the full-space subspace never costs a second
   /// kNN query. Answer content is bitwise identical to Query(id, options)
   /// per point; the only counter difference is that a walk which consumes
@@ -252,20 +251,16 @@ class HosMiner {
   std::vector<TopOutlierQuery> TopOutliersWithSubspaces(
       int top_n, const QueryOptions& options = {}) const;
 
-  /// Fused full-space OD of the given rows (each must be live), in input
-  /// order: the ids are served in internal blocks through the backend's
-  /// batched kNN entry point (the linear scan sweeps the data once per
-  /// block instead of once per id; the X-tree answers point by point). Values are bitwise identical to per-id
-  /// knn::OutlyingDegree calls — the multi-point kernel admits neighbours
-  /// by exact distances only — so ScreenOutliers and TopOutliers, which
-  /// are built on this, rank exactly as the historical per-point loop did.
+  /// Full-space OD of the given rows (each must be live, and is excluded
+  /// from its own neighbours), in input order: one knn::OutlyingDegree
+  /// call per id. ScreenOutliers and TopOutliers rank by these values.
   std::vector<double> ScreenBatch(std::span<const data::PointId> ids) const;
 
   /// Fused batch form of Query(id, options): each id is validated exactly
   /// like Query (OutOfRange / NotFound / FailedPrecondition reported in
   /// that id's slot), then the valid points' lattice searches are
   /// co-scheduled through search::BatchFrontierRunner so OD evaluations
-  /// coinciding on a subspace share one fused kNN pass. Per-point answer
+  /// coinciding on a subspace share one batched kNN call. Per-point answer
   /// content is bitwise identical to Query(id, options) — see
   /// batch_frontier.h for the argument and the monitoring-only counter
   /// exceptions. With collect_trace set (and no external tracer) the whole
@@ -388,7 +383,6 @@ class HosMiner {
   /// touching the served state so queries can continue meanwhile; swapped
   /// in by CommitRebuild in O(1).
   struct RebuildArtifacts {
-    std::unique_ptr<index::XTree> xtree;
     std::unique_ptr<knn::KnnEngine> engine;
     /// Density-bound pre-filter over the same rows.
     std::unique_ptr<filter::DensityBoundFilter> filter;
@@ -426,8 +420,10 @@ class HosMiner {
   const lattice::PruningPriors& priors() const {
     return learning_report_.priors;
   }
-  /// Non-null when config().index == kXTree.
-  const index::XTree* xtree() const { return xtree_.get(); }
+  /// The engine as the X-tree; non-null when config().index == kXTree.
+  const index::XTree* xtree() const {
+    return dynamic_cast<const index::XTree*>(engine_.get());
+  }
   /// The density-bound pre-filter over the current base (always built; it
   /// only acts when a query opts in via QueryOptions::filter_mode).
   const filter::DensityBoundFilter* density_filter() const {
@@ -478,7 +474,6 @@ class HosMiner {
   HosMinerConfig config_;
   std::unique_ptr<data::Dataset> dataset_;  // normalised copy
   data::Normalizer normalizer_;
-  std::unique_ptr<index::XTree> xtree_;  // when index == kXTree
   std::unique_ptr<knn::KnnEngine> engine_;
   std::unique_ptr<filter::DensityBoundFilter> density_filter_;
   std::unique_ptr<filter::FilterGate> filter_gate_;

@@ -12,7 +12,7 @@ Result<double> EstimateThreshold(const data::Dataset& dataset,
   if (dataset.live_size() == 0) {
     return Status::FailedPrecondition("cannot estimate T on empty dataset");
   }
-  if (options.percentile <= 0.0 || options.percentile > 1.0) {
+  if (!(options.percentile > 0.0 && options.percentile <= 1.0)) {
     return Status::InvalidArgument("percentile must be in (0, 1]");
   }
   if (options.sample_size <= 0) {

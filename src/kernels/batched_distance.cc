@@ -217,10 +217,9 @@ void DistanceBlock(const DatasetView& view, const double* query,
 /// `collector` directly and all screening happens in accumulation space
 /// (squared distances for L2), so the per-candidate square root is paid only
 /// for candidates that might be admitted. Offers run in lane order — the
-/// scalar scan's admission sequence. kMapped offers lane j under ids[j], a
-/// reordered view's position -> row id map, instead of the position
-/// first + j.
-template <knn::MetricKind kMetric, bool kMapped>
+/// scalar scan's admission sequence — with lane j offered under ids[j], the
+/// view's row id at position first + j.
+template <knn::MetricKind kMetric>
 void TopKBlock(const DatasetView& view, const double* query,
                std::span<const int> dims, const data::PointId* ids,
                data::PointId first, size_t m, TopKCollector* collector) {
@@ -237,138 +236,8 @@ void TopKBlock(const DatasetView& view, const double* query,
       const double dist = Finalize<kMetric>(acc[j]);
       // dist > bound can never be admitted (stale bounds only loosen this);
       // dist == bound may still win its id tie-break inside Offer.
-      if (dist <= bound) {
-        collector->Offer(
-            kMapped ? ids[j] : first + static_cast<data::PointId>(j), dist);
-      }
+      if (dist <= bound) collector->Offer(ids[j], dist);
     }
-  }
-}
-
-/// One (query-block, candidate-block) tile of the fused multi-point scan:
-/// up to kQueryBlock query rows against up to kDistanceBlock candidates.
-/// Dimension-outer / query-point / candidate-inner — each column block is
-/// loaded once and swept for every still-active query row. Per point the
-/// arithmetic is exactly TopKBlock's: ascending-dimension accumulation,
-/// screening in accumulation space against that point's SelectionBound, one
-/// exact Finalize per near-bound candidate, offers in lane order. A point
-/// whose block-minimum accumulation exceeds its bound between dimension
-/// chunks goes inactive for the rest of the tile (no offers — the whole
-/// block is provably beyond its k-th neighbour); the tile is abandoned when
-/// every point is inactive. A point's excluded id is skipped at offer time
-/// rather than by segment splitting, which changes pruning opportunities
-/// but never collector content.
-template <knn::MetricKind kMetric>
-void MultiTopKBlock(const DatasetView& view,
-                    std::span<const MultiPointQuery> queries,
-                    std::span<const int> dims, data::PointId first,
-                    size_t m) {
-  const size_t nq = queries.size();
-  double acc[kQueryBlock][kDistanceBlock];
-  double bound[kQueryBlock];
-  double bound_acc[kQueryBlock];
-  bool active[kQueryBlock];
-  size_t num_active = nq;
-  for (size_t q = 0; q < nq; ++q) {
-    for (size_t j = 0; j < m; ++j) acc[q][j] = 0.0;
-    bound[q] = queries[q].collector->bound();
-    bound_acc[q] = SelectionBound<kMetric>(bound[q]);
-    active[q] = true;
-  }
-
-  const size_t num_dims = dims.size();
-  size_t c = 0;
-  while (c < num_dims) {
-    const size_t chunk_end = std::min(c + kDimChunk, num_dims);
-    for (; c < chunk_end; ++c) {
-      const double* base = view.Column(dims[c]) + first;
-      const int dim = dims[c];
-      for (size_t q = 0; q < nq; ++q) {
-        if (!active[q]) continue;
-        const double qv = queries[q].point[dim];
-        double* a = acc[q];
-        for (size_t j = 0; j < m; ++j) Accumulate<kMetric>(a[j], qv - base[j]);
-      }
-    }
-    if (c < num_dims) {
-      for (size_t q = 0; q < nq; ++q) {
-        if (!active[q] || !(bound_acc[q] < kInf)) continue;
-        if (BlockMin(acc[q], m) > bound_acc[q]) {
-          active[q] = false;
-          --num_active;
-        }
-      }
-      if (num_active == 0) return;
-    }
-  }
-
-  for (size_t q = 0; q < nq; ++q) {
-    if (!active[q]) continue;
-    const double* a = acc[q];
-    if (BlockMin(a, m) > bound_acc[q]) continue;
-    for (size_t j = 0; j < m; ++j) {
-      if (a[j] <= bound_acc[q]) {
-        const data::PointId id = first + static_cast<data::PointId>(j);
-        if (queries[q].exclude && *queries[q].exclude == id) continue;
-        const double dist = Finalize<kMetric>(a[j]);
-        if (dist <= bound[q]) queries[q].collector->Offer(id, dist);
-      }
-    }
-  }
-}
-
-void MultiTopKDispatch(const DatasetView& view,
-                       std::span<const MultiPointQuery> queries,
-                       std::span<const int> dims, knn::MetricKind metric,
-                       data::PointId first, size_t m) {
-  switch (metric) {
-    case knn::MetricKind::kL1:
-      MultiTopKBlock<knn::MetricKind::kL1>(view, queries, dims, first, m);
-      return;
-    case knn::MetricKind::kL2:
-      MultiTopKBlock<knn::MetricKind::kL2>(view, queries, dims, first, m);
-      return;
-    case knn::MetricKind::kLInf:
-      MultiTopKBlock<knn::MetricKind::kLInf>(view, queries, dims, first, m);
-      return;
-  }
-}
-
-void TopKDispatch(const DatasetView& view, const double* query,
-                  std::span<const int> dims, knn::MetricKind metric,
-                  data::PointId first, size_t m, TopKCollector* collector) {
-  switch (metric) {
-    case knn::MetricKind::kL1:
-      TopKBlock<knn::MetricKind::kL1, false>(view, query, dims, nullptr, first,
-                                             m, collector);
-      return;
-    case knn::MetricKind::kL2:
-      TopKBlock<knn::MetricKind::kL2, false>(view, query, dims, nullptr, first,
-                                             m, collector);
-      return;
-    case knn::MetricKind::kLInf:
-      TopKBlock<knn::MetricKind::kLInf, false>(view, query, dims, nullptr,
-                                               first, m, collector);
-      return;
-  }
-}
-
-void Dispatch(const DatasetView& view, const double* query,
-              std::span<const int> dims, knn::MetricKind metric,
-              data::PointId first, size_t m, double bound, double* out) {
-  switch (metric) {
-    case knn::MetricKind::kL1:
-      DistanceBlock<knn::MetricKind::kL1>(view, query, dims, first, m, bound,
-                                          out);
-      return;
-    case knn::MetricKind::kL2:
-      DistanceBlock<knn::MetricKind::kL2>(view, query, dims, first, m, bound,
-                                          out);
-      return;
-    case knn::MetricKind::kLInf:
-      DistanceBlock<knn::MetricKind::kLInf>(view, query, dims, first, m,
-                                            bound, out);
-      return;
   }
 }
 
@@ -383,9 +252,8 @@ uint64_t SweepForTopK(const DatasetView& view, const double* query,
   auto sweep = [&](size_t begin, size_t end) {
     for (size_t start = begin; start < end; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, end - start);
-      TopKBlock<kMetric, true>(view, query, dims, rows + start,
-                               static_cast<data::PointId>(start), m,
-                               collector);
+      TopKBlock<kMetric>(view, query, dims, rows + start,
+                         static_cast<data::PointId>(start), m, collector);
     }
   };
   if (skip < lo || skip >= hi) {
@@ -478,31 +346,6 @@ LeafScanCounts LeafFilteredRangeImpl(const DatasetView& view,
 
 }  // namespace
 
-void BatchedSubspaceDistanceRange(const DatasetView& view,
-                                  std::span<const double> query,
-                                  std::span<const int> dims,
-                                  knn::MetricKind metric, data::PointId first,
-                                  size_t count, double bound,
-                                  std::span<double> out) {
-  for (size_t start = 0; start < count; start += kDistanceBlock) {
-    const size_t m = std::min(kDistanceBlock, count - start);
-    Dispatch(view, query.data(), dims, metric,
-             first + static_cast<data::PointId>(start), m, bound,
-             out.data() + start);
-  }
-}
-
-void BatchedSubspaceDistanceRange(const DatasetView& view,
-                                  std::span<const double> query,
-                                  const Subspace& subspace,
-                                  knn::MetricKind metric, data::PointId first,
-                                  size_t count, double bound,
-                                  std::span<double> out) {
-  const std::vector<int> dims = subspace.Dims();
-  BatchedSubspaceDistanceRange(view, query, dims, metric, first, count, bound,
-                               out);
-}
-
 std::vector<knn::Neighbor> TopKCollector::TakeSorted() {
   std::vector<knn::Neighbor> out(heap_.size());
   for (size_t i = heap_.size(); i-- > 0;) {
@@ -512,33 +355,26 @@ std::vector<knn::Neighbor> TopKCollector::TakeSorted() {
   return out;
 }
 
-uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
-                        const Subspace& subspace, knn::MetricKind metric,
-                        std::optional<data::PointId> exclude,
-                        TopKCollector* collector) {
-  assert(view.row_ids().empty());
-  const std::vector<int> dims = subspace.Dims();
-  uint64_t examined = 0;
-
-  // The bound tightens between blocks only; within a block every offer
-  // still replays the scalar scan's admission sequence exactly.
-  auto scan_segment = [&](size_t lo, size_t hi) {
-    for (size_t start = lo; start < hi; start += kDistanceBlock) {
-      const size_t m = std::min(kDistanceBlock, hi - start);
-      TopKDispatch(view, query.data(), dims, metric,
-                   static_cast<data::PointId>(start), m, collector);
-      examined += m;
+void FitLeafBoxes(const DatasetView& view, LeafTable* leaves) {
+  const size_t num_leaves = leaves->num_leaves();
+  const auto dims = static_cast<size_t>(view.num_dims());
+  leaves->lo.resize(num_leaves * dims);
+  leaves->hi.resize(num_leaves * dims);
+  // One unit-stride pass per column.
+  for (size_t dim = 0; dim < dims; ++dim) {
+    const double* column = view.Column(static_cast<int>(dim));
+    for (size_t l = 0; l < num_leaves; ++l) {
+      double lo = column[leaves->first[l]];
+      double hi = lo;
+      for (size_t pos = leaves->first[l] + 1; pos < leaves->first[l + 1];
+           ++pos) {
+        lo = std::min(lo, column[pos]);
+        hi = std::max(hi, column[pos]);
+      }
+      leaves->lo[dim * num_leaves + l] = lo;
+      leaves->hi[dim * num_leaves + l] = hi;
     }
-  };
-
-  const size_t n = view.num_points();
-  if (exclude && *exclude < n) {
-    scan_segment(0, *exclude);
-    scan_segment(*exclude + 1, n);
-  } else {
-    scan_segment(0, n);
   }
-  return examined;
 }
 
 LeafScanCounts LeafFilteredTopK(const DatasetView& view,
@@ -548,7 +384,7 @@ LeafScanCounts LeafFilteredTopK(const DatasetView& view,
                                 knn::MetricKind metric,
                                 std::optional<data::PointId> exclude,
                                 TopKCollector* collector) {
-  assert(leaves.first.back() <= view.row_ids().size());
+  assert(leaves.first.back() <= view.num_points());
   switch (metric) {
     case knn::MetricKind::kL1:
       return LeafFilteredTopKImpl<knn::MetricKind::kL1>(
@@ -570,7 +406,7 @@ LeafScanCounts LeafFilteredRange(const DatasetView& view,
                                  knn::MetricKind metric, double radius,
                                  const data::Dataset* live_filter,
                                  std::vector<knn::Neighbor>* out) {
-  assert(leaves.first.back() <= view.row_ids().size());
+  assert(leaves.first.back() <= view.num_points());
   switch (metric) {
     case knn::MetricKind::kL1:
       return LeafFilteredRangeImpl<knn::MetricKind::kL1>(
@@ -583,31 +419,6 @@ LeafScanCounts LeafFilteredRange(const DatasetView& view,
           view, leaves, query.data(), dims, radius, live_filter, out);
   }
   return {};
-}
-
-uint64_t ScanAllForTopKMulti(const DatasetView& view,
-                             std::span<const MultiPointQuery> queries,
-                             const Subspace& subspace, knn::MetricKind metric) {
-  assert(view.row_ids().empty());
-  const std::vector<int> dims = subspace.Dims();
-  const size_t n = view.num_points();
-  uint64_t examined = 0;
-  for (size_t q0 = 0; q0 < queries.size(); q0 += kQueryBlock) {
-    const size_t nq = std::min(kQueryBlock, queries.size() - q0);
-    const std::span<const MultiPointQuery> tile = queries.subspan(q0, nq);
-    for (size_t start = 0; start < n; start += kDistanceBlock) {
-      const size_t m = std::min(kDistanceBlock, n - start);
-      MultiTopKDispatch(view, tile, dims, metric,
-                        static_cast<data::PointId>(start), m);
-    }
-    // Per point, the sequential scan examines every row except its own
-    // exclusion (pruned candidates included), so the fused count is the
-    // same sum it would report.
-    for (const MultiPointQuery& mq : tile) {
-      examined += n - ((mq.exclude && *mq.exclude < n) ? 1 : 0);
-    }
-  }
-  return examined;
 }
 
 }  // namespace hos::kernels

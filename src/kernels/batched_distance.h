@@ -1,6 +1,6 @@
-// The vectorized subspace-masked distance kernel shared by both kNN
-// backends (knn/linear_scan over a view in row-id order, index/xtree over
-// its leaf-ordered view).
+// The vectorized subspace-masked distance kernel behind the one kNN engine
+// (knn/leaf_table_knn): every query sweeps the leaves of a LeafTable over a
+// DatasetView, the X-tree's STR leaves or the linear scan's single leaf.
 //
 // Loop order: distances from one query point to a block of up to 64
 // candidates are computed in chunks of 8 dimensions over the column-major
@@ -12,7 +12,7 @@
 // per-dimension terms in ascending dimension order — the same order
 // knn::SubspaceDistance walks the mask — so kernel distances are *bitwise
 // identical* to the scalar metric path; the differential suite
-// (tests/kernels/) asserts this on both backends.
+// (tests/kernels/) asserts this on every leaf layout.
 //
 // Block minima (the early-exit test below and the top-k screen) are
 // reduced in eight independent vector lanes, not one serial min chain.
@@ -23,21 +23,20 @@
 // dimension set, so a block whose smallest partial accumulation already
 // proves every candidate farther than `bound` is abandoned mid-way; its
 // candidates report kPrunedDistance. The proof is exact even under the
-// backends' (distance, id) tie-breaking: all screening happens in
+// engine's (distance, id) tie-breaking: all screening happens in
 // accumulation space against SelectionBound(bound) — for L1/L∞ the bound
 // itself, for L2 the loosened square b·b·(1 + 8eps), which over-covers the
 // rounding of b·b plus the final sqrt's half-ulp. Hence acc > SelectionBound
 // implies fl(sqrt(acc)) > b *strictly*: a pruned candidate can neither beat
 // the bound nor tie it, while every possible tie survives screening.
 //
-// The top-k scan entry points (ScanAllForTopK / LeafFilteredTopK /
-// ScanAllForTopKMulti) screen each surviving candidate the same way, so only
-// the rare near-bound candidates pay a square root; their admission then
-// uses the exact fl(sqrt(acc)) — bit-identical to the scalar path's
-// comparisons.
+// The top-k scan (LeafFilteredTopK) screens each surviving candidate the
+// same way, so only the rare near-bound candidates pay a square root; their
+// admission then uses the exact fl(sqrt(acc)) — bit-identical to the scalar
+// path's comparisons.
 //
-// Leaf filter (LeafFilteredTopK / LeafFilteredRange): a leaf-ordered view
-// comes with one box per leaf (LeafTable), and a query first computes every
+// Leaf filter (LeafFilteredTopK / LeafFilteredRange): a view comes with one
+// box per leaf (LeafTable), and a query first computes every
 // leaf's min-accumulation — the per-dimension gap from the query to the box,
 // accumulated like a row's terms, in ascending dimension order — and skips
 // a leaf only when that exceeds SelectionBound(bound). The skip is exact:
@@ -67,7 +66,6 @@
 #include <span>
 #include <vector>
 
-#include "src/common/subspace.h"
 #include "src/data/dataset.h"
 #include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
@@ -83,29 +81,8 @@ inline constexpr size_t kDistanceBlock = 64;
 inline constexpr double kPrunedDistance =
     std::numeric_limits<double>::infinity();
 
-/// Distances from `query` to the candidates at view positions first ..
-/// first+count-1; out[i] receives the exact distance of position first + i
-/// or kPrunedDistance. `dims` is the subspace's ascending dimension list
-/// (Subspace::Dims()); `bound` = +infinity disables the early exit.
-/// Requires out.size() >= count.
-void BatchedSubspaceDistanceRange(const DatasetView& view,
-                                  std::span<const double> query,
-                                  std::span<const int> dims,
-                                  knn::MetricKind metric, data::PointId first,
-                                  size_t count, double bound,
-                                  std::span<double> out);
-
-/// Convenience overload decoding the subspace per call; prefer the span
-/// form when one query issues many kernel calls.
-void BatchedSubspaceDistanceRange(const DatasetView& view,
-                                  std::span<const double> query,
-                                  const Subspace& subspace,
-                                  knn::MetricKind metric, data::PointId first,
-                                  size_t count, double bound,
-                                  std::span<double> out);
-
-/// TopKCollector: the k-smallest (distance, id) selection every backend's
-/// kNN loop performs, exposing the current k-th distance as the kernel's
+/// TopKCollector: the k-smallest (distance, id) selection the kNN engine
+/// performs, exposing the current k-th distance as the kernel's
 /// early-exit bound. Admission is identical to the scalar WorstFirst
 /// max-heaps it replaces: a candidate displaces the current worst when its
 /// (distance, id) pair compares strictly smaller.
@@ -114,8 +91,8 @@ void BatchedSubspaceDistanceRange(const DatasetView& view,
 /// `live_filter` dataset, the collector silently rejects dead rows, so a
 /// structure built before a delete serves exactly the answer a fresh build
 /// on the survivors would (a dead candidate can neither enter the answer
-/// nor tighten bound()). Backends pass the filter only when the dataset
-/// actually has tombstones, keeping the common path branch-free.
+/// nor tighten bound()). The engine passes the filter only when the
+/// dataset actually has tombstones, keeping the common path branch-free.
 class TopKCollector {
  public:
   explicit TopKCollector(size_t k) : TopKCollector(k, nullptr) {}
@@ -172,21 +149,11 @@ class TopKCollector {
       heap_;
 };
 
-/// Full top-k linear scan over every view point except `exclude`, blockwise
-/// with the collector's evolving bound. Candidates are offered in ascending
-/// id order, matching the scalar scan. Returns the number of candidates
-/// examined (pruned included) — the unit the backends' distance counters
-/// report. Requires a view in Build's order.
-uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
-                        const Subspace& subspace, knn::MetricKind metric,
-                        std::optional<data::PointId> exclude,
-                        TopKCollector* collector);
-
-/// The leaves of a leaf-ordered view (DatasetView::BuildInOrder) as
-/// structure-of-arrays boxes: leaf l owns the view positions
-/// [first[l], first[l + 1]), and every row there lies inside
-/// [lo, hi] in every dimension. The X-tree records it from its leaves at
-/// build (XTree::RefreshKernelView).
+/// The leaves of a view as structure-of-arrays boxes: leaf l owns the view
+/// positions [first[l], first[l + 1]), and every row there lies inside
+/// [lo, hi] in every dimension. The X-tree's STR bulk load makes one leaf
+/// per tile (XTree::BulkLoad); the linear scan has a single leaf over every
+/// row, with infinite bounds (knn::LinearScanKnn).
 struct LeafTable {
   /// num_leaves() + 1 entries: each leaf's first position, then the end of
   /// the last leaf. Positions from there on hold rows outside every leaf.
@@ -200,6 +167,10 @@ struct LeafTable {
   size_t num_leaves() const { return first.size() - 1; }
 };
 
+/// Sets every leaf's box to the tight bounds of the values its positions
+/// hold in `view`; `leaves->first` must already be set.
+void FitLeafBoxes(const DatasetView& view, LeafTable* leaves);
+
 /// Work done by one leaf-filtered query.
 struct LeafScanCounts {
   /// Candidates examined, pruned included (the distance-counter unit).
@@ -208,7 +179,7 @@ struct LeafScanCounts {
   uint64_t leaves = 0;
 };
 
-/// Exact top-k over the leaves of a leaf-ordered view. One pass computes
+/// Exact top-k over the leaves of a view. One pass computes
 /// every leaf's min-accumulation (one unit-stride sweep per dimension of
 /// `dims`); the leaf with the smallest, lowest index on ties, is scanned
 /// first to seed the collector's bound; then the other leaves are swept in
@@ -239,35 +210,6 @@ LeafScanCounts LeafFilteredRange(const DatasetView& view,
                                  knn::MetricKind metric, double radius,
                                  const data::Dataset* live_filter,
                                  std::vector<knn::Neighbor>* out);
-
-/// Query-points per fused scan block (the query-point-inner-inner unroll of
-/// the multi-point kernel below): kQueryBlock accumulator rows of
-/// kDistanceBlock doubles fit comfortably in L1 alongside one column block.
-inline constexpr size_t kQueryBlock = 8;
-
-/// One query row of a fused multi-point scan: a full-dimensional point, its
-/// optional self-exclusion, and the collector receiving its candidates.
-struct MultiPointQuery {
-  const double* point = nullptr;
-  std::optional<data::PointId> exclude;
-  TopKCollector* collector = nullptr;
-};
-
-/// Fused top-k scan serving B query points in one pass over the view: the
-/// loop order is dimension-outer / query-point / candidate-inner, so each
-/// column block is read once from L1 for up to kQueryBlock query rows
-/// instead of being re-streamed per point. Each point's candidates still
-/// accumulate per-dimension terms in ascending dimension order against that
-/// point's own collector bound, and a point's excluded id is skipped at
-/// offer time — so every collector finishes with exactly the content a
-/// sequential ScanAllForTopK would produce (the selection is
-/// order-insensitive under (distance, id) tie-breaking and screening only
-/// drops candidates provably beyond the bound). Returns the summed
-/// per-point examined counts, matching B sequential scans. Requires a view
-/// in Build's order.
-uint64_t ScanAllForTopKMulti(const DatasetView& view,
-                             std::span<const MultiPointQuery> queries,
-                             const Subspace& subspace, knn::MetricKind metric);
 
 }  // namespace hos::kernels
 

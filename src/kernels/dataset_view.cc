@@ -1,13 +1,14 @@
 #include "src/kernels/dataset_view.h"
 
 #include <cassert>
+#include <numeric>
 
 namespace hos::kernels {
 
 DatasetView DatasetView::Build(const data::Dataset& dataset) {
-  DatasetView view;
-  view.Fill(dataset);
-  return view;
+  std::vector<data::PointId> order(dataset.size());
+  std::iota(order.begin(), order.end(), data::PointId{0});
+  return BuildInOrder(dataset, std::move(order));
 }
 
 DatasetView DatasetView::BuildInOrder(const data::Dataset& dataset,
@@ -29,7 +30,7 @@ void DatasetView::Fill(const data::Dataset& dataset) {
   // results at offer time, never admitted into an answer.
   columns_.assign(num_points_ * static_cast<size_t>(num_dims_), 0.0);
   for (size_t pos = 0; pos < num_points_; ++pos) {
-    const data::PointId id = RowAt(pos);
+    const data::PointId id = row_ids_[pos];
     if (!dataset.IsLive(id)) continue;
     const std::span<const double> row = dataset.Row(id);
     for (int dim = 0; dim < num_dims_; ++dim) {

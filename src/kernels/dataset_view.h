@@ -5,10 +5,10 @@
 // the kernel's inner loop into a unit-stride sweep the compiler vectorizes;
 // the row-major Dataset would stride by num_dims() instead.
 //
-// Positions are row ids in the default order (Build), the linear scan's
-// layout. BuildInOrder lays the same rows out in a caller's order instead,
-// recording a position -> row id map: the X-tree stores its snapshot leaf
-// by leaf, so every leaf scan is one contiguous position range.
+// Every view records a position -> row id map. Build lays the rows out in
+// row-id order, the linear scan's layout; BuildInOrder lays them out in a
+// caller's order: the X-tree stores its snapshot leaf by leaf, so every
+// leaf scan is one contiguous position range.
 //
 // A view is an independent snapshot: it stays valid (and consistent) if the
 // source dataset later grows or is destroyed, but it does not track such
@@ -16,8 +16,8 @@
 // (snapshot_version). A kNN engine built over a view serves rows
 // [0, num_points()) from it as its *base*; rows appended afterwards are the
 // engine's *delta*, covered by an exact scalar scan merged into the kernel
-// results (src/knn/delta_scan.h). Overwriting a snapshotted row in place
-// (Dataset::Set after the build) breaks that contract: the engines assert
+// results (src/knn/leaf_table_knn.h). Overwriting a snapshotted row in place
+// (Dataset::Set after the build) breaks that contract: the engine asserts
 // Dataset::last_overwrite_version() <= snapshot_version(), and a changed
 // dataset gets a freshly built engine instead.
 
@@ -37,8 +37,9 @@ class DatasetView {
  public:
   DatasetView() = default;
 
-  /// Transposes `dataset` into column-major storage, position = row id.
-  /// O(n·d). Records the dataset's version (snapshot_version).
+  /// Transposes `dataset` into column-major storage in row-id order
+  /// (position p holds row p). O(n·d). Records the dataset's version
+  /// (snapshot_version).
   static DatasetView Build(const data::Dataset& dataset);
 
   /// Like Build, but position p holds row order[p]. `order` must be a
@@ -59,19 +60,13 @@ class DatasetView {
     return columns_.data() + static_cast<size_t>(dim) * num_points_;
   }
 
-  /// The value at `position` (the row id itself in Build's order).
+  /// The value at `position`.
   double At(size_t position, int dim) const {
     return Column(dim)[position];
   }
 
-  /// Position -> row id map; empty in Build's order.
+  /// Position -> row id map.
   std::span<const data::PointId> row_ids() const { return row_ids_; }
-
-  /// The row id stored at `position`.
-  data::PointId RowAt(size_t position) const {
-    return row_ids_.empty() ? static_cast<data::PointId>(position)
-                            : row_ids_[position];
-  }
 
  private:
   void Fill(const data::Dataset& dataset);

@@ -1,6 +1,7 @@
 // KnnEngine: the abstract k-nearest-neighbour service consumed by the OD
-// evaluator. Two implementations exist: LinearScanKnn (exact oracle) and
-// index::XTreeKnn (the paper's X-tree-backed module). An engine is bound to
+// evaluator. src/ implements it once, LeafTableKnn (knn/leaf_table_knn.h):
+// index::XTree (the paper's indexing module) is that engine over STR-packed
+// leaves, and LinearScanKnn is it over a single leaf. An engine is bound to
 // one dataset and one metric at construction.
 
 #ifndef HOS_KNN_KNN_ENGINE_H_
@@ -40,9 +41,9 @@ struct KnnQuery {
 };
 
 /// One query point of a batched kNN call: the point and its optional
-/// self-exclusion. Subspace and k are shared across the batch (the fused
-/// screening / co-scheduled lattice paths always query one subspace for a
-/// block of points at a time).
+/// self-exclusion. Subspace and k are shared across the batch (the
+/// co-scheduled lattice walks query one subspace for a block of points at
+/// a time).
 struct BatchPointQuery {
   std::span<const double> point;
   std::optional<data::PointId> exclude;
@@ -58,9 +59,9 @@ struct KnnBackendStats {
   /// Implementation name: "linear_scan" or "xtree".
   std::string backend;
   uint64_t distance_computations = 0;
-  /// X-tree leaves scanned (0 for the linear scan).
+  /// Leaves swept (the linear scan's one leaf counts too).
   uint64_t node_accesses = 0;
-  /// Scans answered through the batched SIMD kernel over the SoA base.
+  /// Queries answered through the batched SIMD kernel over the SoA base.
   uint64_t kernel_scans = 0;
   /// Always 0: engines have no scalar scan path. Kept only because the
   /// benchmark harness still reads it.
@@ -105,10 +106,9 @@ class KnnEngine {
 
   /// Batched kNN: one answer per query point, all in the same subspace with
   /// the same k. results[i] is exactly Search({points[i], subspace, k,
-  /// excludes[i]}) — ascending (distance, id) with identical doubles — for
-  /// every backend; the base class runs the per-point loop (the X-tree's
-  /// batch path), and LinearScanKnn overrides it with a fused scan that
-  /// amortizes column streaming across the batch.
+  /// excludes[i]}). This base loop is the batch path of every engine in
+  /// src/; it stays virtual so a wrapper (e2ebench's TimingKnn) can time
+  /// the batch as a whole.
   virtual std::vector<std::vector<Neighbor>> SearchBatch(
       std::span<const BatchPointQuery> points, const Subspace& subspace,
       int k) const;
@@ -121,7 +121,7 @@ double OutlyingDegree(const KnnEngine& engine, const KnnQuery& query);
 /// Batched OD: results[i] = OutlyingDegree of points[i] in `subspace`,
 /// bitwise identical to the per-point calls (each point's neighbour
 /// distances are the same doubles summed in the same ascending
-/// (distance, id) order), amortized through SearchBatch.
+/// (distance, id) order), answered through SearchBatch.
 std::vector<double> OutlyingDegreeBatch(const KnnEngine& engine,
                                         std::span<const BatchPointQuery> points,
                                         const Subspace& subspace, int k);

@@ -3,9 +3,8 @@
 // threshold in lockstep rounds: each round, every live point picks its
 // next level, resolves what its memo and the density filter can, and the
 // rest of the block's undecided subspaces are evaluated once per distinct
-// mask. Each mask is served by ONE pass of the kNN backend's batched
-// entry point (KnnEngine::SearchBatch → the multi-point distance kernel),
-// however many points need it. A single query is a block of one:
+// mask. Each mask is served by ONE call of the kNN engine's batched
+// entry point (KnnEngine::SearchBatch), however many points need it. A single query is a block of one:
 // DynamicSubspaceSearch, BottomUpSearch and TopDownSearch each run this
 // runner over their one point.
 //
@@ -47,7 +46,7 @@
 // reference lattices until its first write; the two backends are answer-
 // and counter-identical, held by strategy_differential_test. The rounds
 // themselves are untouched: the full space still goes through the memo,
-// the filter and the fused kNN pass, so values, bound decisions, steps
+// the filter and the batched kNN call, so values, bound decisions, steps
 // and the strategy, wave and kNN spans are what they were.
 //
 // Parallel fan-out. With SearchExecution::pool set, a round's distinct

@@ -20,8 +20,8 @@
 //    epoch lock (std::shared_mutex): every query runs under the reader
 //    side, so it observes either all of a batch or none of it, and each
 //    result reports the dataset version it was answered at. Appended rows
-//    are served immediately — the kNN backends merge the delta into their
-//    index/kernel results exactly (see src/knn/delta_scan.h).
+//    are served immediately — the kNN engine merges the delta into its
+//    kernel results exactly (see src/knn/leaf_table_knn.h).
 //  * The OdCache is keyed by dataset version (OdCache::VersionView), so a
 //    cached OD computed before an append can never answer a query issued
 //    after it.

@@ -86,8 +86,8 @@ struct ServiceStatsSnapshot {
   /// Queries served through the fused batch path (co-scheduled lattice
   /// searches sharing engine passes), as opposed to one-task-per-id.
   uint64_t batched_queries = 0;
-  /// Fresh OD evaluations those queries spent through the fused
-  /// multi-point engine passes.
+  /// Fresh OD evaluations those queries spent through batched engine
+  /// calls.
   uint64_t batch_fused_evaluations = 0;
 
   std::string ToJson() const;

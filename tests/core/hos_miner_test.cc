@@ -179,6 +179,26 @@ TEST(HosMinerBuildTest, AutoThresholdIsPositive) {
   EXPECT_NE(miner->xtree(), nullptr);
 }
 
+// A NaN threshold must not fall through to estimation, an infinite one
+// cannot be written as JSON, and a NaN percentile must not reach the
+// estimate's rank arithmetic.
+TEST(HosMinerBuildTest, RejectsNonFiniteThresholdInputs) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double threshold : {kNaN, kInf, -kInf}) {
+    HosMinerConfig config;
+    config.threshold = threshold;
+    auto miner = HosMiner::Build(MakePlanted(3).dataset, config);
+    EXPECT_TRUE(miner.status().IsInvalidArgument()) << threshold;
+  }
+  HosMinerConfig config;
+  config.threshold_percentile = kNaN;
+  auto miner = HosMiner::Build(MakePlanted(3).dataset, config);
+  EXPECT_TRUE(miner.status().IsInvalidArgument());
+  EXPECT_TRUE(Mentions(miner.status(), "percentile"))
+      << miner.status().ToString();
+}
+
 TEST(HosMinerBuildTest, ExplicitThresholdRespected) {
   auto generated = MakePlanted(3);
   HosMinerConfig config;

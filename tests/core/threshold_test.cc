@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -32,6 +33,11 @@ TEST(ThresholdTest, RejectsBadOptions) {
       EstimateThreshold(ds, engine, options, &rng).status().IsInvalidArgument());
   options.percentile = 1.5;
   EXPECT_FALSE(EstimateThreshold(ds, engine, options, &rng).ok());
+  // NaN fails every comparison, so it must be refused before it reaches
+  // the rank computation's cast to an integer.
+  options.percentile = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(
+      EstimateThreshold(ds, engine, options, &rng).status().IsInvalidArgument());
   options.percentile = 0.9;
   options.sample_size = 0;
   EXPECT_FALSE(EstimateThreshold(ds, engine, options, &rng).ok());

@@ -116,9 +116,9 @@ TEST(DeltaRebuildTest, XTreeServesDeltaExactly) {
         query.subspace = Subspace::FromOneBased({1, 3});
         query.k = k;
         query.exclude = id;
-        ExpectSameNeighbors(tree->Knn(query), fresh->Knn(query), trace);
+        ExpectSameNeighbors(tree->Search(query), fresh->Search(query), trace);
         query.subspace = Subspace::Full(kDims);
-        ExpectSameNeighbors(tree->Knn(query), fresh->Knn(query),
+        ExpectSameNeighbors(tree->Search(query), fresh->Search(query),
                             trace + " (full space)");
       },
       [&](data::PointId id, double radius, const std::string& trace) {
@@ -165,8 +165,7 @@ TEST(DeltaRebuildTest, OverwriteBeforeBuildThenAppendsAnswersLikeFresh) {
   ASSERT_TRUE(fresh_tree.ok());
   const Subspace s = Subspace::FromOneBased({1, 3});
   ExpectSameAnswers(grown, scan, fresh_scan, s, "linear scan");
-  ExpectSameAnswers(grown, XTreeKnn(*tree), XTreeKnn(*fresh_tree), s,
-                    "xtree");
+  ExpectSameAnswers(grown, *tree, *fresh_tree, s, "xtree");
 }
 
 TEST(DeltaRebuildTest, NoAppendsMeansAnEmptyDelta) {
@@ -176,10 +175,9 @@ TEST(DeltaRebuildTest, NoAppendsMeansAnEmptyDelta) {
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->base_rows(), dataset.size());
 
-  const XTreeKnn tree_engine(*tree);
   for (const knn::KnnEngine* engine :
        {static_cast<const knn::KnnEngine*>(&scan),
-        static_cast<const knn::KnnEngine*>(&tree_engine)}) {
+        static_cast<const knn::KnnEngine*>(&*tree)}) {
     knn::KnnQuery query;
     query.point = dataset.Row(3);
     query.subspace = Subspace::Full(kDims);
@@ -218,7 +216,7 @@ TEST(DeltaRebuildDeathTest, OverwriteAfterBuildTripsTheXTreeAssert) {
   auto tree = XTree::BulkLoad(dataset, knn::MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
   dataset.Set(10, 2, 0.123456);
-  EXPECT_DEBUG_DEATH((void)tree->Knn(ProbeQuery(dataset)),
+  EXPECT_DEBUG_DEATH((void)tree->Search(ProbeQuery(dataset)),
                      "last_overwrite_version");
 }
 

@@ -1,11 +1,11 @@
-// Backend differential suite for the batched kNN entry points: for both
-// backends — LinearScanKnn's fused scan and XTreeKnn's per-point loop —
+// Backend differential suite for the batched kNN entry point: on both leaf
+// layouts — the linear scan's one leaf and the X-tree's STR leaves —
 // SearchBatch must return, for every query point, exactly the neighbour
 // list (same ids, same distance doubles, same order) its per-point Search
 // call returns, and OutlyingDegreeBatch must reproduce per-point
 // OutlyingDegree bitwise.
-// Covered across batch sizes straddling the kernel's query block, ks,
-// self-exclusions, appended delta rows and tombstones.
+// Covered across batch sizes, ks, self-exclusions, appended delta rows and
+// tombstones.
 
 #include <gtest/gtest.h>
 
@@ -101,10 +101,9 @@ TEST(IndexBatchTest, LinearScanBatchMatchesPerPoint) {
 
 TEST(IndexBatchTest, XTreeBatchMatchesPerPoint) {
   data::Dataset ds = MakeData(42, 500, 6);
-  auto tree = XTree::BulkLoad(ds, MetricKind::kL2, {});
+  auto tree = XTree::BulkLoad(ds, MetricKind::kL2);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  XTreeKnn engine(*tree);
-  ExpectEngineBatchMatches(engine, ds, 200);
+  ExpectEngineBatchMatches(*tree, ds, 200);
 }
 
 // Delta rows (appended after the structures were built) and tombstones
@@ -116,7 +115,7 @@ TEST(IndexBatchTest, BatchMatchesPerPointWithDeltaAndTombstones) {
   for (int d : {6, 32}) {
     SCOPED_TRACE("d=" + std::to_string(d));
     data::Dataset ds = MakeData(46, 400, d);
-    auto tree = XTree::BulkLoad(ds, MetricKind::kL2, {});
+    auto tree = XTree::BulkLoad(ds, MetricKind::kL2);
     ASSERT_TRUE(tree.ok());
 
     // Mutate after build: 60 appended rows and a handful of tombstones
@@ -130,10 +129,9 @@ TEST(IndexBatchTest, BatchMatchesPerPointWithDeltaAndTombstones) {
     const std::vector<data::PointId> dead = {5, 77, 401, 433};
     ASSERT_TRUE(ds.DeleteRows(dead).ok());
 
-    XTreeKnn xtree_engine(*tree);
     knn::LinearScanKnn linear_engine(ds, MetricKind::kL2);
     ExpectEngineBatchMatches(linear_engine, ds, 500);
-    ExpectEngineBatchMatches(xtree_engine, ds, 501);
+    ExpectEngineBatchMatches(*tree, ds, 501);
   }
 }
 

@@ -1,13 +1,20 @@
-// Configuration fuzzing for the X-tree: across node capacities, overlap
-// thresholds, supernode caps, data shapes and metrics, the tree must keep
-// its structural invariants and agree with the linear-scan oracle.
+// Shape fuzzing for the X-tree's STR bulk load: across dataset sizes around
+// the leaf capacity (0, 1, 25, 26 rows and up), dimensionalities from 1 to
+// the lattice's 58, duplicate-heavy data and tombstones at and after the
+// build, the leaf table must pass CheckInvariants and every kNN and range
+// answer must equal the scalar oracle's, bitwise.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/data/generator.h"
 #include "src/index/xtree.h"
-#include "src/knn/linear_scan.h"
+#include "tests/testutil/knn_oracle.h"
 
 namespace hos::index {
 namespace {
@@ -15,77 +22,101 @@ namespace {
 using knn::KnnQuery;
 using knn::MetricKind;
 
-struct FuzzParam {
-  int max_entries;
-  double max_overlap_ratio;
-  int max_supernode_factor;
-  bool clustered;
-  MetricKind metric;
+enum class Data {
+  kUniform,
+  kDuplicates,
+  /// Duplicates, with rows tombstoned before the build and after it.
+  kTombstones,
 };
+
+using FuzzParam = std::tuple<size_t, int, Data>;
 
 class XTreeFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 
-TEST_P(XTreeFuzzTest, InvariantsAndOracleAgreement) {
-  const FuzzParam param = GetParam();
-  Rng rng(static_cast<uint64_t>(param.max_entries) * 1000 +
-          static_cast<uint64_t>(param.max_overlap_ratio * 100));
-  const int d = 7;
+Subspace RandomSubspace(int d, Rng* rng) {
+  uint64_t mask = 0;
+  for (int dim = 0; dim < d; ++dim) {
+    if (rng->Bernoulli(0.5)) mask |= uint64_t{1} << dim;
+  }
+  if (mask == 0) mask = uint64_t{1} << rng->UniformInt(0, d - 1);
+  return Subspace(mask);
+}
 
-  data::Dataset ds(d);
-  if (param.clustered) {
-    data::GaussianMixtureSpec spec;
-    spec.num_points = 900;
-    spec.num_dims = d;
-    spec.num_clusters = 5;
-    spec.cluster_stddev = 0.08;
-    ds = data::GenerateGaussianMixture(spec, &rng);
-  } else {
-    ds = data::GenerateUniform(900, d, &rng);
+/// Tombstones about a fifth of the live rows.
+void DeleteSome(data::Dataset* ds, Rng* rng) {
+  std::vector<data::PointId> dead;
+  for (data::PointId id = 0; id < ds->size(); ++id) {
+    if (ds->IsLive(id) && rng->Bernoulli(0.2)) dead.push_back(id);
+  }
+  ASSERT_TRUE(ds->DeleteRows(dead).ok());
+}
+
+TEST_P(XTreeFuzzTest, InvariantsAndOracleAgreement) {
+  const auto [n, d, kind] = GetParam();
+  Rng rng(n * 1000 + static_cast<uint64_t>(d) * 10 +
+          static_cast<uint64_t>(kind));
+  const MetricKind metric = static_cast<MetricKind>((n + d) % 3);
+  data::Dataset ds = kind == Data::kUniform
+                         ? data::GenerateUniform(n, d, &rng)
+                         : testutil::MakeDuplicateHeavy(n, d, &rng);
+  if (kind == Data::kTombstones) DeleteSome(&ds, &rng);
+
+  auto tree = XTree::BulkLoad(ds, metric);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(tree->CheckInvariants().ok())
+      << tree->CheckInvariants().ToString();
+  const XTreeStats stats = tree->ComputeStats();
+  EXPECT_EQ(stats.num_points, ds.live_size());
+  EXPECT_GE(stats.num_leaves * XTree::kLeafCapacity, ds.live_size());
+
+  if (kind == Data::kTombstones) {
+    DeleteSome(&ds, &rng);
+    ASSERT_TRUE(tree->CheckInvariants().ok())
+        << "after deletes: " << tree->CheckInvariants().ToString();
   }
 
-  XTreeConfig config;
-  config.max_entries = param.max_entries;
-  config.max_overlap_ratio = param.max_overlap_ratio;
-  config.max_supernode_factor = param.max_supernode_factor;
-
-  auto tree = XTree::BuildByInsertion(ds, param.metric, config);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-
-  knn::LinearScanKnn oracle(ds, param.metric);
   for (int trial = 0; trial < 15; ++trial) {
     std::vector<double> q(d);
-    for (auto& v : q) v = rng.Uniform(-0.2, 1.2);
     KnnQuery query;
-    query.point = q;
-    query.subspace = Subspace(rng.UniformInt(1, (1 << d) - 1));
-    query.k = 1 + static_cast<int>(rng.UniformInt(0, 11));
-    auto got = tree->Knn(query);
-    auto want = oracle.Search(query);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id);
-      EXPECT_NEAR(got[i].distance, want[i].distance, 1e-9);
+    if (n > 0 && trial % 2 == 0) {
+      const auto row = static_cast<data::PointId>(
+          rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+      q = ds.RowCopy(row);
+      query.exclude = row;
+    } else {
+      for (auto& v : q) v = rng.Uniform(-0.2, 1.2);
     }
+    query.point = q;
+    query.subspace = RandomSubspace(d, &rng);
+    query.k = trial == 1 ? static_cast<int>(n) + 2
+                         : 1 + static_cast<int>(rng.UniformInt(0, 11));
+    const std::string label = "trial " + std::to_string(trial);
+    EXPECT_EQ(tree->Search(query),
+              testutil::OracleKnn(ds, q, query.subspace, metric,
+                                  query.exclude, query.k))
+        << label;
+    const double radius = rng.Uniform(0.0, 0.8);
+    EXPECT_EQ(tree->RangeSearch(q, query.subspace, radius),
+              testutil::OracleRange(ds, q, query.subspace, metric, radius))
+        << label;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Configs, XTreeFuzzTest,
-    ::testing::Values(
-        FuzzParam{8, 0.2, 64, false, MetricKind::kL2},
-        FuzzParam{8, 0.01, 4, true, MetricKind::kL2},   // eager supernodes, tight cap
-        FuzzParam{64, 0.2, 64, false, MetricKind::kL2},
-        FuzzParam{16, 0.9, 64, true, MetricKind::kL2},  // splits almost always accepted
-        FuzzParam{16, 0.2, 64, true, MetricKind::kL1},
-        FuzzParam{16, 0.2, 64, false, MetricKind::kLInf}),
+    Shapes, XTreeFuzzTest,
+    ::testing::Combine(::testing::Values(size_t{0}, size_t{1}, size_t{25},
+                                         size_t{26}, size_t{130},
+                                         size_t{700}),
+                       ::testing::Values(1, 8, 32, 58),
+                       ::testing::Values(Data::kUniform, Data::kDuplicates,
+                                         Data::kTombstones)),
     [](const auto& info) {
-      return "M" + std::to_string(info.param.max_entries) + "_ov" +
-             std::to_string(
-                 static_cast<int>(info.param.max_overlap_ratio * 100)) +
-             "_cap" + std::to_string(info.param.max_supernode_factor) +
-             (info.param.clustered ? "_clustered" : "_uniform") + "_" +
-             std::string(knn::MetricKindToString(info.param.metric));
+      const Data kind = std::get<2>(info.param);
+      return "n" + std::to_string(std::get<0>(info.param)) + "_d" +
+             std::to_string(std::get<1>(info.param)) +
+             (kind == Data::kUniform      ? "_uniform"
+              : kind == Data::kDuplicates ? "_duplicates"
+                                          : "_tombstones");
     });
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Differential harness for the batched distance kernel: on randomized
 // datasets (varying n, d, metric, normalization) and randomized subspaces —
 // including empty, singleton and full — the kernel must reproduce the scalar
-// knn::SubspaceDistance path, and both kNN backends wired onto the kernel
-// (linear scan, X-tree) must return exactly the neighbour id sequence of a scalar-metric reference scan, with OD values
-// within 1e-9. A concurrent section runs the same comparison from several
-// threads so the TSan CI job exercises the kernel the way QueryService
-// calls it.
+// knn::SubspaceDistance path, and the kNN engine over every leaf layout
+// (the linear scan's one leaf, the X-tree's STR leaves, a random partition
+// into leaves of 1..12 rows) must return exactly the neighbour id sequence
+// of the scalar oracle (tests/testutil/knn_oracle.h), with OD values within
+// 1e-9. A concurrent section runs the same comparison from several threads
+// so the TSan CI job exercises the kernel the way QueryService calls it.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +23,9 @@
 #include "src/data/normalizer.h"
 #include "src/index/xtree.h"
 #include "src/kernels/batched_distance.h"
-#include "src/kernels/dataset_view.h"
 #include "src/knn/linear_scan.h"
 #include "src/knn/metric.h"
+#include "tests/testutil/knn_oracle.h"
 
 namespace hos::kernels {
 namespace {
@@ -33,24 +34,11 @@ using knn::KnnQuery;
 using knn::MetricKind;
 using knn::Neighbor;
 
-/// The pre-rewire reference: a brute-force scan through the scalar metric
-/// path, sorted ascending (distance, id), truncated to k.
+/// The scalar oracle's answer to `query`.
 std::vector<Neighbor> ScalarKnn(const data::Dataset& ds, const KnnQuery& query,
                                 MetricKind metric) {
-  std::vector<Neighbor> all;
-  for (data::PointId id = 0; id < ds.size(); ++id) {
-    if (query.exclude && *query.exclude == id) continue;
-    all.push_back({id, knn::SubspaceDistance(query.point, ds.Row(id),
-                                             query.subspace, metric)});
-  }
-  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  });
-  if (all.size() > static_cast<size_t>(std::max(query.k, 0))) {
-    all.resize(static_cast<size_t>(std::max(query.k, 0)));
-  }
-  return all;
+  return testutil::OracleKnn(ds, query.point, query.subspace, metric,
+                             query.exclude, query.k);
 }
 
 double OdOf(const std::vector<Neighbor>& neighbors) {
@@ -123,25 +111,6 @@ data::Dataset MakeData(const DiffParam& param, Rng* rng) {
   return ds;
 }
 
-/// All rows within `radius` (inclusive) through the scalar metric path,
-/// ascending (distance, id).
-std::vector<Neighbor> ScalarRange(const data::Dataset& ds,
-                                  std::span<const double> point,
-                                  const Subspace& subspace, double radius,
-                                  MetricKind metric) {
-  std::vector<Neighbor> out;
-  for (data::PointId id = 0; id < ds.size(); ++id) {
-    const double dist =
-        knn::SubspaceDistance(point, ds.Row(id), subspace, metric);
-    if (dist <= radius) out.push_back({id, dist});
-  }
-  std::sort(out.begin(), out.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  });
-  return out;
-}
-
 /// Bitwise (distance, id) sequence equality.
 void ExpectExactNeighbors(const std::vector<Neighbor>& got,
                           const std::vector<Neighbor>& want,
@@ -153,42 +122,28 @@ void ExpectExactNeighbors(const std::vector<Neighbor>& got,
   }
 }
 
+// The kernel's distances through the linear scan's range search: with an
+// infinite radius every row comes back with exactly the scalar distance
+// (the kernel accumulates in the scalar path's dimension order, so the
+// match is bitwise, not just within tolerance); at a finite radius the
+// early exit may abandon blocks, but exactly the rows within it remain.
 TEST_P(KernelDifferentialTest, BatchedDistancesMatchScalarMetric) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const DiffParam param = GetParam();
   Rng rng(param.n * 131 + param.d);
   data::Dataset ds = MakeData(param, &rng);
-  DatasetView view = DatasetView::Build(ds);
+  const knn::LinearScanKnn linear(ds, param.metric);
 
   for (const Subspace& s : TestSubspaces(param.d, &rng, 4)) {
     std::vector<double> q(param.d);
     for (auto& v : q) v = rng.Uniform(-1.0, 2.0);
-
-    // No bound: every distance exact.
-    std::vector<double> range_dist(ds.size());
-    BatchedSubspaceDistanceRange(view, q, s, param.metric, 0, ds.size(),
-                                 kPrunedDistance, range_dist);
-    for (data::PointId id = 0; id < ds.size(); ++id) {
-      const double want =
-          knn::SubspaceDistance(q, ds.Row(id), s, param.metric);
-      EXPECT_NEAR(range_dist[id], want, 1e-9) << s.ToString();
-      // The kernel accumulates in the scalar path's dimension order, so the
-      // match is in fact bitwise, not just within tolerance.
-      EXPECT_EQ(range_dist[id], want) << s.ToString();
-    }
-
-    // Bounded form: pruned candidates must be provably beyond the bound,
-    // survivors exact.
-    const double bound = range_dist[ds.size() / 2];
-    std::vector<double> bounded(ds.size());
-    BatchedSubspaceDistanceRange(view, q, s, param.metric, 0, ds.size(),
-                                 bound, bounded);
-    for (data::PointId id = 0; id < ds.size(); ++id) {
-      if (bounded[id] == kPrunedDistance) {
-        EXPECT_GT(range_dist[id], bound) << s.ToString();
-      } else {
-        EXPECT_EQ(bounded[id], range_dist[id]) << s.ToString();
-      }
-    }
+    const std::vector<Neighbor> all =
+        testutil::OracleRange(ds, q, s, param.metric, kInf);
+    ExpectExactNeighbors(linear.RangeSearch(q, s, kInf), all, s.ToString());
+    const double bound = all[all.size() / 2].distance;
+    ExpectExactNeighbors(linear.RangeSearch(q, s, bound),
+                         testutil::OracleRange(ds, q, s, param.metric, bound),
+                         s.ToString() + " bounded");
   }
 }
 
@@ -198,9 +153,10 @@ TEST_P(KernelDifferentialTest, AllBackendsMatchScalarReference) {
   data::Dataset ds = MakeData(param, &rng);
 
   knn::LinearScanKnn linear(ds, param.metric);
-  auto bulk_tree = index::XTree::BulkLoad(ds, param.metric);
-  auto grown_tree = index::XTree::BuildByInsertion(ds, param.metric);
-  ASSERT_TRUE(bulk_tree.ok() && grown_tree.ok());
+  auto tree = index::XTree::BulkLoad(ds, param.metric);
+  ASSERT_TRUE(tree.ok());
+  const knn::LeafTableKnn irregular =
+      testutil::RandomLeafEngine(ds, param.metric, 12, &rng);
 
   const Subspace full = Subspace::Full(param.d);
   for (int trial = 0; trial < 12; ++trial) {
@@ -226,26 +182,28 @@ TEST_P(KernelDifferentialTest, AllBackendsMatchScalarReference) {
 
     const auto want = ScalarKnn(ds, query, param.metric);
     ExpectSameNeighbors(linear.Search(query), want, "linear_scan");
-    ExpectSameNeighbors(bulk_tree->Knn(query), want, "xtree_bulk");
-    ExpectSameNeighbors(grown_tree->Knn(query), want, "xtree_insertion");
+    ExpectSameNeighbors(tree->Search(query), want, "xtree");
+    ExpectSameNeighbors(irregular.Search(query), want, "random_leaves");
   }
 }
 
-// The leaf-ordered X-tree against the scalar reference, bitwise: Knn and
-// RangeSearch on bulk-loaded and insertion-built trees. Knn's radius-k
-// range (the k-th distance) is where ties across leaves decide the answer.
-// Knn must also scan at least every leaf RangeSearch scans at that radius
-// (both count leaves scanned): its bound only falls towards the k-th
-// distance, and a leaf exactly at the bound is still scanned, since it may
-// hold a tie with a smaller id. Which further leaves it scans depends on
-// how early the bound tightens, so only containment is pinned.
-TEST_P(KernelDifferentialTest, XTreeMatchesScalarReferenceExactly) {
+// The leaf-filtered engine against the scalar reference, bitwise: Search
+// and RangeSearch on the X-tree's STR leaves and on a random partition
+// into uneven, overlapping leaves. Search's radius-k range (the k-th
+// distance) is where ties across leaves decide the answer. Search must
+// also sweep at least every leaf RangeSearch sweeps at that radius (both
+// count leaves swept): its bound only falls towards the k-th distance, and
+// a leaf exactly at the bound is still swept, since it may hold a tie with
+// a smaller id. Which further leaves it sweeps depends on how early the
+// bound tightens, so only containment is pinned.
+TEST_P(KernelDifferentialTest, LeafLayoutsMatchScalarReferenceExactly) {
   const DiffParam param = GetParam();
   Rng rng(param.n * 577 + param.d);
   data::Dataset ds = MakeData(param, &rng);
-  auto bulk_tree = index::XTree::BulkLoad(ds, param.metric);
-  auto grown_tree = index::XTree::BuildByInsertion(ds, param.metric);
-  ASSERT_TRUE(bulk_tree.ok() && grown_tree.ok());
+  auto tree = index::XTree::BulkLoad(ds, param.metric);
+  ASSERT_TRUE(tree.ok());
+  const knn::LeafTableKnn irregular =
+      testutil::RandomLeafEngine(ds, param.metric, 12, &rng);
 
   const Subspace full = Subspace::Full(param.d);
   for (int trial = 0; trial < 16; ++trial) {
@@ -272,17 +230,20 @@ TEST_P(KernelDifferentialTest, XTreeMatchesScalarReferenceExactly) {
             ? want.back().distance
             : std::numeric_limits<double>::infinity();
     const auto want_range =
-        ScalarRange(ds, q, query.subspace, kth_distance, param.metric);
-    for (const auto* tree : {&*bulk_tree, &*grown_tree}) {
-      const std::string label =
-          (tree == &*bulk_tree ? "bulk" : "insertion") +
-          std::string(" trial ") + std::to_string(trial);
-      const uint64_t leaves_before = tree->node_accesses();
-      ExpectExactNeighbors(tree->Knn(query), want, label + " knn");
-      const uint64_t knn_leaves = tree->node_accesses() - leaves_before;
-      ExpectExactNeighbors(tree->RangeSearch(q, query.subspace, kth_distance),
-                           want_range, label + " range");
-      EXPECT_GE(knn_leaves, tree->node_accesses() - leaves_before - knn_leaves)
+        testutil::OracleRange(ds, q, query.subspace, param.metric,
+                              kth_distance);
+    for (const knn::LeafTableKnn* engine :
+         {static_cast<const knn::LeafTableKnn*>(&*tree), &irregular}) {
+      const std::string label = engine->backend_stats().backend +
+                                " trial " + std::to_string(trial);
+      const uint64_t leaves_before = engine->node_accesses();
+      ExpectExactNeighbors(engine->Search(query), want, label + " knn");
+      const uint64_t knn_leaves = engine->node_accesses() - leaves_before;
+      ExpectExactNeighbors(
+          engine->RangeSearch(q, query.subspace, kth_distance), want_range,
+          label + " range");
+      EXPECT_GE(knn_leaves,
+                engine->node_accesses() - leaves_before - knn_leaves)
           << label;
     }
   }
@@ -337,7 +298,7 @@ TEST(KernelDifferentialEdgeTest, SinglePointDatasetWithItselfExcluded) {
   EXPECT_TRUE(linear.Search(query).empty());
   auto tree = index::XTree::BulkLoad(ds, MetricKind::kL2);
   ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE(tree->Knn(query).empty());
+  EXPECT_TRUE(tree->Search(query).empty());
 }
 
 TEST(KernelDifferentialConcurrencyTest, ConcurrentSearchesMatchReference) {
@@ -373,7 +334,7 @@ TEST(KernelDifferentialConcurrencyTest, ConcurrentSearchesMatchReference) {
         for (int rep = 0; rep < 5; ++rep) {
           ExpectSameNeighbors(linear.Search(cases[i].query), cases[i].want,
                               "concurrent linear");
-          ExpectSameNeighbors(tree->Knn(cases[i].query), cases[i].want,
+          ExpectSameNeighbors(tree->Search(cases[i].query), cases[i].want,
                               "concurrent xtree");
         }
       }

@@ -4,6 +4,7 @@
 
 #include "src/common/rng.h"
 #include "src/data/generator.h"
+#include "tests/testutil/knn_oracle.h"
 
 namespace hos::knn {
 namespace {
@@ -113,6 +114,38 @@ TEST(LinearScanTest, CountsDistanceComputations) {
   EXPECT_EQ(engine.distance_computations(), 0u);
   engine.Search(query);
   EXPECT_EQ(engine.distance_computations(), 10u);
+}
+
+// Rows tombstoned before the build sit, zeroed, inside the scan's one
+// leaf; the collector rejects them at admission, so they neither answer
+// nor tighten the bound, through Search and SearchBatch alike.
+TEST(LinearScanTest, RowsDeadAtBuildNeverAnswer) {
+  Rng rng(7003);
+  const int d = 5;
+  data::Dataset ds = data::GenerateUniform(150, d, &rng);
+  const std::vector<data::PointId> dead = {3, 17, 42, 99, 140};
+  ASSERT_TRUE(ds.DeleteRows(dead).ok());
+  LinearScanKnn engine(ds, MetricKind::kL2);
+  const Subspace full = Subspace::Full(d);
+
+  std::vector<BatchPointQuery> batch;
+  for (data::PointId id = 0; id < 18; id += 2) {
+    batch.push_back({ds.Row(id), id});
+  }
+  const auto answers = engine.SearchBatch(batch, full, 4);
+  ASSERT_EQ(answers.size(), batch.size());
+  for (size_t b = 0; b < batch.size(); ++b) {
+    const std::vector<Neighbor> want =
+        testutil::OracleKnn(ds, batch[b].point, full, MetricKind::kL2,
+                            batch[b].exclude, 4);
+    EXPECT_EQ(answers[b], want) << "query " << b;
+    EXPECT_EQ(engine.Search({batch[b].point, full, 4, batch[b].exclude}),
+              want)
+        << "query " << b;
+    for (const Neighbor& neighbor : answers[b]) {
+      EXPECT_TRUE(ds.IsLive(neighbor.id));
+    }
+  }
 }
 
 TEST(OutlyingDegreeTest, SumsKnnDistances) {
