@@ -3,7 +3,7 @@
 // rows into leaves of at most XTree::kLeafCapacity rows and builds no
 // directory (src/index/xtree.h). Exits 1 when a build fails, a leaf table
 // fails CheckInvariants, or a post-build query's neighbours differ from
-// the linear scan's.
+// the scalar reference's (testutil::OracleKnn: no kernel, no leaf table).
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,7 @@
 #include "src/data/generator.h"
 #include "src/eval/report.h"
 #include "src/index/xtree.h"
-#include "src/knn/linear_scan.h"
+#include "tests/testutil/knn_oracle.h"
 
 namespace {
 
@@ -34,7 +34,7 @@ data::Dataset MakeClustered(size_t n) {
 
 /// Prints the E15 table. Returns false, after reporting on stderr, when a
 /// build fails, a leaf table is invalid or an answer differs from the
-/// scan's.
+/// scalar reference's.
 bool PrintBuildTable() {
   bench::Banner("E15", "X-tree STR bulk load (d=10)");
   eval::Table table({"N", "build ms", "leaves", "avg kNN ms"});
@@ -55,8 +55,7 @@ bool PrintBuildTable() {
     }
 
     // Post-build query latency over 100 full-space kNN queries, each
-    // answer checked against the linear scan's.
-    const knn::LinearScanKnn scan(ds, knn::MetricKind::kL2);
+    // answer checked against the scalar reference's.
     Rng rng(3);
     AccumulatingTimer query_time;
     for (int i = 0; i < 100; ++i) {
@@ -69,10 +68,12 @@ bool PrintBuildTable() {
       query_time.Start();
       const std::vector<knn::Neighbor> got = tree->Search(query);
       query_time.Stop();
-      if (got != scan.Search(query)) {
+      if (got != testutil::OracleKnn(ds, query.point, query.subspace,
+                                     knn::MetricKind::kL2, query.exclude,
+                                     query.k)) {
         std::fprintf(stderr,
-                     "NEIGHBOUR MISMATCH at N=%zu: the X-tree and the scan "
-                     "answer row %u differently\n",
+                     "NEIGHBOUR MISMATCH at N=%zu: the X-tree's answer for "
+                     "row %u differs from the scalar reference's\n",
                      n, id);
         return false;
       }

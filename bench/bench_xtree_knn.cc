@@ -3,8 +3,10 @@
 // google-benchmark microbenchmarks (time per kNN query) plus a summary
 // table of time and distance computations per query, both engines timed
 // query by query in one interleaved loop. Exits 1 when an X-tree build
-// fails, its leaf table fails CheckInvariants, or the X-tree's and the
-// scan's neighbours differ on a query both answered.
+// fails, its leaf table fails CheckInvariants, or either engine's
+// neighbours differ from the scalar reference's (testutil::OracleKnn, one
+// knn::SubspaceDistance per row with no kernel and no leaf table, so a
+// fault both engines share cannot pass).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,7 @@
 #include "src/eval/report.h"
 #include "src/index/xtree.h"
 #include "src/knn/linear_scan.h"
+#include "tests/testutil/knn_oracle.h"
 
 namespace {
 
@@ -101,8 +104,21 @@ BENCHMARK(BM_LinearScanKnn)
     ->ArgsProduct({{2000, 10000, 50000}, {2, 5, 10}})
     ->ArgNames({"N", "subdims"});
 
+/// True when `engine`'s answer `got` equals the scalar reference's `want`;
+/// reports the engine on stderr otherwise.
+bool MatchesOracle(const char* engine, const std::vector<knn::Neighbor>& got,
+                   const std::vector<knn::Neighbor>& want, size_t n,
+                   int subspace_dims) {
+  if (got == want) return true;
+  std::fprintf(stderr,
+               "NEIGHBOUR MISMATCH at N=%zu, %d subspace dims: the %s's "
+               "answer differs from the scalar reference's\n",
+               n, subspace_dims, engine);
+  return false;
+}
+
 /// Prints the E8 table. Returns false, after reporting on stderr, when the
-/// X-tree and the scan answer a query differently.
+/// X-tree or the scan answers a query unlike the scalar reference.
 bool PrintTimeAndDistances() {
   bench::Banner("E8",
                 "X-tree vs linear scan: time and distance computations per "
@@ -131,13 +147,14 @@ bool PrintTimeAndDistances() {
         scan_time.Start();
         const std::vector<knn::Neighbor> scan_answer = scan.Search(query);
         scan_time.Stop();
-        if (tree_answer != scan_answer) {
-          std::fprintf(stderr,
-                       "NEIGHBOUR MISMATCH at N=%zu, %d subspace dims: the "
-                       "X-tree and the scan answer a query differently\n",
-                       n, subspace_dims);
-          return false;
-        }
+        const std::vector<knn::Neighbor> want = testutil::OracleKnn(
+            f.dataset, query.point, query.subspace, knn::MetricKind::kL2,
+            query.exclude, query.k);
+        const bool tree_ok =
+            MatchesOracle("X-tree", tree_answer, want, n, subspace_dims);
+        const bool scan_ok =
+            MatchesOracle("linear scan", scan_answer, want, n, subspace_dims);
+        if (!tree_ok || !scan_ok) return false;
       }
       const double tree_ns = tree_time.TotalSeconds() * 1e9 / kQueries;
       const double scan_ns = scan_time.TotalSeconds() * 1e9 / kQueries;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -164,20 +165,7 @@ HosMiner::LearningArtifacts HosMiner::LearnPriors(Rng* rng) const {
 
 Result<QueryResult> HosMiner::Query(data::PointId id,
                                     const QueryOptions& options) const {
-  if (id >= dataset_->size()) {
-    return Status::OutOfRange("point id " + std::to_string(id) +
-                              " outside dataset of size " +
-                              std::to_string(dataset_->size()));
-  }
-  if (!dataset_->IsLive(id)) {
-    // Distinct from OutOfRange: the id did exist, but the row was deleted
-    // or slid out of the window (its storage may even be reclaimed, so it
-    // must not be read).
-    return Status::NotFound("point id " + std::to_string(id) +
-                            " was deleted/evicted from the window");
-  }
-  HOS_RETURN_IF_ERROR(CheckWindowHoldsK(/*query_is_row=*/true));
-  return RunSearch(dataset_->Row(id), id, options);
+  return std::move(QueryBatchFused({&id, 1}, options).front());
 }
 
 Result<QueryResult> HosMiner::QueryPoint(std::vector<double> raw_point) const {
@@ -194,7 +182,11 @@ Result<QueryResult> HosMiner::QueryPoint(std::vector<double> raw_point) const {
     return NonFinite("query point", dim, raw_point[dim], true);
   }
   HOS_RETURN_IF_ERROR(CheckWindowHoldsK(/*query_is_row=*/false));
-  return RunSearch(raw_point, std::nullopt, QueryOptions{});
+  // An external point is no row of the dataset, so nothing is excluded
+  // from its neighbours.
+  search::OdEvaluator od(*engine_, raw_point, config_.k, std::nullopt,
+                         nullptr);
+  return std::move(RunBlock({&od, 1}, QueryOptions{}).front());
 }
 
 Result<std::vector<QueryResult>> HosMiner::QueryAll(
@@ -262,73 +254,66 @@ std::vector<HosMiner::ScreenedOutlier> HosMiner::TopOutliers(
 
 std::vector<HosMiner::TopOutlierQuery> HosMiner::TopOutliersWithSubspaces(
     int top_n, const QueryOptions& options) const {
+  const uint64_t full = Subspace::Full(dataset_->num_dims()).mask();
   std::vector<TopOutlierQuery> out;
   for (const ScreenedOutlier& s : TopOutliers(top_n)) {
-    // Each walk starts with the screening pass's full-space OD already in
-    // its memo (bitwise the value the walk's own kNN query would compute).
+    search::OdEvaluator od(*engine_, dataset_->Row(s.id), config_.k, s.id,
+                           options.od_store);
+    // Screening hand-off: the full-space OD is already known (bitwise, from
+    // the same engine), so warm the memo before the walk snapshots its
+    // counters — the seed then reports like a shared-store hit, never as a
+    // fresh evaluation, and the walk skips one kNN query.
+    od.Deposit(full, s.full_space_od,
+               search::OdEvaluator::ValueSource::kComputed);
     out.push_back({s.id, s.full_space_od,
-                   RunSearch(dataset_->Row(s.id), s.id, options,
-                             s.full_space_od)});
+                   std::move(RunBlock({&od, 1}, options).front())});
   }
   return out;
 }
 
 std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
     std::span<const data::PointId> ids, const QueryOptions& options) const {
-  std::vector<std::optional<Result<QueryResult>>> slots(ids.size());
-  std::vector<size_t> valid;
-  valid.reserve(ids.size());
+  // Each id is checked alone and fails in its own slot, so one dead id
+  // cannot fail its batch-mates. The valid points each get an evaluator on
+  // the shared engine and store — the only shared inputs, and both only
+  // ever hand back bitwise-exact OD values, which is why the co-scheduled
+  // walks replay the per-point searches.
   const Status window = CheckWindowHoldsK(/*query_is_row=*/true);
+  std::vector<search::OdEvaluator> evaluators;
+  evaluators.reserve(ids.size());
+  std::vector<Status> rejected;  // one per id, sized at the first failure
   for (size_t i = 0; i < ids.size(); ++i) {
-    // Exactly Query's validation, reported per slot so one dead id cannot
-    // fail its batch-mates.
+    Status check = window;
     if (ids[i] >= dataset_->size()) {
-      slots[i] = Status::OutOfRange("point id " + std::to_string(ids[i]) +
-                                    " outside dataset of size " +
-                                    std::to_string(dataset_->size()));
+      check = Status::OutOfRange("point id " + std::to_string(ids[i]) +
+                                 " outside dataset of size " +
+                                 std::to_string(dataset_->size()));
     } else if (!dataset_->IsLive(ids[i])) {
-      slots[i] = Status::NotFound("point id " + std::to_string(ids[i]) +
-                                  " was deleted/evicted from the window");
-    } else if (!window.ok()) {
-      slots[i] = window;
-    } else {
-      valid.push_back(i);
+      // Distinct from OutOfRange: the id did exist, but the row was deleted
+      // or slid out of the window (its storage may even be reclaimed, so it
+      // must not be read).
+      check = Status::NotFound("point id " + std::to_string(ids[i]) +
+                               " was deleted/evicted from the window");
     }
-  }
-  if (!valid.empty()) {
-    // One evaluator per point, all on the shared engine/store — the only
-    // shared inputs, and both only ever hand back bitwise-exact OD values,
-    // which is why the co-scheduled walks replay the per-point searches.
-    std::vector<search::OdEvaluator> evaluators;
-    evaluators.reserve(valid.size());
-    std::vector<search::OdEvaluator*> pointers;
-    pointers.reserve(valid.size());
-    for (size_t i : valid) {
+    if (check.ok()) {
       evaluators.emplace_back(*engine_, dataset_->Row(ids[i]), config_.k,
                               ids[i], options.od_store);
-    }
-    for (search::OdEvaluator& od : evaluators) pointers.push_back(&od);
-
-    // The block records one shared span tree; every successful result
-    // carries it (shared_ptr, so this stays cheap).
-    BlockRun run = RunBlock(pointers, options);
-    const uint64_t version = dataset_->version();
-    for (size_t j = 0; j < valid.size(); ++j) {
-      if (!run.outcomes[j].ok()) {
-        slots[valid[j]] = run.outcomes[j].status();
-        continue;
-      }
-      QueryResult result;
-      result.outcome = std::move(run.outcomes[j]).value();
-      result.dataset_version = version;
-      result.trace = run.trace;
-      slots[valid[j]] = std::move(result);
+    } else {
+      rejected.resize(ids.size());
+      rejected[i] = std::move(check);
     }
   }
+  std::vector<Result<QueryResult>> answers = RunBlock(evaluators, options);
+  if (rejected.empty()) return answers;
   std::vector<Result<QueryResult>> out;
-  out.reserve(slots.size());
-  for (std::optional<Result<QueryResult>>& slot : slots) {
-    out.push_back(std::move(*slot));
+  out.reserve(ids.size());
+  auto answer = std::make_move_iterator(answers.begin());
+  for (Status& status : rejected) {
+    if (status.ok()) {
+      out.push_back(*answer++);
+    } else {
+      out.push_back(std::move(status));
+    }
   }
   return out;
 }
@@ -344,34 +329,9 @@ Status HosMiner::CheckWindowHoldsK(bool query_is_row) const {
       std::to_string(live) + " rows are live");
 }
 
-Result<QueryResult> HosMiner::RunSearch(
-    std::span<const double> point, std::optional<data::PointId> exclude,
-    const QueryOptions& options,
-    std::optional<double> full_space_seed) const {
-  search::OdEvaluator od(*engine_, point, config_.k, exclude,
-                         options.od_store);
-  if (full_space_seed.has_value()) {
-    // Screening hand-off: the full-space OD is already known (bitwise, from
-    // the same engine), so warm the memo before the strategy snapshots its
-    // counters — the seed then reports like a shared-store hit, never as a
-    // fresh evaluation, and the walk skips one kNN query.
-    od.Deposit(Subspace::Full(dataset_->num_dims()).mask(), *full_space_seed,
-               search::OdEvaluator::ValueSource::kComputed);
-  }
-  search::OdEvaluator* const block[] = {&od};
-  BlockRun run = RunBlock(block, options);
-  HOS_ASSIGN_OR_RETURN(search::SearchOutcome outcome,
-                       std::move(run.outcomes.front()));
-  QueryResult result;
-  result.outcome = std::move(outcome);
-  result.dataset_version = dataset_->version();
-  result.trace = std::move(run.trace);
-  return result;
-}
-
-HosMiner::BlockRun HosMiner::RunBlock(
-    std::span<search::OdEvaluator* const> ods,
-    const QueryOptions& options) const {
+std::vector<Result<QueryResult>> HosMiner::RunBlock(
+    std::span<search::OdEvaluator> ods, const QueryOptions& options) const {
+  if (ods.empty()) return {};
   search::SearchExecution exec;
   exec.pool = options.search_pool;
   exec.max_threads = options.search_threads;
@@ -383,6 +343,9 @@ HosMiner::BlockRun HosMiner::RunBlock(
   exec.frontier_ordering = options.frontier_ordering;
   exec.filter_gate = options.filter_gate ? filter_gate_.get() : nullptr;
   exec.margin_histogram = options.margin_histogram;
+  std::vector<search::OdEvaluator*> pointers;
+  pointers.reserve(ods.size());
+  for (search::OdEvaluator& od : ods) pointers.push_back(&od);
   // Tracing: record into the caller's tracer when given; otherwise, when
   // collect_trace asked for one, own a local tracer and hand the finished
   // trace back. Spans observe timing only — the search takes no decision
@@ -393,7 +356,7 @@ HosMiner::BlockRun HosMiner::RunBlock(
     local_tracer = std::make_unique<obs::QueryTracer>();
     tracer = local_tracer.get();
   }
-  BlockRun run;
+  std::vector<Result<search::SearchOutcome>> outcomes;
   {
     obs::ScopedSpan search_span(
         tracer, "search", options.trace_parent,
@@ -401,14 +364,29 @@ HosMiner::BlockRun HosMiner::RunBlock(
                           : std::string());
     exec.tracer = tracer;
     exec.trace_parent = search_span.id();
-    run.outcomes = search::BatchFrontierRunner(dataset_->num_dims(), &priors())
-                       .Run(ods, threshold_, exec);
+    outcomes = search::BatchFrontierRunner(dataset_->num_dims(), &priors())
+                   .Run(pointers, threshold_, exec);
   }
+  // The block's one span tree is shared by every successful result
+  // (shared_ptr, so this stays cheap).
+  std::shared_ptr<const obs::QueryTrace> trace;
   if (local_tracer != nullptr) {
-    run.trace =
-        std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
+    trace = std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
   }
-  return run;
+  std::vector<Result<QueryResult>> results;
+  results.reserve(outcomes.size());
+  for (Result<search::SearchOutcome>& outcome : outcomes) {
+    if (!outcome.ok()) {
+      results.push_back(outcome.status());
+      continue;
+    }
+    QueryResult result;
+    result.outcome = std::move(outcome).value();
+    result.dataset_version = dataset_->version();
+    result.trace = trace;
+    results.push_back(std::move(result));
+  }
+  return results;
 }
 
 // ---------------------------------------------------------------------------

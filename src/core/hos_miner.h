@@ -14,7 +14,6 @@
 #define HOS_CORE_HOS_MINER_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -185,20 +184,21 @@ class HosMiner {
   HosMiner& operator=(HosMiner&&) noexcept = default;
 
   /// Finds the outlying subspaces of dataset row `id` (the row itself is
-  /// excluded from its neighbour sets). A tombstoned (deleted/evicted) id
-  /// returns NotFound; an id that never existed returns OutOfRange.
-  /// Build requires k < live rows, but Delete / Evict* may shrink the
-  /// window below that: with fewer than k live rows besides `id`, no OD
-  /// exists and the query returns FailedPrecondition naming k and the
-  /// live count.
+  /// excluded from its neighbour sets): QueryBatchFused over the one id, so
+  /// it answers and fails exactly as that id's slot would. A tombstoned
+  /// (deleted/evicted) id returns NotFound; an id that never existed
+  /// returns OutOfRange. Build requires k < live rows, but Delete / Evict*
+  /// may shrink the window below that: with fewer than k live rows besides
+  /// `id`, no OD exists and the query returns FailedPrecondition naming k
+  /// and the live count.
   ///
   /// Thread safety: as long as nothing mutates the miner, Query,
   /// QueryPoint, QueryAll, ScreenOutliers and TopOutliers may be called
   /// concurrently from any number of threads (the engines' work counters
-  /// are relaxed atomics; all per-query state lives on the caller's
-  /// stack). The streaming-ingest mutators (Append, CommitRebuild,
-  /// Rebuild, RefreshLearning) must be serialized against the query path —
-  /// see the streaming section below.
+  /// are relaxed atomics; all per-query state is local to the call). The
+  /// streaming-ingest mutators (Append, CommitRebuild, Rebuild,
+  /// RefreshLearning) must be serialized against the query path — see the
+  /// streaming section below.
   Result<QueryResult> Query(data::PointId id) const {
     return Query(id, QueryOptions{});
   }
@@ -256,16 +256,16 @@ class HosMiner {
   /// call per id. ScreenOutliers and TopOutliers rank by these values.
   std::vector<double> ScreenBatch(std::span<const data::PointId> ids) const;
 
-  /// Fused batch form of Query(id, options): each id is validated exactly
-  /// like Query (OutOfRange / NotFound / FailedPrecondition reported in
-  /// that id's slot), then the valid points' lattice searches are
-  /// co-scheduled through search::BatchFrontierRunner so OD evaluations
-  /// coinciding on a subspace share one batched kNN call. Per-point answer
-  /// content is bitwise identical to Query(id, options) — see
-  /// batch_frontier.h for the argument and the monitoring-only counter
-  /// exceptions. With collect_trace set (and no external tracer) the whole
-  /// block records one shared span tree, attached to every successful
-  /// result.
+  /// Every dataset-row query runs here, a single Query as a block of one.
+  /// Each id is checked on its own (OutOfRange, NotFound, then the
+  /// window's FailedPrecondition, reported in that id's slot), then the
+  /// valid points' lattice searches are co-scheduled through
+  /// search::BatchFrontierRunner so OD evaluations coinciding on a subspace
+  /// share one batched kNN call. Per-point answer content is bitwise
+  /// identical to querying each id alone — see batch_frontier.h for the
+  /// argument and the monitoring-only counter exceptions. With
+  /// collect_trace set (and no external tracer) the whole block records
+  /// one shared span tree, attached to every successful result.
   std::vector<Result<QueryResult>> QueryBatchFused(
       std::span<const data::PointId> ids, const QueryOptions& options) const;
 
@@ -444,26 +444,14 @@ class HosMiner {
   /// naming k and the live count, otherwise.
   Status CheckWindowHoldsK(bool query_is_row) const;
 
-  /// `full_space_seed`: pre-deposits OD(p, full space) into the walk's
-  /// memo (the TopOutliersWithSubspaces screening hand-off). Must be the
-  /// bitwise OutlyingDegree value for `point` or answers may change.
-  Result<QueryResult> RunSearch(
-      std::span<const double> point, std::optional<data::PointId> exclude,
-      const QueryOptions& options,
-      std::optional<double> full_space_seed = std::nullopt) const;
-
-  /// One block's outcomes (in `ods` order) and, when options asked for a
-  /// local trace, its span tree.
-  struct BlockRun {
-    std::vector<Result<search::SearchOutcome>> outcomes;
-    std::shared_ptr<const obs::QueryTrace> trace;
-  };
-
-  /// The search step of every query path: runs the TSF-ordered
+  /// The one read path, reached by Query, QueryBatchFused, QueryPoint and
+  /// TopOutliersWithSubspaces: runs the TSF-ordered
   /// search::BatchFrontierRunner over priors() on `ods` under a "search"
-  /// span, with the SearchExecution `options` describe.
-  BlockRun RunBlock(std::span<search::OdEvaluator* const> ods,
-                    const QueryOptions& options) const;
+  /// span, with the SearchExecution `options` describe, and returns one
+  /// result per evaluator, in `ods` order, stamped with the dataset version
+  /// and, when options asked for a local trace, the block's span tree.
+  std::vector<Result<QueryResult>> RunBlock(
+      std::span<search::OdEvaluator> ods, const QueryOptions& options) const;
 
   /// The one learning step shared by Build and PrepareLearning: runs the
   /// sampling-based learner (skipped — flat priors — past the dense

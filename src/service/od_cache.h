@@ -50,19 +50,19 @@ class OdCache {
   explicit OdCache(OdCacheConfig config = {});
 
   /// True and fills `*od` when a value for (id, mask) computed at exactly
-  /// `version` is present.
+  /// `version` is present. LookupMulti over the one key.
   bool Lookup(uint64_t version, data::PointId id, uint64_t mask, double* od);
 
   /// Records OD(id, mask) = od as computed at dataset version `version`.
+  /// StoreMulti over the one key.
   void Store(uint64_t version, data::PointId id, uint64_t mask, double od);
 
-  /// Batched Lookup for the fused multi-query path: keys are bucketed by
+  /// Batched Lookup, the probe of every lattice wave: keys are bucketed by
   /// shard and every *touched shard* is visited under one lock acquisition
-  /// — O(shards) instead of O(keys) lock traffic per batch (the per-point
-  /// loop pays one acquisition per lookup even when all keys land on the
-  /// same hot shard). found[i] is set to 1 and od[i] filled exactly when
-  /// keys[i] is present at `version`; recency, hit/miss counters and
-  /// returned values match a sequence of per-key Lookup calls.
+  /// — O(shards) instead of O(keys) lock traffic per batch. found[i] is set
+  /// to 1 and od[i] filled exactly when keys[i] is present at `version`;
+  /// recency, hit/miss counters and returned values match a sequence of
+  /// per-key Lookup calls.
   void LookupMulti(uint64_t version,
                    std::span<const search::SharedOdStore::OdKey> keys,
                    std::span<double> od, std::span<uint8_t> found);
@@ -161,9 +161,14 @@ class OdCache {
         index;
   };
 
-  Shard& ShardFor(const Key& key, size_t hash) const {
-    return *shards_[hash & shard_mask_];
-  }
+  /// The one probe path: groups `keys` by shard, then calls
+  /// per_key(shard, key, i) for each keys[i] under its shard's lock, one
+  /// lock acquisition per touched shard, the keys of a shard in batch
+  /// order.
+  template <typename PerKey>
+  void ForEachKeyByShard(uint64_t version,
+                         std::span<const search::SharedOdStore::OdKey> keys,
+                         PerKey per_key);
 
   size_t capacity_;
   size_t per_shard_capacity_;

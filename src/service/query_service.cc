@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -140,98 +139,36 @@ void QueryService::FoldEngineStatsLocked() {
   engine_offsets_.delta_merges += old.delta_merges;
 }
 
-Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
+std::vector<Result<core::QueryResult>> QueryService::RunTimedBlock(
+    std::span<const data::PointId> ids, bool batch_block) {
   const ObservabilityConfig& obs_config = config_.observability;
   const bool traced = obs_config.trace_queries ||
                       obs_config.slow_query_threshold_seconds > 0.0;
   obs::QueryTracer tracer;  // unused (and cheap) when tracing is off
-  Timer timer;
-  Result<core::QueryResult> result = Status::Internal("query did not run");
-  {
-    // The "service" root span covers the same window the latency histogram
-    // measures: epoch-lock wait plus the whole search.
-    obs::ScopedSpan service_span(traced ? &tracer : nullptr, "service", -1,
-                                 traced ? "point=" + std::to_string(id)
-                                        : std::string());
-    // Reader side of the epoch lock: the query observes one committed
-    // dataset state for its whole run, and the version it binds into the
-    // cache view (and reports in the result) is that state's version.
-    std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
-    OdCache::VersionView versioned_store(cache_.get(), miner_.version());
-    core::QueryOptions options =
-        MakeOptions(cache_ != nullptr ? &versioned_store : nullptr);
-    if (traced) {
-      options.tracer = &tracer;
-      options.trace_parent = service_span.id();
-    }
-    result = miner_.Query(id, options);
-  }
-  const double latency = timer.ElapsedSeconds();
-  if (result.ok()) {
-    const search::SearchCounters& counters = result.value().outcome.counters;
-    stats_.RecordQuery(latency, counters.od_evaluations,
-                       counters.bound_decisions, counters.risky_decisions,
-                       counters.bound_gap, counters.gate_skips);
-  } else {
-    stats_.RecordQuery(latency, 0);
-    if (result.status().IsNotFound()) {
-      // The id was deleted / slid out of the window: a clean client-visible
-      // rejection.
-      stats_.RecordEvictedReject();
-    }
-  }
-  if (traced) {
-    auto trace =
-        std::make_shared<const obs::QueryTrace>(tracer.Finish());
-    if (result.ok()) result.value().trace = trace;
-    if (obs_config.slow_query_threshold_seconds > 0.0 &&
-        latency >= obs_config.slow_query_threshold_seconds) {
-      stats_.RecordSlowQuery();
-      HOS_LOG(Warning) << "slow query: point=" << id
-                       << " latency_seconds=" << latency
-                       << " trace=" << trace->ToJson();
-    }
-  }
-  return result;
-}
-
-Result<core::QueryResult> QueryService::Query(data::PointId id) {
-  return RunTimedQuery(id);
-}
-
-std::future<Result<core::QueryResult>> QueryService::QueryAsync(
-    data::PointId id) {
-  return pool_.SubmitWithResult(
-      [this, id]() { return RunTimedQuery(id); });
-}
-
-void QueryService::RunTimedBlock(
-    std::span<const data::PointId> ids,
-    std::vector<std::optional<Result<core::QueryResult>>>* slots,
-    size_t base) {
-  const ObservabilityConfig& obs_config = config_.observability;
-  const bool traced = obs_config.trace_queries ||
-                      obs_config.slow_query_threshold_seconds > 0.0;
-  obs::QueryTracer tracer;  // unused (and cheap) when tracing is off
+  // A Query names its point; a QueryBatch block counts its points.
+  const std::string detail =
+      !traced       ? std::string()
+      : batch_block ? "points=" + std::to_string(ids.size())
+                    : "point=" + std::to_string(ids.front());
   Timer timer;
   std::vector<Result<core::QueryResult>> results;
   {
-    // The "batch" root span covers the whole fused block, so the span
-    // tree reads batch → search → dynamic → wave → knn, the same names a
-    // single query's tree has under its "service" root.
-    obs::ScopedSpan batch_span(
-        traced ? &tracer : nullptr, "batch", -1,
-        traced ? "points=" + std::to_string(ids.size()) : std::string());
-    // One reader hold for the block: every point in it observes the same
-    // committed dataset state and binds the same version into the cache
-    // view — exactly what a per-point loop at a quiescent version does.
+    // The root span covers the same window the latency histogram measures:
+    // epoch-lock wait plus the whole search. Its tree reads service (or
+    // batch) → search → dynamic → wave → knn.
+    obs::ScopedSpan root_span(traced ? &tracer : nullptr,
+                              batch_block ? "batch" : "service", -1, detail);
+    // Reader side of the epoch lock, held once for the block: every point
+    // observes one committed dataset state for its whole run, and the
+    // version it binds into the cache view (and reports in its result) is
+    // that state's version.
     std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
     OdCache::VersionView versioned_store(cache_.get(), miner_.version());
     core::QueryOptions options =
         MakeOptions(cache_ != nullptr ? &versioned_store : nullptr);
     if (traced) {
       options.tracer = &tracer;
-      options.trace_parent = batch_span.id();
+      options.trace_parent = root_span.id();
     }
     results = miner_.QueryBatchFused(ids, options);
   }
@@ -242,68 +179,69 @@ void QueryService::RunTimedBlock(
   if (traced) {
     trace = std::make_shared<const obs::QueryTrace>(tracer.Finish());
   }
-  uint64_t fused_evaluations = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    Result<core::QueryResult>& result = results[i];
+  uint64_t evaluations = 0;
+  for (Result<core::QueryResult>& result : results) {
     if (result.ok()) {
       const search::SearchCounters& counters =
           result.value().outcome.counters;
-      fused_evaluations += counters.od_evaluations;
-      stats_.RecordQuery(latency, counters.od_evaluations,
-                         counters.bound_decisions, counters.risky_decisions,
-                         counters.bound_gap, counters.gate_skips);
+      evaluations += counters.od_evaluations;
+      stats_.RecordQuery(latency, &counters);
       if (traced) result.value().trace = trace;
     } else {
-      stats_.RecordQuery(latency, 0);
+      stats_.RecordQuery(latency, nullptr);
+      // The id was deleted / slid out of the window: a clean client-visible
+      // rejection.
       if (result.status().IsNotFound()) stats_.RecordEvictedReject();
     }
-    (*slots)[base + i] = std::move(result);
   }
-  stats_.RecordFusedBatch(ids.size(), fused_evaluations);
+  if (batch_block && config_.batch_fusion_width > 1) {
+    stats_.RecordFusedBatch(ids.size(), evaluations);
+  }
   if (traced && obs_config.slow_query_threshold_seconds > 0.0 &&
       latency >= obs_config.slow_query_threshold_seconds) {
     stats_.RecordSlowQuery();
-    HOS_LOG(Warning) << "slow batch: points=" << ids.size()
-                     << " latency_seconds=" << latency
+    HOS_LOG(Warning) << (batch_block ? "slow batch: " : "slow query: ")
+                     << detail << " latency_seconds=" << latency
                      << " trace=" << trace->ToJson();
   }
+  return results;
+}
+
+Result<core::QueryResult> QueryService::Query(data::PointId id) {
+  return std::move(RunTimedBlock({&id, 1}, /*batch_block=*/false).front());
+}
+
+std::future<Result<core::QueryResult>> QueryService::QueryAsync(
+    data::PointId id) {
+  return pool_.SubmitWithResult([this, id]() { return Query(id); });
 }
 
 Result<std::vector<core::QueryResult>> QueryService::QueryBatch(
     std::span<const data::PointId> ids) {
   stats_.RecordBatch();
 
-  // One slot per id, written by whichever worker runs it; slot order (not
-  // completion order) defines the output, so the batch is deterministic.
-  std::vector<std::optional<Result<core::QueryResult>>> slots(ids.size());
-  const size_t width = static_cast<size_t>(
-      std::max(config_.batch_fusion_width, 0));
+  // One pool task per block of `width` ids; each block's lattice searches
+  // are co-scheduled so coinciding OD evaluations share one engine pass
+  // (answers identical — see batch_frontier.h). Each task writes only its
+  // own block, so block order (not completion order) defines the output,
+  // and the batch is deterministic.
+  const size_t width =
+      static_cast<size_t>(std::max(config_.batch_fusion_width, 1));
+  std::vector<std::vector<Result<core::QueryResult>>> blocks(
+      (ids.size() + width - 1) / width);
   {
     std::vector<std::future<void>> done;
-    if (width > 1) {
-      // Fused path: one pool task per block of `width` ids; each block's
-      // lattice searches are co-scheduled so coinciding OD evaluations
-      // share one engine pass (answers identical — see batch_frontier.h).
-      done.reserve((ids.size() + width - 1) / width);
-      for (size_t start = 0; start < ids.size(); start += width) {
-        const size_t count = std::min(width, ids.size() - start);
-        done.push_back(
-            pool_.SubmitWithResult([this, ids, start, count, &slots]() {
-              RunTimedBlock(ids.subspan(start, count), &slots, start);
-            }));
-      }
-    } else {
-      // Fusion disabled: the historical one-task-per-id path.
-      done.reserve(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const data::PointId id = ids[i];
-        done.push_back(pool_.SubmitWithResult([this, id, &slots, i]() {
-          slots[i] = RunTimedQuery(id);
-        }));
-      }
+    done.reserve(blocks.size());
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const size_t start = b * width;
+      const std::span<const data::PointId> block =
+          ids.subspan(start, std::min(width, ids.size() - start));
+      done.push_back(pool_.SubmitWithResult([this, block, &out = blocks[b]]() {
+        out = RunTimedBlock(block, /*batch_block=*/true);
+      }));
     }
     // Wait for every task before collecting: get() can rethrow a task's
-    // exception, and unwinding with workers still writing into `slots`
+    // exception, and unwinding with workers still writing into `blocks`
     // would be a use-after-free. wait() never throws.
     for (std::future<void>& f : done) f.wait();
     for (std::future<void>& f : done) f.get();
@@ -311,9 +249,11 @@ Result<std::vector<core::QueryResult>> QueryService::QueryBatch(
 
   std::vector<core::QueryResult> results;
   results.reserve(ids.size());
-  for (std::optional<Result<core::QueryResult>>& slot : slots) {
-    if (!slot->ok()) return slot->status();  // first error in id order
-    results.push_back(std::move(slot->value()));
+  for (std::vector<Result<core::QueryResult>>& block : blocks) {
+    for (Result<core::QueryResult>& result : block) {
+      if (!result.ok()) return result.status();  // first error in id order
+      results.push_back(std::move(result).value());
+    }
   }
   return results;
 }

@@ -63,7 +63,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -119,7 +118,7 @@ struct IngestConfig {
 /// MetricsPrometheus().
 struct ObservabilityConfig {
   /// Attach a QueryTrace (service → search → dynamic → wave → knn span
-  /// tree; a fused block's root is "batch") to every QueryResult the
+  /// tree; a QueryBatch block's root is "batch") to every QueryResult the
   /// service returns.
   bool trace_queries = false;
   /// When > 0, queries slower than this are counted (ServiceStatsSnapshot
@@ -178,13 +177,13 @@ struct QueryServiceConfig {
   /// via the filter_gate_skips counter.
   bool filter_gate = false;
   /// Fused multi-query execution: QueryBatch splits each batch into blocks
-  /// of at most this many ids and co-schedules every block's lattice
-  /// searches (HosMiner::QueryBatchFused → search::BatchFrontierRunner),
-  /// so OD evaluations coinciding on a subspace share one fused engine
-  /// pass; each block runs under one epoch reader lock and one sharded
-  /// OD-cache multi-probe per wave. Answers are bitwise identical to the
-  /// per-point path at any setting; <= 1 disables fusion (one pool task
-  /// per id, the historical behavior). On the fused path the per-query
+  /// of at most this many ids (at least one) and co-schedules every
+  /// block's lattice searches (HosMiner::QueryBatchFused →
+  /// search::BatchFrontierRunner), so OD evaluations coinciding on a
+  /// subspace share one fused engine pass; each block runs under one epoch
+  /// reader lock and one sharded OD-cache multi-probe per wave. Answers
+  /// are bitwise identical to a Query per id at any setting; <= 1 cuts
+  /// blocks of one id, so no two points share a block. The per-query
   /// latency and SearchCounters work stats are measured per *block*
   /// (monitoring data — see the determinism note above).
   int batch_fusion_width = 16;
@@ -207,19 +206,19 @@ class QueryService {
   /// Drains in-flight queries and any scheduled rebuild.
   ~QueryService() = default;
 
-  /// Executes all ids across the worker pool, in fused blocks of
-  /// config.batch_fusion_width (one co-scheduled lattice search per block;
-  /// width <= 1 falls back to one task per id). results[i] answers ids[i];
-  /// answer content is identical to calling Query(ids[i]) serially. On any
-  /// per-query error the first error in id order is returned instead.
+  /// Executes all ids across the worker pool, one task per block of
+  /// max(config.batch_fusion_width, 1) ids (one co-scheduled lattice search
+  /// per block). results[i] answers ids[i]; answer content is identical to
+  /// calling Query(ids[i]) serially. On any per-query error the first
+  /// error in id order is returned instead.
   Result<std::vector<core::QueryResult>> QueryBatch(
       std::span<const data::PointId> ids);
 
   /// Schedules a single query on the pool.
   std::future<Result<core::QueryResult>> QueryAsync(data::PointId id);
 
-  /// One query executed on the calling thread (still cache-assisted and
-  /// counted in the stats).
+  /// One query executed on the calling thread as a block of one (still
+  /// cache-assisted and counted in the stats).
   Result<core::QueryResult> Query(data::PointId id);
 
   /// Appends rows (raw, pre-normalisation coordinates) while the service
@@ -301,18 +300,16 @@ class QueryService {
     return options;
   }
 
-  Result<core::QueryResult> RunTimedQuery(data::PointId id);
-
-  /// One fused block of QueryBatch: runs miner_.QueryBatchFused for
-  /// `ids` under one epoch reader lock (with the version-bound cache
-  /// view), records per-point stats (block latency) plus the fused-batch
-  /// counters/histogram, and writes each result into
-  /// (*slots)[base + i]. When tracing is on the block records one span
-  /// tree under a "batch" root span, attached to every successful result.
-  void RunTimedBlock(
-      std::span<const data::PointId> ids,
-      std::vector<std::optional<Result<core::QueryResult>>>* slots,
-      size_t base);
+  /// The one read path, reached by Query, QueryAsync and every QueryBatch
+  /// block: runs miner_.QueryBatchFused for `ids` under one epoch reader
+  /// lock (with the version-bound cache view) and records per-point stats
+  /// (block latency), NotFound rejects and the slow-query log. A
+  /// `batch_block` is a QueryBatch block: its root span is "batch" rather
+  /// than "service", and at a fusion width above 1 it also feeds the
+  /// fused-batch counters. When tracing is on the block records one span
+  /// tree, attached to every successful result.
+  std::vector<Result<core::QueryResult>> RunTimedBlock(
+      std::span<const data::PointId> ids, bool batch_block);
 
   /// Appends (steady_clock::now(), current dataset version) to
   /// version_history_. Called at construction and after every append

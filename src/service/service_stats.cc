@@ -40,25 +40,27 @@ ServiceStats::ServiceStats(obs::MetricsRegistry* registry)
           registry->GetHistogram("service_query_latency_seconds")) {}
 
 void ServiceStats::RecordQuery(double latency_seconds,
-                               uint64_t od_evaluations,
-                               uint64_t bound_decisions,
-                               uint64_t risky_decisions, double bound_gap,
-                               uint64_t gate_skips) {
+                               const search::SearchCounters* counters) {
   queries_served_->Increment();
   latencies_->Record(latency_seconds);
-  if (od_evaluations > 0) od_evaluations_->Increment(od_evaluations);
-  if (bound_decisions > 0) {
-    filter_bound_decisions_->Increment(bound_decisions);
+  if (counters == nullptr) return;
+  if (counters->od_evaluations > 0) {
+    od_evaluations_->Increment(counters->od_evaluations);
   }
-  if (risky_decisions > 0) {
-    filter_risky_decisions_->Increment(risky_decisions);
+  if (counters->bound_decisions > 0) {
+    filter_bound_decisions_->Increment(counters->bound_decisions);
+  }
+  if (counters->risky_decisions > 0) {
+    filter_risky_decisions_->Increment(counters->risky_decisions);
     // Gauge semantics: the most recent risky query's widest interval. A
     // risk-free query leaves it untouched so a scrape between queries
     // still explains the last nonzero risk, and a fully conservative
     // service never writes it (stays 0).
-    last_bound_gap_->Set(bound_gap);
+    last_bound_gap_->Set(counters->bound_gap);
   }
-  if (gate_skips > 0) filter_gate_skips_->Increment(gate_skips);
+  if (counters->gate_skips > 0) {
+    filter_gate_skips_->Increment(counters->gate_skips);
+  }
 }
 
 ServiceStatsSnapshot ServiceStats::Snapshot() const {

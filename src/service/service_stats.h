@@ -18,6 +18,7 @@
 #include <string>
 
 #include "src/obs/metrics.h"
+#include "src/search/search_result.h"
 
 namespace hos::service {
 
@@ -81,10 +82,10 @@ struct ServiceStatsSnapshot {
   /// Queries over ObservabilityConfig::slow_query_threshold_seconds.
   uint64_t slow_queries = 0;
 
-  // Fused multi-query execution counters (zero when batch fusion is
-  // disabled or QueryBatch was never called).
-  /// Queries served through the fused batch path (co-scheduled lattice
-  /// searches sharing engine passes), as opposed to one-task-per-id.
+  // Fused multi-query execution counters (zero when batch_fusion_width is
+  // 1 or less, or QueryBatch was never called).
+  /// Queries served in QueryBatch blocks cut at a fusion width above 1
+  /// (co-scheduled lattice searches sharing engine passes).
   uint64_t batched_queries = 0;
   /// Fresh OD evaluations those queries spent through batched engine
   /// calls.
@@ -102,12 +103,9 @@ class ServiceStats {
   ServiceStats& operator=(const ServiceStats&) = delete;
 
   /// Records one completed query: wall-clock latency plus the query's
-  /// search-work counters (0 for failed queries). The filter trio defaults
-  /// keep pre-filter-unaware callers recording zeros.
-  void RecordQuery(double latency_seconds, uint64_t od_evaluations,
-                   uint64_t bound_decisions = 0,
-                   uint64_t risky_decisions = 0, double bound_gap = 0.0,
-                   uint64_t gate_skips = 0);
+  /// search-work counters (null for a failed query).
+  void RecordQuery(double latency_seconds,
+                   const search::SearchCounters* counters);
   void RecordBatch() { batches_served_->Increment(); }
   void RecordSlowQuery() { slow_queries_->Increment(); }
 

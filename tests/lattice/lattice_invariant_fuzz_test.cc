@@ -100,13 +100,17 @@ void CheckInvariants(const LatticeStore& state, const std::vector<bool>& truth,
   const auto& mins = state.minimal_outlier_seeds();
   for (size_t i = 0; i < mins.size(); ++i) {
     for (size_t j = 0; j < mins.size(); ++j) {
-      if (i != j) ASSERT_FALSE(mins[i].IsSubsetOf(mins[j]));
+      if (i != j) {
+        ASSERT_FALSE(mins[i].IsSubsetOf(mins[j]));
+      }
     }
   }
   const auto& maxs = state.maximal_non_outlier_seeds();
   for (size_t i = 0; i < maxs.size(); ++i) {
     for (size_t j = 0; j < maxs.size(); ++j) {
-      if (i != j) ASSERT_FALSE(maxs[i].IsSubsetOf(maxs[j]));
+      if (i != j) {
+        ASSERT_FALSE(maxs[i].IsSubsetOf(maxs[j]));
+      }
     }
   }
 }

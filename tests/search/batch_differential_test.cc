@@ -180,7 +180,9 @@ TEST(BatchFrontierTest, RunnerMatchesSequentialDynamicSearch) {
               pointers[b]->LookupLocal(mask, &fused_value);
           const bool seq_has = seq_od.LookupLocal(mask, &seq_value);
           ASSERT_EQ(fused_has, seq_has) << "mask " << mask;
-          if (fused_has) ASSERT_EQ(fused_value, seq_value) << "mask " << mask;
+          if (fused_has) {
+            ASSERT_EQ(fused_value, seq_value) << "mask " << mask;
+          }
         }
       }
     }
@@ -599,6 +601,13 @@ TEST_P(QueryBatchFusedTest, InvalidSlotsFailAloneAndExactlyLikeQuery) {
   EXPECT_EQ(fused[1].status().ToString(), seq_oor.status().ToString());
   EXPECT_TRUE(fused[2].status().IsNotFound());
   EXPECT_EQ(fused[2].status().ToString(), seq_dead.status().ToString());
+  // Both forms run the same checks, so also pin the texts themselves.
+  EXPECT_EQ(fused[1].status().message(),
+            "point id " + std::to_string(out_of_range) +
+                " outside dataset of size " +
+                std::to_string(miner->dataset().size()));
+  EXPECT_EQ(fused[2].status().message(),
+            "point id 7 was deleted/evicted from the window");
 
   // ...and the healthy batch-mates are answered identically regardless.
   for (size_t i : {size_t{0}, size_t{3}}) {

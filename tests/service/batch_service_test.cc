@@ -1,11 +1,11 @@
-// Service-level suite for fused multi-query execution: QueryBatch with
-// batch fusion on must return exactly what the historical one-task-per-id
-// path (batch_fusion_width <= 1) and a serial per-point Query loop return;
-// the fused path's metrics (batched_queries, batch_fused_evaluations, the
-// batch-size histogram) must account for the fused blocks; error slots
-// surface the first error in id order; and — the TSan case — concurrent
-// fused batches racing appends, cache stores and each other must stay
-// exact under the epoch-lock discipline.
+// Service-level suite for fused multi-query execution: QueryBatch at every
+// batch_fusion_width, including widths <= 1 that cut blocks of one id,
+// must return exactly what a serial per-point Query loop returns; the
+// fused-batch metrics (batched_queries, batch_fused_evaluations, the
+// batch-size histogram) must account for the blocks cut at a width above
+// 1; error slots surface the first error in id order; and — the TSan case
+// — concurrent fused batches racing appends, cache stores and each other
+// must stay exact under the epoch-lock discipline.
 
 #include <gtest/gtest.h>
 
@@ -50,10 +50,10 @@ void ExpectSameAnswer(const core::QueryResult& a, const core::QueryResult& b,
   EXPECT_EQ(a.dataset_version, b.dataset_version);
 }
 
-// The core service equivalence: fused blocks (several widths, including
-// one that does not divide the batch) versus the width<=1 historical path
-// versus a serial Query loop. Cache off so even the od_evaluations
-// counters must line up with the serial loop.
+// The core service equivalence: blocks at several widths (blocks of one,
+// and one width that does not divide the batch) versus a serial Query
+// loop. Cache off so even the od_evaluations counters must line up with
+// the serial loop.
 TEST(BatchServiceTest, FusedBatchIdenticalToUnfusedAndSerial) {
   core::HosMiner serial_miner = BuildMiner(21);
   std::vector<data::PointId> ids(90);
@@ -135,7 +135,7 @@ TEST(BatchServiceTest, FirstErrorInIdOrderWins) {
   QueryService service(BuildMiner(23), config);
 
   // Two invalid ids in different fused blocks; the lower slot's error is
-  // the one reported, exactly as the unfused path promises.
+  // the one reported, as QueryBatch promises.
   const std::vector<data::PointId> ids = {0, 1, 999999, 2, 3, 4, 888888};
   auto batch = service.QueryBatch(ids);
   EXPECT_TRUE(batch.status().IsOutOfRange()) << batch.status().ToString();

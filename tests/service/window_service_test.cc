@@ -53,12 +53,32 @@ TEST(WindowServiceTest, DeletedIdAnswersNotFoundAndCountsReject) {
 
   auto result = service.Query(7);
   EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+  EXPECT_EQ(result.status().message(),
+            "point id 7 was deleted/evicted from the window");
 
   const ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.rows_deleted, 1u);
   EXPECT_EQ(stats.evicted_query_rejects, 1u);
   EXPECT_EQ(stats.live_rows, 39u);
   EXPECT_EQ(stats.tombstone_rows, 1u);
+
+  // Every read entry point rejects the deleted id with the same status and
+  // counts one reject per rejected id: QueryAsync, and QueryBatch at widths
+  // that cut blocks of one and blocks shared with live ids.
+  auto async = service.QueryAsync(7).get();
+  EXPECT_EQ(async.status(), result.status()) << async.status().ToString();
+  EXPECT_EQ(service.Stats().evicted_query_rejects, 2u);
+  const std::vector<data::PointId> ids = {6, 7, 8, 7};
+  for (int width : {0, 1, 4}) {
+    SCOPED_TRACE("batch_fusion_width=" + std::to_string(width));
+    QueryServiceConfig batch_config = config;
+    batch_config.batch_fusion_width = width;
+    QueryService batch_service(BuildMiner(40), batch_config);
+    ASSERT_TRUE(batch_service.DeleteRows(doomed).ok());
+    auto batch = batch_service.QueryBatch(ids);
+    EXPECT_EQ(batch.status(), result.status()) << batch.status().ToString();
+    EXPECT_EQ(batch_service.Stats().evicted_query_rejects, 2u);
+  }
 
   // Other rows keep answering.
   EXPECT_TRUE(service.Query(8).ok());
