@@ -48,7 +48,7 @@ inline size_t SmokeSize(size_t full, size_t smoke) {
 /// enough to cover the code path without the big-d blowup.
 template <typename T>
 inline std::vector<T> SmokeSweep(std::vector<T> full) {
-  if (g_smoke && full.size() > 1) full.resize(1);
+  if (g_smoke && full.size() > 1) full.erase(full.begin() + 1, full.end());
   return full;
 }
 

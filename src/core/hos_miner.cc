@@ -432,7 +432,6 @@ uint64_t HosMiner::CommitAppend(
   for (const std::vector<double>& row : normalized_rows) {
     dataset_->Append(row);
   }
-  learning_stale_ = true;
   // Keep the filter's tallies synced so its coarse tier survives the
   // append (in-grid rows are counted; out-of-grid rows fold in exactly).
   if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
@@ -443,37 +442,31 @@ uint64_t HosMiner::CommitAppend(
 
 Result<uint64_t> HosMiner::Delete(std::span<const data::PointId> ids) {
   HOS_ASSIGN_OR_RETURN(uint64_t version, dataset_->DeleteRows(ids));
-  if (!ids.empty()) {
-    learning_stale_ = true;
-    // Sparse tally retirement: the dead rows' histogram counts go with
-    // them, so the filter's bounds tighten instead of only loosening.
-    if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
-      density_filter_->AbsorbDeletes(ids);
-    }
+  // Sparse tally retirement: the dead rows' histogram counts go with
+  // them, so the filter's bounds tighten instead of only loosening.
+  if (!ids.empty() && config_.incremental_filter_tallies &&
+      density_filter_ != nullptr) {
+    density_filter_->AbsorbDeletes(ids);
   }
   return version;
 }
 
 size_t HosMiner::EvictBefore(uint64_t version) {
   const size_t evicted = dataset_->EvictBefore(version);
-  if (evicted > 0) {
-    learning_stale_ = true;
-    // Eviction reports only a count, not ids: catch the tallies up with a
-    // scan over counted-but-dead rows.
-    if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
-      density_filter_->ResyncTombstones();
-    }
+  // Eviction reports only a count, not ids: catch the tallies up with a
+  // scan over counted-but-dead rows.
+  if (evicted > 0 && config_.incremental_filter_tallies &&
+      density_filter_ != nullptr) {
+    density_filter_->ResyncTombstones();
   }
   return evicted;
 }
 
 size_t HosMiner::EvictOldest(size_t n) {
   const size_t evicted = dataset_->EvictOldest(n);
-  if (evicted > 0) {
-    learning_stale_ = true;
-    if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
-      density_filter_->ResyncTombstones();
-    }
+  if (evicted > 0 && config_.incremental_filter_tallies &&
+      density_filter_ != nullptr) {
+    density_filter_->ResyncTombstones();
   }
   return evicted;
 }
@@ -486,7 +479,6 @@ HosMiner::LearningArtifacts HosMiner::PrepareLearning() const {
 void HosMiner::CommitLearning(LearningArtifacts artifacts) {
   learning_report_ = std::move(artifacts.report);
   priors_version_ = artifacts.version;
-  learning_stale_ = false;
 }
 
 void HosMiner::RefreshLearning() { CommitLearning(PrepareLearning()); }

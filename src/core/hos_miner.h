@@ -339,8 +339,8 @@ class HosMiner {
   size_t live_rows() const { return dataset_->live_size(); }
 
   /// True when rows were appended or deleted since the pruning priors were
-  /// learned.
-  bool learning_stale() const { return learning_stale_; }
+  /// learned — including after a commit whose prepare raced a mutation.
+  bool learning_stale() const { return priors_version_ != version(); }
 
   /// Drift signal: rows changed (appended + tombstoned) since the priors
   /// were learned, as a fraction of the live rows. 0 right after learning;
@@ -372,7 +372,9 @@ class HosMiner {
   /// Rng(config.seed)). Heavy; read-only.
   LearningArtifacts PrepareLearning() const;
 
-  /// Installs prepared priors and clears the staleness signal. Cheap.
+  /// Installs prepared priors and resets the staleness clock to the
+  /// version they were learned at, so mutations committed since the
+  /// prepare still count as drift. Cheap.
   void CommitLearning(LearningArtifacts artifacts);
 
   /// PrepareLearning + CommitLearning in one call. Purely a query-plan
@@ -467,7 +469,6 @@ class HosMiner {
   std::unique_ptr<filter::FilterGate> filter_gate_;
   double threshold_ = 0.0;
   learning::LearningReport learning_report_;
-  bool learning_stale_ = false;
   /// Dataset version the installed priors were learned at (feeds
   /// learning_staleness()).
   uint64_t priors_version_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/lattice/lattice_store.h"
 #include "src/search/od_evaluator.h"
 #include "src/search/subspace_search.h"
 
@@ -22,7 +23,11 @@ LearningReport LearnPruningPriors(const data::Dataset& dataset,
   const std::vector<data::PointId> live = dataset.LiveIds();
   const size_t sample_size = std::min<size_t>(
       static_cast<size_t>(std::max(options.sample_size, 0)), live.size());
-  if (sample_size == 0) return report;
+  // With d outside 1..kMaxLatticeDims no lattice search is possible: flat
+  // priors, unsampled.
+  if (sample_size == 0 || d < 1 || d > lattice::kMaxLatticeDims) {
+    return report;
+  }
 
   for (size_t idx : rng->SampleWithoutReplacement(live.size(), sample_size)) {
     report.sample_ids.push_back(live[idx]);
@@ -31,27 +36,13 @@ LearningReport LearnPruningPriors(const data::Dataset& dataset,
   // Sample points are searched with the flat §3.2 priors.
   search::DynamicSubspaceSearch sample_search(d,
                                               lattice::PruningPriors::Flat(d));
-  search::SearchExecution exec;
-  exec.lattice_backend = options.lattice_backend;
-  // A forced backend that cannot hold d dims (dense past its cap) would
-  // fail every sample search; degrade to automatic selection instead. If
-  // even the automatic choice cannot (d outside 1..kMaxLatticeDims), no
-  // lattice search is possible — return the flat priors unsampled.
-  if (!lattice::ValidateLatticeStoreConfig(d, exec.lattice_backend).ok()) {
-    exec.lattice_backend = lattice::LatticeBackend::kAuto;
-    if (!lattice::ValidateLatticeStoreConfig(d, exec.lattice_backend).ok()) {
-      report.sample_ids.clear();
-      return report;
-    }
-  }
   for (data::PointId id : report.sample_ids) {
     auto point = dataset.Row(id);
     search::OdEvaluator od(engine, point, options.k, id);
-    // Flat priors over d dims always match the search, the backend has
-    // been validated above, and d is in range (the caller's Build checked
-    // it), so Run cannot fail.
+    // Flat priors over d dims always match the search and d is in range
+    // (checked above), so Run cannot fail.
     search::SearchOutcome outcome =
-        sample_search.Run(&od, options.threshold, exec).value();
+        sample_search.Run(&od, options.threshold).value();
     for (int m = 1; m <= d; ++m) {
       report.mean_outlier_fraction[m] += outcome.outlier_fraction[m];
     }

@@ -41,10 +41,6 @@ struct LearnerOptions {
   int k = 5;
   /// Outlier threshold T.
   double threshold = 1.0;
-  /// Lattice storage for the sample searches; kAuto picks the sparse
-  /// store at every d. A backend invalid for the dataset's d falls back to
-  /// kAuto rather than failing the learning phase.
-  lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;
 };
 
 /// Runs the §3.2 learning process on `dataset` through `engine`.

@@ -20,12 +20,11 @@ QueryService::QueryService(core::HosMiner miner, QueryServiceConfig config)
       search_pool_(config.search_threads > 1
                        ? std::make_unique<ThreadPool>(config.search_threads)
                        : nullptr),
-      rebuild_worker_(config.ingest.background_rebuild &&
-                              (config.ingest.rebuild_delta_fraction > 0.0 ||
-                               config.ingest.relearn_staleness_threshold >
-                                   0.0)
-                          ? std::make_unique<ThreadPool>(1)
-                          : nullptr),
+      maintenance_worker_(config.ingest.rebuild_delta_fraction > 0.0 ||
+                                  config.ingest.relearn_staleness_threshold >
+                                      0.0
+                              ? std::make_unique<ThreadPool>(1)
+                              : nullptr),
       pool_(config.num_threads) {
   // Seed the time → version history so EvictOlderThan can age out the
   // build-time rows too, not just post-construction appends.
@@ -283,8 +282,7 @@ Result<uint64_t> QueryService::AppendBatch(
     }
     RecordVersionSample();
   }
-  ScheduleRebuildIfNeeded();
-  ScheduleRelearnIfNeeded();
+  ScheduleMaintenanceIfNeeded();
   return version;
 }
 
@@ -299,8 +297,7 @@ Result<uint64_t> QueryService::DeleteRows(
     if (version.ok()) stats_.RecordDelete(ids.size());
   }
   if (!version.ok()) return version.status();
-  ScheduleRebuildIfNeeded();
-  ScheduleRelearnIfNeeded();
+  ScheduleMaintenanceIfNeeded();
   return version;
 }
 
@@ -349,10 +346,7 @@ size_t QueryService::EvictBefore(uint64_t version) {
     evicted = miner_.EvictBefore(version);
     stats_.RecordEvict(evicted);
   }
-  if (evicted > 0) {
-    ScheduleRebuildIfNeeded();
-    ScheduleRelearnIfNeeded();
-  }
+  if (evicted > 0) ScheduleMaintenanceIfNeeded();
   return evicted;
 }
 
@@ -370,114 +364,89 @@ bool QueryService::PolicyWantsRebuild() const {
 bool QueryService::PolicyWantsRelearn() const {
   const IngestConfig& ingest = config_.ingest;
   return ingest.relearn_staleness_threshold > 0.0 &&
-         miner_.learning_stale() &&
          miner_.learning_staleness() >= ingest.relearn_staleness_threshold;
 }
 
-void QueryService::ScheduleRebuildIfNeeded() {
+void QueryService::ScheduleMaintenanceIfNeeded() {
   {
     std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
-    if (!PolicyWantsRebuild()) return;
+    if (!PolicyWantsRebuild() && !PolicyWantsRelearn()) return;
   }
-  if (rebuild_scheduled_.exchange(true, std::memory_order_acq_rel)) {
-    return;  // single-flight: a running rebuild re-checks when it is done
+  if (maintenance_scheduled_.exchange(true, std::memory_order_acq_rel)) {
+    return;  // single-flight: the running task re-checks when it is done
   }
-  if (rebuild_worker_ != nullptr) {
-    rebuild_worker_->Submit([this] { RunRebuild(); });
-  } else {
-    RunRebuild();
-  }
+  maintenance_worker_->Submit([this] { RunMaintenance(); });
 }
 
-void QueryService::ScheduleRelearnIfNeeded() {
-  {
-    std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
-    if (!PolicyWantsRelearn()) return;
-  }
-  if (relearn_scheduled_.exchange(true, std::memory_order_acq_rel)) {
-    return;  // single-flight: a running relearn re-checks when it is done
-  }
-  if (rebuild_worker_ != nullptr) {
-    rebuild_worker_->Submit([this] { RunRelearn(); });
-  } else {
-    RunRelearn();
-  }
-}
-
-void QueryService::RunRelearn() {
-  // Heavy phase — the sampling-based learner re-runs full lattice searches
-  // over the live rows — under the reader lock, concurrently with queries.
-  core::HosMiner::LearningArtifacts artifacts;
-  {
-    std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
-    artifacts = miner_.PrepareLearning();
-  }
-  {
-    // O(1) pointer swap. Priors only steer search order, so queries
-    // answered before and after the swap are identical; results for
-    // already-committed versions never change.
-    std::unique_lock<std::shared_mutex> epoch(epoch_mu_);
-    miner_.CommitLearning(std::move(artifacts));
-  }
-  stats_.RecordRelearn();
-  relearn_scheduled_.store(false, std::memory_order_release);
-  // A mutation may have slipped in after the prepare pinned its version
-  // but before the flag cleared; its own schedule call saw the flag still
-  // set. Close the race by re-checking (the commit reset the staleness
-  // clock to the prepare-time version, so this only fires on real drift).
-  ScheduleRelearnIfNeeded();
-}
-
-void QueryService::RunRebuild() {
+void QueryService::RunMaintenance() {
   while (true) {
-    // Heavy phase under the reader lock: queries keep running against the
-    // current engine while the fresh snapshot and index are built. Appends
-    // wait (they need the writer side), which also pins the row count the
-    // artifacts cover.
-    Result<core::HosMiner::RebuildArtifacts> artifacts =
-        Status::Internal("rebuild did not run");
+    bool rebuild = false;
+    bool relearn = false;
     {
       std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
-      artifacts = miner_.PrepareRebuild();
+      rebuild = PolicyWantsRebuild();
+      relearn = PolicyWantsRelearn();
     }
-    if (!artifacts.ok()) {
-      // Do not loop or re-arm on failure — that would spin on a
-      // persistently failing prepare. The next append re-triggers.
-      HOS_LOG(Warning) << "ingest rebuild failed (service keeps serving "
-                          "via the delta scan): "
-                       << artifacts.status().ToString();
-      rebuild_scheduled_.store(false, std::memory_order_release);
-      return;
+    if (!rebuild && !relearn) break;
+    if (rebuild) {
+      // Heavy phase under the reader lock: queries keep running against the
+      // current engine while the fresh snapshot and index are built.
+      // Mutations wait (they need the writer side), which also pins the
+      // row count the artifacts cover.
+      Result<core::HosMiner::RebuildArtifacts> artifacts =
+          Status::Internal("rebuild did not run");
+      {
+        std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
+        artifacts = miner_.PrepareRebuild();
+      }
+      if (!artifacts.ok()) {
+        // Do not loop or re-arm on failure — that would spin on a
+        // persistently failing prepare. The next mutation re-triggers.
+        HOS_LOG(Warning) << "ingest rebuild failed (service keeps serving "
+                            "via the delta scan): "
+                         << artifacts.status().ToString();
+        maintenance_scheduled_.store(false, std::memory_order_release);
+        return;
+      }
+      double pause_seconds = 0.0;
+      {
+        std::unique_lock<std::shared_mutex> epoch(epoch_mu_);
+        Timer pause;  // time only the held section — the pause others see
+        // The commit swaps in a fresh engine whose work counters start at
+        // zero; fold the outgoing engine's totals into the offsets first
+        // so the exported per-backend series stay monotone across the swap.
+        FoldEngineStatsLocked();
+        miner_.CommitRebuild(std::move(artifacts).value());
+        pause_seconds = pause.ElapsedSeconds();
+      }
+      stats_.RecordRebuild(pause_seconds);
     }
-    double pause_seconds = 0.0;
-    bool fold_again = false;
-    {
-      std::unique_lock<std::shared_mutex> epoch(epoch_mu_);
-      Timer pause;  // time only the held section — the pause others see
-      // The commit swaps in a fresh engine whose work counters start at
-      // zero; fold the outgoing engine's totals into the offsets first so
-      // the exported per-backend series stay monotone across the swap.
-      FoldEngineStatsLocked();
-      miner_.CommitRebuild(std::move(artifacts).value());
-      pause_seconds = pause.ElapsedSeconds();
-      // Appends that committed between prepare and commit stayed in the
-      // delta; fold them too if they already re-exceed the policy,
-      // otherwise they would sit above threshold until the next append.
-      fold_again = PolicyWantsRebuild();
+    if (relearn) {
+      // The sampling-based learner re-runs full lattice searches over the
+      // live rows under the reader lock, concurrently with queries; the
+      // commit is an O(1) swap. Priors only steer search order, so answers
+      // before and after it are identical.
+      core::HosMiner::LearningArtifacts artifacts;
+      {
+        std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
+        artifacts = miner_.PrepareLearning();
+      }
+      {
+        std::unique_lock<std::shared_mutex> epoch(epoch_mu_);
+        miner_.CommitLearning(std::move(artifacts));
+      }
+      stats_.RecordRelearn();
     }
-    stats_.RecordRebuild(pause_seconds);
-    if (!fold_again) break;
   }
-  rebuild_scheduled_.store(false, std::memory_order_release);
-  // An append may have slipped in after the in-lock policy check but
-  // before the flag cleared, and its own ScheduleRebuildIfNeeded would
-  // have seen the flag still set. Close the race by re-checking.
-  ScheduleRebuildIfNeeded();
+  maintenance_scheduled_.store(false, std::memory_order_release);
+  // A mutation may have committed after the final policy check but before
+  // the flag cleared; its own schedule call saw the flag still set. Close
+  // the race by re-checking.
+  ScheduleMaintenanceIfNeeded();
 }
 
 void QueryService::WaitForRebuilds() {
-  while (rebuild_scheduled_.load(std::memory_order_acquire) ||
-         relearn_scheduled_.load(std::memory_order_acquire)) {
+  while (maintenance_scheduled_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }

@@ -25,18 +25,25 @@
 //  * The OdCache is keyed by dataset version (OdCache::VersionView), so a
 //    cached OD computed before an append can never answer a query issued
 //    after it.
-//  * When the delta exceeds IngestConfig::rebuild_delta_fraction,
-//    AppendBatch triggers a rebuild that runs its heavy phase
-//    (HosMiner::PrepareRebuild — new SoA snapshot + index bulk load)
-//    under the *reader* side, concurrently with queries, and swaps the
-//    artifacts in (CommitRebuild) under the writer side — a pause of
-//    microseconds, reported as ServiceStats last_rebuild_pause_seconds.
-//  * Background rebuilds run on a dedicated single-thread worker, NOT on
-//    the intra-query search pool: a rebuild must take the epoch lock, and
-//    parking it on the search pool could deadlock — with a writer waiting,
-//    a reader-priority-blocked rebuild task at the head of the search
-//    queue would starve the frontier waves of an in-flight query that
-//    still holds the reader lock the writer is waiting out.
+//  * Two pieces of derived state go stale as the window moves: the kNN
+//    index (churn_fraction over IngestConfig::rebuild_delta_fraction) and
+//    the learned pruning priors (learning_staleness over
+//    relearn_staleness_threshold). AppendBatch, DeleteRows and EvictBefore
+//    each schedule one maintenance task when either policy wants work. It
+//    runs on a dedicated single-thread worker, single-flight: it rebuilds
+//    first, then relearns, and repeats while a policy still wants work.
+//    Each refresh runs its heavy phase (HosMiner::PrepareRebuild — new SoA
+//    snapshot + index bulk load — or PrepareLearning) under the *reader*
+//    side, concurrently with queries, and swaps the result in
+//    (CommitRebuild, CommitLearning) under the writer side — a pause of
+//    microseconds, reported for rebuilds as ServiceStats
+//    last_rebuild_pause_seconds.
+//  * The maintenance worker is NOT the intra-query search pool: the task
+//    must take the epoch lock, and parking it on the search pool could
+//    deadlock — with a writer waiting, a reader-priority-blocked
+//    maintenance task at the head of the search queue would starve the
+//    frontier waves of an in-flight query that still holds the reader lock
+//    the writer is waiting out.
 //
 // The miner snapshot's kNN engine holds one SoA view of the dataset,
 // shared by every worker, so their OD evaluations run through the batched
@@ -78,9 +85,10 @@
 namespace hos::service {
 
 /// Rebuild, sliding-window and relearn policy for the streaming-ingest
-/// path.
+/// path. Rebuilds and relearns run as one maintenance task on the
+/// service's background worker (see the header comment).
 struct IngestConfig {
-  /// Trigger a rebuild when the churn fraction — (delta rows + unsealed
+  /// Rebuild when the churn fraction — (delta rows + unsealed
   /// tombstones) / live rows, the per-query extra work the sealed
   /// structures cannot serve — exceeds this value (and min_delta_rows is
   /// met). <= 0 disables automatic rebuilds entirely (appends and deletes
@@ -90,12 +98,6 @@ struct IngestConfig {
   /// Never rebuild for churn (delta rows + unsealed tombstones) smaller
   /// than this many rows.
   size_t min_delta_rows = 64;
-  /// Run rebuilds (and drift-triggered relearns) on the dedicated
-  /// background worker (default). When false the whole rebuild executes
-  /// synchronously inside the AppendBatch/DeleteRows/EvictBefore call
-  /// that triggered it — simpler latency reasoning for tests and batch
-  /// loaders.
-  bool background_rebuild = true;
   /// Row-count sliding window: when > 0, every append batch that pushes
   /// the live row count above this evicts the oldest live rows back down
   /// to it (inside the same writer-lock commit, so no query ever
@@ -103,12 +105,12 @@ struct IngestConfig {
   size_t window_max_rows = 0;
   /// Drift-triggered relearning: when > 0 and
   /// HosMiner::learning_staleness() — rows appended + deleted since the
-  /// priors were learned, over the live rows — reaches this value, a
-  /// learning refresh is scheduled (same worker and single-flight
-  /// discipline as rebuilds; prepare under the reader lock, O(1) commit
-  /// under the writer lock). Priors only steer search order, so answers
-  /// are identical before and after. 0 disables automatic relearning;
-  /// 1.0 means "relearn when the window has fully turned over".
+  /// priors were learned, over the live rows — reaches this value, the
+  /// maintenance task relearns (after any rebuild it runs; prepare under
+  /// the reader lock, O(1) commit under the writer lock). Priors only
+  /// steer search order, so answers are identical before and after. 0
+  /// disables automatic relearning; 1.0 means "relearn when the window
+  /// has fully turned over".
   double relearn_staleness_threshold = 0.0;
 };
 
@@ -196,14 +198,15 @@ struct QueryServiceConfig {
 class QueryService {
  public:
   /// Takes ownership of the miner; all mutation from here on goes through
-  /// AppendBatch (and the rebuilds it schedules), serialized against the
-  /// query path by the service's epoch lock.
+  /// AppendBatch, DeleteRows and the eviction calls (and the maintenance
+  /// they schedule), serialized against the query path by the service's
+  /// epoch lock.
   explicit QueryService(core::HosMiner miner, QueryServiceConfig config = {});
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Drains in-flight queries and any scheduled rebuild.
+  /// Drains in-flight queries and any scheduled maintenance task.
   ~QueryService() = default;
 
   /// Executes all ids across the worker pool, one task per block of
@@ -223,8 +226,8 @@ class QueryService {
 
   /// Appends rows (raw, pre-normalisation coordinates) while the service
   /// keeps serving: the batch commits atomically, queries issued after the
-  /// return see all of it, and a rebuild is scheduled when the delta
-  /// policy says so. Returns the dataset version the batch committed at.
+  /// return see all of it, and maintenance is scheduled when a policy
+  /// says so. Returns the dataset version the batch committed at.
   /// Concurrent AppendBatch calls are serialized with each other and with
   /// the query path.
   Result<uint64_t> AppendBatch(const std::vector<std::vector<double>>& rows);
@@ -253,8 +256,9 @@ class QueryService {
   /// row; a NaN or infinite `seconds` evicts nothing.
   size_t EvictOlderThan(double seconds);
 
-  /// Blocks until no rebuild or relearn is scheduled or running, then
-  /// returns. Test and shutdown aid; the destructor waits implicitly.
+  /// Blocks until no maintenance task (rebuild or relearn) is scheduled or
+  /// running, then returns. Test and shutdown aid; the destructor waits
+  /// implicitly.
   void WaitForRebuilds();
 
   /// Counters plus cache hit rate, latency percentiles and ingest gauges.
@@ -334,31 +338,26 @@ class QueryService {
   /// the rebuild policy. Caller must hold either side of epoch_mu_.
   bool PolicyWantsRebuild() const;
 
-  /// True when the drift signal exceeds the relearn policy. Caller must
+  /// True when the drift signal reaches the relearn policy. Caller must
   /// hold either side of epoch_mu_.
   bool PolicyWantsRelearn() const;
 
-  /// Schedules (or, in synchronous mode, runs) a rebuild if the policy
-  /// wants one and none is in flight. Must be called WITHOUT epoch_mu_
+  /// Submits RunMaintenance to the worker if either policy wants work and
+  /// no task is in flight. AppendBatch, DeleteRows and EvictBefore each
+  /// call it once after their commit. Must be called WITHOUT epoch_mu_
   /// held.
-  void ScheduleRebuildIfNeeded();
+  void ScheduleMaintenanceIfNeeded();
 
-  /// Same single-flight discipline for the drift-triggered learning
-  /// refresh. Must be called WITHOUT epoch_mu_ held.
-  void ScheduleRelearnIfNeeded();
-
-  /// PrepareLearning under the reader lock (concurrent with queries),
-  /// CommitLearning under the writer lock (O(1) pointer swap); clears
-  /// relearn_scheduled_ and re-checks like RunRebuild.
-  void RunRelearn();
-
-  /// PrepareRebuild under the reader lock, CommitRebuild under the writer
-  /// lock, repeated while the policy still wants folding (appends that
-  /// landed during a rebuild window would otherwise leave an
-  /// over-threshold delta in place until the next append); clears
-  /// rebuild_scheduled_ when done and re-arms if a late append slipped
-  /// past the final check.
-  void RunRebuild();
+  /// The one maintenance task. While either policy wants work: rebuild
+  /// (PrepareRebuild under the reader lock; engine-counter fold,
+  /// CommitRebuild and pause timing under the writer lock), then relearn
+  /// (PrepareLearning under the reader lock, CommitLearning under the
+  /// writer lock). Mutations that land during a pass are picked up by the
+  /// next one. Clears maintenance_scheduled_ when done and re-checks once,
+  /// in case a mutation slipped past the final check. A failed rebuild
+  /// prepare is logged and ends the task without re-arming (the next
+  /// mutation re-triggers), so a persistent failure cannot spin.
+  void RunMaintenance();
 
   core::HosMiner miner_;
   QueryServiceConfig config_;
@@ -387,22 +386,17 @@ class QueryService {
   /// to miner_ state that appends mutate (dataset rows/version, engine,
   /// SoA view).
   mutable std::shared_mutex epoch_mu_;
-  /// True while a rebuild is scheduled or running (single-flight).
-  std::atomic<bool> rebuild_scheduled_{false};
-  /// True while a learning refresh is scheduled or running
-  /// (single-flight, independent of rebuilds — they share the worker but
-  /// not the trigger).
-  std::atomic<bool> relearn_scheduled_{false};
+  /// True while a maintenance task is scheduled or running (single-flight).
+  std::atomic<bool> maintenance_scheduled_{false};
 
   /// Shared by every in-flight query's frontier rounds; null when
   /// search_threads <= 1. Declared before the pools so workers die first.
   std::unique_ptr<ThreadPool> search_pool_;
-  /// Dedicated single-thread worker for background rebuilds and
-  /// drift-triggered relearns (see the header comment for why these must
-  /// not share the search pool). Created in the constructor when either
-  /// background policy is active, so no lazy-creation synchronization is
-  /// needed; null otherwise.
-  std::unique_ptr<ThreadPool> rebuild_worker_;
+  /// Dedicated single-thread worker for the maintenance task (see the
+  /// header comment for why it must not share the search pool). Created
+  /// in the constructor when either policy is active, so no lazy-creation
+  /// synchronization is needed; null otherwise (no policy can want work).
+  std::unique_ptr<ThreadPool> maintenance_worker_;
 
   ThreadPool pool_;  // last member: workers must die before what they touch
 };

@@ -1,7 +1,5 @@
 #include "src/service/service_stats.h"
 
-#include <cstdio>
-
 namespace hos::service {
 
 ServiceStats::ServiceStats(obs::MetricsRegistry* registry)
@@ -89,60 +87,6 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snapshot.p999_latency_seconds = latencies_->Percentile(0.999);
   snapshot.max_latency_seconds = latencies_->max_recorded();
   return snapshot;
-}
-
-std::string ServiceStatsSnapshot::ToJson() const {
-  char buffer[2048];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"queries_served\": %llu, \"batches_served\": %llu, "
-      "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-      "\"cache_hit_rate\": %.4f, \"p50_latency_seconds\": %.6g, "
-      "\"p90_latency_seconds\": %.6g, \"p99_latency_seconds\": %.6g, "
-      "\"p999_latency_seconds\": %.6g, \"max_latency_seconds\": %.6g, "
-      "\"rows_ingested\": %llu, "
-      "\"append_batches\": %llu, \"rebuilds_completed\": %llu, "
-      "\"last_rebuild_pause_seconds\": %.6g, "
-      "\"rows_deleted\": %llu, \"rows_evicted\": %llu, "
-      "\"evicted_query_rejects\": %llu, \"relearns_completed\": %llu, "
-      "\"dataset_version\": %llu, "
-      "\"delta_rows\": %llu, \"delta_fraction\": %.4f, "
-      "\"live_rows\": %llu, \"tombstone_rows\": %llu, "
-      "\"churn_fraction\": %.4f, \"learning_staleness\": %.4f, "
-      "\"od_evaluations\": %llu, "
-      "\"filter_bound_decisions\": %llu, "
-      "\"filter_risky_decisions\": %llu, \"last_bound_gap\": %.6g, "
-      "\"filter_gate_skips\": %llu, "
-      "\"slow_queries\": %llu, "
-      "\"batched_queries\": %llu, \"batch_fused_evaluations\": %llu}",
-      static_cast<unsigned long long>(queries_served),
-      static_cast<unsigned long long>(batches_served),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses), cache_hit_rate,
-      p50_latency_seconds, p90_latency_seconds, p99_latency_seconds,
-      p999_latency_seconds, max_latency_seconds,
-      static_cast<unsigned long long>(rows_ingested),
-      static_cast<unsigned long long>(append_batches),
-      static_cast<unsigned long long>(rebuilds_completed),
-      last_rebuild_pause_seconds,
-      static_cast<unsigned long long>(rows_deleted),
-      static_cast<unsigned long long>(rows_evicted),
-      static_cast<unsigned long long>(evicted_query_rejects),
-      static_cast<unsigned long long>(relearns_completed),
-      static_cast<unsigned long long>(dataset_version),
-      static_cast<unsigned long long>(delta_rows), delta_fraction,
-      static_cast<unsigned long long>(live_rows),
-      static_cast<unsigned long long>(tombstone_rows), churn_fraction,
-      learning_staleness,
-      static_cast<unsigned long long>(od_evaluations),
-      static_cast<unsigned long long>(filter_bound_decisions),
-      static_cast<unsigned long long>(filter_risky_decisions),
-      last_bound_gap,
-      static_cast<unsigned long long>(filter_gate_skips),
-      static_cast<unsigned long long>(slow_queries),
-      static_cast<unsigned long long>(batched_queries),
-      static_cast<unsigned long long>(batch_fused_evaluations));
-  return buffer;
 }
 
 }  // namespace hos::service

@@ -2,20 +2,18 @@
 // query-serving path — queries served, batches, OD-cache hit rate, and
 // p50/p90/p99/p999 latency from a log-bucketed histogram.
 //
-// Since the observability PR the counters live in an obs::MetricsRegistry:
-// ServiceStats holds stable Counter*/Gauge*/Histogram* handles into the
-// registry QueryService owns, so the same tallies appear both in the
-// ServiceStatsSnapshot JSON (the stable /varz surface the tests pin) and in
-// MetricsRegistry::ToJson()/ToPrometheusText() alongside every other
-// subsystem's metrics. Recording stays lock-free: each handle's record path
-// is one relaxed fetch_add, exactly what the old hand-rolled RelaxedCounter
-// fields cost.
+// The counters live in an obs::MetricsRegistry: ServiceStats holds stable
+// Counter*/Gauge*/Histogram* handles into the registry QueryService owns,
+// so the same tallies appear both in the typed ServiceStatsSnapshot
+// (QueryService::Stats()) and in MetricsRegistry::ToJson()/
+// ToPrometheusText() alongside every other subsystem's metrics — the one
+// text export. Recording stays lock-free: each handle's record path is one
+// relaxed fetch_add.
 
 #ifndef HOS_SERVICE_SERVICE_STATS_H_
 #define HOS_SERVICE_SERVICE_STATS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/obs/metrics.h"
 #include "src/search/search_result.h"
@@ -53,7 +51,7 @@ struct ServiceStatsSnapshot {
   /// Queries rejected with NotFound because the id was deleted/evicted —
   /// a client-visible miss.
   uint64_t evicted_query_rejects = 0;
-  /// Background learning refreshes committed (drift-triggered or manual).
+  /// Drift-triggered learning refreshes the maintenance task committed.
   uint64_t relearns_completed = 0;
 
   /// Gauges sampled at snapshot time from the served miner.
@@ -90,8 +88,6 @@ struct ServiceStatsSnapshot {
   /// Fresh OD evaluations those queries spent through batched engine
   /// calls.
   uint64_t batch_fused_evaluations = 0;
-
-  std::string ToJson() const;
 };
 
 class ServiceStats {
@@ -147,24 +143,6 @@ class ServiceStats {
     }
     batch_sizes_->Record(static_cast<double>(points));
   }
-
-  uint64_t queries_served() const { return queries_served_->value(); }
-  uint64_t batches_served() const { return batches_served_->value(); }
-  uint64_t rows_ingested() const { return rows_ingested_->value(); }
-  uint64_t append_batches() const { return append_batches_->value(); }
-  uint64_t rebuilds_completed() const {
-    return rebuilds_completed_->value();
-  }
-  uint64_t slow_queries() const { return slow_queries_->value(); }
-  uint64_t rows_deleted() const { return rows_deleted_->value(); }
-  uint64_t rows_evicted() const { return rows_evicted_->value(); }
-  uint64_t evicted_query_rejects() const {
-    return evicted_query_rejects_->value();
-  }
-  uint64_t relearns_completed() const {
-    return relearns_completed_->value();
-  }
-  const obs::Histogram& latencies() const { return *latencies_; }
 
   /// Snapshot without cache numbers, miner gauges and engine fold-ins
   /// (QueryService fills those in from its OdCache, miner and engine

@@ -380,6 +380,19 @@ TEST(StreamingMinerTest, TwoPhaseLearningCommitsAtomicallyAndResetsClock) {
   }
 }
 
+// A mutation that commits between PrepareLearning and CommitLearning is
+// drift the new priors never saw: the commit must leave the miner stale,
+// or a due relearn would wait for the next mutation.
+TEST(StreamingMinerTest, CommitAfterARacingAppendStaysStale) {
+  HosMiner miner = BuildMiner(12, /*rows=*/100);
+  HosMiner::LearningArtifacts artifacts = miner.PrepareLearning();
+  ASSERT_TRUE(miner.Append({{0.5, 0.5, 0.5, 0.5, 0.5}}).ok());
+  miner.CommitLearning(std::move(artifacts));
+  EXPECT_TRUE(miner.learning_stale());
+  EXPECT_GT(miner.learning_staleness(), 0.0);
+  EXPECT_EQ(miner.priors_version() + 1, miner.version());
+}
+
 TEST(StreamingMinerTest, RebuildFoldsTombstonesAndReclaimsChunks) {
   // Enough rows that the first storage chunk can become wholly dead.
   HosMiner miner = BuildMiner(10, /*rows=*/600,

@@ -112,11 +112,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          Data::kTombstones)),
     [](const auto& info) {
       const Data kind = std::get<2>(info.param);
-      return "n" + std::to_string(std::get<0>(info.param)) + "_d" +
-             std::to_string(std::get<1>(info.param)) +
-             (kind == Data::kUniform      ? "_uniform"
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_d";
+      name += std::to_string(std::get<1>(info.param));
+      name += kind == Data::kUniform      ? "_uniform"
               : kind == Data::kDuplicates ? "_duplicates"
-                                          : "_tombstones");
+                                          : "_tombstones";
+      return name;
     });
 
 }  // namespace

@@ -371,7 +371,8 @@ TEST_P(HighDimSeedShapeTest, AllSingletonsOutlyingDecideEveryLevel) {
 INSTANTIATE_TEST_SUITE_P(Dims, HighDimSeedShapeTest,
                          ::testing::Values(23, 32, kMaxLatticeDims),
                          [](const auto& info) {
-                           return "d" + std::to_string(info.param);
+                           return std::string("d").append(
+                               std::to_string(info.param));
                          });
 
 TEST(IsOutlierStateTest, Classification) {

@@ -206,7 +206,9 @@ TEST(TraceDifferentialTest, SlowQueryThresholdCountsAndTraces) {
 
   const service::ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.slow_queries, 1u);
-  EXPECT_NE(stats.ToJson().find("\"slow_queries\": 1"), std::string::npos);
+  EXPECT_NE(service.MetricsJson().find("\"name\": \"service_slow_queries\", "
+                                       "\"type\": \"counter\", \"value\": 1}"),
+            std::string::npos);
 }
 
 // The tentpole acceptance check: one MetricsRegistry snapshot describes the

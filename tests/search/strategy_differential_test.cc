@@ -184,7 +184,8 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
 INSTANTIATE_TEST_SUITE_P(DimensionSweep, StrategyDifferentialTest,
                          ::testing::Range(4, 13),
                          [](const auto& info) {
-                           return "d" + std::to_string(info.param);
+                           return std::string("d").append(
+                               std::to_string(info.param));
                          });
 
 // The same cross-strategy contract on adversarially generated data:

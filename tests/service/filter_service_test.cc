@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/data/generator.h"
@@ -72,11 +73,19 @@ TEST(FilterServiceTest, ConservativeServiceAnswersExactlyAndCountsDecisions) {
   EXPECT_EQ(cons_stats.od_evaluations + cons_stats.filter_bound_decisions,
             off_stats.od_evaluations);
 
-  // The new keys are part of the stable snapshot JSON surface.
-  const std::string json = cons_stats.ToJson();
-  EXPECT_NE(json.find("\"filter_bound_decisions\""), std::string::npos);
-  EXPECT_NE(json.find("\"filter_risky_decisions\""), std::string::npos);
-  EXPECT_NE(json.find("\"last_bound_gap\""), std::string::npos);
+  // The same tallies are registry series in the metrics export.
+  const std::string json = cons_service.MetricsJson();
+  for (const std::string& series : {
+           "\"name\": \"service_filter_bound_decisions\", \"type\": "
+           "\"counter\", \"value\": " +
+               std::to_string(cons_stats.filter_bound_decisions) + "}",
+           std::string("\"name\": \"service_filter_risky_decisions\", "
+                       "\"type\": \"counter\", \"value\": 0}"),
+           std::string("\"name\": \"service_last_bound_gap\", \"type\": "
+                       "\"gauge\", \"value\": 0}"),
+       }) {
+    EXPECT_NE(json.find(series), std::string::npos) << series << "\n" << json;
+  }
 }
 
 TEST(FilterServiceTest, SpeculativeServiceReportsItsRisk) {

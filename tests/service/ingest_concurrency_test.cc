@@ -52,7 +52,6 @@ TEST(IngestConcurrencyTest, AppendWhileServingReportsConsistentVersions) {
   // queries are in flight.
   config.ingest.min_delta_rows = kBatchRows;
   config.ingest.rebuild_delta_fraction = 0.05;
-  config.ingest.background_rebuild = true;
   QueryService service(BuildMiner(21), config);
   const uint64_t v0 = service.Stats().dataset_version;
 

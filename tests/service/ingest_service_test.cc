@@ -91,23 +91,24 @@ TEST(IngestServiceTest, CacheNeverServesPreAppendValues) {
   }
 }
 
-TEST(IngestServiceTest, SynchronousRebuildFoldsDeltaAndCounts) {
+TEST(IngestServiceTest, RebuildFoldsDeltaAndCounts) {
   QueryServiceConfig config;
   config.num_threads = 2;
   config.ingest.min_delta_rows = 8;
   config.ingest.rebuild_delta_fraction = 0.10;
-  config.ingest.background_rebuild = false;  // rebuild inside AppendBatch
   QueryService service(BuildMiner(9), config);
 
   Rng rng(7);
   // Small batch: below min_delta_rows, no rebuild.
   ASSERT_TRUE(service.AppendBatch(RandomRows(4, &rng)).ok());
+  service.WaitForRebuilds();
   ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.rebuilds_completed, 0u);
   EXPECT_EQ(stats.delta_rows, 4u);
 
-  // Crossing both thresholds rebuilds synchronously: delta folded.
+  // Crossing both thresholds schedules one rebuild: delta folded.
   ASSERT_TRUE(service.AppendBatch(RandomRows(16, &rng)).ok());
+  service.WaitForRebuilds();
   stats = service.Stats();
   EXPECT_EQ(stats.rebuilds_completed, 1u);
   EXPECT_EQ(stats.delta_rows, 0u);
@@ -139,17 +140,29 @@ TEST(IngestServiceTest, AppendRejectsMalformedRowsAtomically) {
   EXPECT_EQ(service.Stats().rows_ingested, 0u);
 }
 
-TEST(IngestServiceTest, StatsJsonCarriesIngestFields) {
+TEST(IngestServiceTest, StatsAndMetricsJsonCarryIngestFields) {
   QueryServiceConfig config;
   config.ingest.rebuild_delta_fraction = 0.0;
   QueryService service(BuildMiner(17), config);
   Rng rng(1);
   ASSERT_TRUE(service.AppendBatch(RandomRows(3, &rng)).ok());
-  const std::string json = service.Stats().ToJson();
-  EXPECT_NE(json.find("\"rows_ingested\": 3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"append_batches\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"dataset_version\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"delta_rows\": 3"), std::string::npos) << json;
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.rows_ingested, 3u);
+  EXPECT_EQ(stats.append_batches, 1u);
+  EXPECT_EQ(stats.dataset_version, kInitialRows + 3);
+  EXPECT_EQ(stats.delta_rows, 3u);
+  const std::string json = service.MetricsJson();
+  for (const char* series : {
+           "\"name\": \"service_rows_ingested\", \"type\": \"counter\", "
+           "\"value\": 3}",
+           "\"name\": \"service_append_batches\", \"type\": \"counter\", "
+           "\"value\": 1}",
+           "\"name\": \"dataset_version\"",
+           "\"name\": \"dataset_delta_rows\", \"type\": \"gauge\", "
+           "\"value\": 3}",
+       }) {
+    EXPECT_NE(json.find(series), std::string::npos) << series << "\n" << json;
+  }
 }
 
 }  // namespace

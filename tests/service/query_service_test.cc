@@ -203,12 +203,21 @@ TEST(QueryServiceTest, WorksWithLinearScanBackend) {
   }
 }
 
-TEST(QueryServiceTest, StatsJsonIsWellFormedEnough) {
+TEST(QueryServiceTest, StatsAndMetricsJsonCountTheQuery) {
   QueryService service(BuildMiner(18), {});
   (void)service.Query(0);
-  std::string json = service.Stats().ToJson();
-  EXPECT_NE(json.find("\"queries_served\": 1"), std::string::npos);
-  EXPECT_NE(json.find("p99_latency_seconds"), std::string::npos);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.queries_served, 1u);
+  EXPECT_GT(stats.p99_latency_seconds, 0.0);
+  const std::string json = service.MetricsJson();
+  EXPECT_NE(json.find("\"name\": \"service_queries_served\", \"type\": "
+                      "\"counter\", \"value\": 1}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\": \"service_query_latency_seconds\", "
+                      "\"type\": \"histogram\", \"count\": 1"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

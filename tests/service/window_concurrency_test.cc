@@ -57,7 +57,6 @@ TEST(WindowConcurrencyTest, AppendEvictDeleteWhileServing) {
   // Aggressive maintenance so rebuilds AND relearns commit mid-flight.
   config.ingest.min_delta_rows = kBatchRows;
   config.ingest.rebuild_delta_fraction = 0.05;
-  config.ingest.background_rebuild = true;
   config.ingest.relearn_staleness_threshold = 0.10;
   // Tight row-count window: every appender batch past the cap evicts
   // inside the same commit.

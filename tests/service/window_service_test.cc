@@ -1,8 +1,9 @@
 // Serving-layer sliding-window behavior: clean NotFound (and the
 // evicted_query_rejects counter) for deleted/evicted ids, the
 // window_max_rows auto-eviction policy, TTL eviction by version watermark,
-// and drift-triggered relearning firing from the staleness signal with no
-// manual RefreshLearning call — while answers for already-committed
+// and the maintenance task — drift-triggered relearning firing from the
+// staleness signal with no manual RefreshLearning call, churn-triggered
+// rebuilds, and both from one delete — while answers for already-committed
 // versions never change.
 
 #include <gtest/gtest.h>
@@ -138,9 +139,7 @@ TEST(WindowServiceTest, EvictBeforeUsesTheVersionWatermark) {
 TEST(WindowServiceTest, RelearnFiresFromStalenessWithoutManualRefresh) {
   QueryServiceConfig config;
   config.num_threads = 2;
-  // Synchronous maintenance so the trigger is deterministic; learning is
-  // on (sample_size > 0) so the relearn actually resamples.
-  config.ingest.background_rebuild = false;
+  // Learning is on (sample_size > 0) so the relearn actually resamples.
   config.ingest.rebuild_delta_fraction = 0.0;  // isolate relearning
   config.ingest.relearn_staleness_threshold = 0.25;
   QueryService service(BuildMiner(40, /*sample_size=*/5), config);
@@ -160,6 +159,7 @@ TEST(WindowServiceTest, RelearnFiresFromStalenessWithoutManualRefresh) {
   // 0.25. No manual RefreshLearning anywhere in this test.
   Rng rng(14);
   ASSERT_TRUE(service.AppendBatch(RandomRows(6, &rng)).ok());
+  service.WaitForRebuilds();
   EXPECT_EQ(service.Stats().relearns_completed, 0u);  // 6/46 < 0.25
   const std::vector<data::PointId> doomed = {0, 1, 2, 3, 4, 5};
   ASSERT_TRUE(service.DeleteRows(doomed).ok());
@@ -186,7 +186,6 @@ TEST(WindowServiceTest, RelearnFiresFromStalenessWithoutManualRefresh) {
 
 TEST(WindowServiceTest, ChurnFromDeletesTriggersRebuild) {
   QueryServiceConfig config;
-  config.ingest.background_rebuild = false;
   config.ingest.rebuild_delta_fraction = 0.10;
   config.ingest.min_delta_rows = 4;
   QueryService service(BuildMiner(40), config);
@@ -205,6 +204,43 @@ TEST(WindowServiceTest, ChurnFromDeletesTriggersRebuild) {
   EXPECT_DOUBLE_EQ(stats.churn_fraction, 0.0);
   EXPECT_TRUE(service.Query(0).status().IsNotFound());
   EXPECT_TRUE(service.Query(8).ok());
+}
+
+// One delete crosses both policies: the one maintenance task rebuilds, then
+// relearns, and leaves neither signal behind.
+TEST(WindowServiceTest, OneDeleteTriggersRebuildThenRelearn) {
+  QueryServiceConfig config;
+  config.num_threads = 2;
+  config.ingest.rebuild_delta_fraction = 0.10;
+  config.ingest.min_delta_rows = 4;
+  config.ingest.relearn_staleness_threshold = 0.25;
+  QueryService service(BuildMiner(40, /*sample_size=*/5), config);
+  constexpr data::PointId kSurvivor = 20;
+
+  // 10 tombstones over 30 live rows: churn and staleness both 1/3.
+  std::vector<data::PointId> doomed;
+  for (data::PointId id = 0; id < 10; ++id) doomed.push_back(id);
+  // What a surviving id answers at the post-delete version before any
+  // maintenance: the same delete on a miner that never rebuilds or
+  // relearns.
+  core::HosMiner unmaintained = BuildMiner(40, /*sample_size=*/5);
+  ASSERT_TRUE(unmaintained.Delete(doomed).ok());
+  auto before = unmaintained.Query(kSurvivor);
+  ASSERT_TRUE(before.ok());
+  ASSERT_FALSE(before->outlying_subspaces().empty());
+
+  ASSERT_TRUE(service.DeleteRows(doomed).ok());
+  service.WaitForRebuilds();
+
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_GE(stats.rebuilds_completed, 1u);
+  EXPECT_GE(stats.relearns_completed, 1u);
+  EXPECT_DOUBLE_EQ(stats.churn_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(stats.learning_staleness, 0.0);
+
+  auto after = service.Query(kSurvivor);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->outlying_subspaces(), before->outlying_subspaces());
 }
 
 }  // namespace
