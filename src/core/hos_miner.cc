@@ -77,10 +77,7 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
   if (d < 1 || d > lattice::kMaxLatticeDims) {
     return Status::InvalidArgument(
         "HOS-Miner supports 1.." + std::to_string(lattice::kMaxLatticeDims) +
-        " dimensions (d <= " + std::to_string(lattice::kDenseMaxDims) +
-        " on the dense lattice backend, which must be asked for; the "
-        "default sparse backend covers the whole range); got d=" +
-        std::to_string(d));
+        " dimensions; got d=" + std::to_string(d));
   }
   if (dataset.live_size() == 0) {
     return Status::InvalidArgument("dataset is empty");
@@ -139,12 +136,12 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
                           &rng));
   }
 
-  // 5. Sampling-based learning (paper module 2). Past the dense lattice
-  //    cap each sample costs a full 2^d sparse lattice search whose
-  //    tractability depends entirely on the data being frontier-band
-  //    shaped, so learning is skipped there (flat priors) rather than
-  //    risk never returning; call learning::LearnPruningPriors directly
-  //    to opt in at high d.
+  // 5. Sampling-based learning (paper module 2). Past
+  //    learning::kMaxLearningDims each sample costs a full 2^d lattice
+  //    search whose tractability depends entirely on the data being
+  //    frontier-band shaped, so learning is skipped there (flat priors)
+  //    rather than risk never returning; call learning::LearnPruningPriors
+  //    directly to opt in at high d.
   miner.CommitLearning(miner.LearnPriors(&rng));
   return miner;
 }
@@ -153,7 +150,7 @@ HosMiner::LearningArtifacts HosMiner::LearnPriors(Rng* rng) const {
   const int d = dataset_->num_dims();
   learning::LearnerOptions learner_options;
   learner_options.sample_size =
-      d > lattice::kDenseMaxDims ? 0 : config_.sample_size;
+      d > learning::kMaxLearningDims ? 0 : config_.sample_size;
   learner_options.k = config_.k;
   learner_options.threshold = threshold_;
   LearningArtifacts artifacts;
@@ -212,44 +209,42 @@ std::vector<double> HosMiner::ScreenBatch(
   return ods;
 }
 
-std::vector<HosMiner::ScreenedOutlier> HosMiner::ScreenOutliers() const {
+std::vector<HosMiner::ScreenedOutlier> HosMiner::RankByFullSpaceOd() const {
   if (!CheckWindowHoldsK(/*query_is_row=*/true).ok()) return {};
   const std::vector<data::PointId> live = dataset_->LiveIds();
   const std::vector<double> ods = ScreenBatch(live);
-  std::vector<ScreenedOutlier> out;
+  std::vector<ScreenedOutlier> ranked;
+  ranked.reserve(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
-    if (ods[i] >= threshold_) out.push_back({live[i], ods[i]});
+    ranked.push_back({live[i], ods[i]});
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(ranked.begin(), ranked.end(),
             [](const ScreenedOutlier& a, const ScreenedOutlier& b) {
               if (a.full_space_od != b.full_space_od) {
                 return a.full_space_od > b.full_space_od;
               }
               return a.id < b.id;
             });
-  return out;
+  return ranked;
+}
+
+std::vector<HosMiner::ScreenedOutlier> HosMiner::ScreenOutliers() const {
+  std::vector<ScreenedOutlier> ranked = RankByFullSpaceOd();
+  // Descending OD: the points with OD >= T are a prefix of the ranking.
+  ranked.erase(std::partition_point(ranked.begin(), ranked.end(),
+                                    [this](const ScreenedOutlier& s) {
+                                      return s.full_space_od >= threshold_;
+                                    }),
+               ranked.end());
+  return ranked;
 }
 
 std::vector<HosMiner::ScreenedOutlier> HosMiner::TopOutliers(
     int top_n) const {
-  if (!CheckWindowHoldsK(/*query_is_row=*/true).ok()) return {};
-  const std::vector<data::PointId> live = dataset_->LiveIds();
-  const std::vector<double> ods = ScreenBatch(live);
-  std::vector<ScreenedOutlier> all;
-  all.reserve(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    all.push_back({live[i], ods[i]});
-  }
-  std::sort(all.begin(), all.end(),
-            [](const ScreenedOutlier& a, const ScreenedOutlier& b) {
-              if (a.full_space_od != b.full_space_od) {
-                return a.full_space_od > b.full_space_od;
-              }
-              return a.id < b.id;
-            });
-  all.resize(std::min<size_t>(all.size(),
-                              static_cast<size_t>(std::max(top_n, 0))));
-  return all;
+  std::vector<ScreenedOutlier> ranked = RankByFullSpaceOd();
+  const size_t n = static_cast<size_t>(std::max(top_n, 0));
+  if (ranked.size() > n) ranked.erase(ranked.begin() + n, ranked.end());
+  return ranked;
 }
 
 std::vector<HosMiner::TopOutlierQuery> HosMiner::TopOutliersWithSubspaces(
@@ -333,9 +328,6 @@ std::vector<Result<QueryResult>> HosMiner::RunBlock(
     std::span<search::OdEvaluator> ods, const QueryOptions& options) const {
   if (ods.empty()) return {};
   search::SearchExecution exec;
-  exec.pool = options.search_pool;
-  exec.max_threads = options.search_threads;
-  exec.lattice_backend = options.lattice_backend;
   exec.max_od_evaluations = options.max_od_evaluations;
   exec.filter = density_filter_.get();
   exec.filter_mode = options.filter_mode;

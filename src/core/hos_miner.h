@@ -26,6 +26,7 @@
 #include "src/index/xtree.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/linear_scan.h"
+#include "src/lattice/lattice_store.h"
 #include "src/learning/learner.h"
 #include "src/obs/trace.h"
 #include "src/search/od_evaluator.h"
@@ -58,7 +59,7 @@ struct HosMinerConfig {
   int filter_bits_per_dim = 4;
   /// Sample size S of the learning process; 0 disables learning and uses
   /// flat priors. Ignored (treated as 0) when the dataset is wider than
-  /// lattice::kDenseMaxDims: each sample would cost a full sparse lattice
+  /// learning::kMaxLearningDims: each sample would cost a full lattice
   /// search, so high-d learning is opt-in via learning::LearnPruningPriors.
   int sample_size = 20;
   /// Seed for sampling and threshold estimation.
@@ -108,22 +109,13 @@ struct QueryOptions {
   /// Memoised values are bit-identical to fresh evaluations, so results
   /// with and without a store are the same.
   search::SharedOdStore* od_store = nullptr;
-  /// Borrowed pool for intra-query parallel frontier evaluation, for
-  /// single queries and fused blocks alike; null runs the lattice search
-  /// sequentially on the calling thread. Must not be the pool the query
-  /// itself executes on — frontier rounds block on their chunk futures, so
-  /// a pool waiting on itself deadlocks once every worker is blocked
-  /// (service::QueryService keeps a dedicated search pool for this reason).
-  service::ThreadPool* search_pool = nullptr;
-  /// Pool tasks per frontier round; 0 uses the pool's full width, <= 1
-  /// with a pool still evaluates sequentially. Ignored without
-  /// search_pool. Answers are identical at any setting.
+  /// Read by nothing: a query's search runs on the calling thread. Kept
+  /// only because e2ebench/main.cc assigns it; it goes when the benchmark
+  /// stops naming it.
   int search_threads = 0;
-  /// Lattice storage backend for this query's search. kAuto picks the
-  /// hash-map sparse store at every d (the only backend for d in
-  /// 23..kMaxLatticeDims); kDense forces the flat array. Both produce
-  /// bit-identical answers. Forcing kDense past its cap makes the query
-  /// return InvalidArgument.
+  /// Read by nothing: there is one lattice store. Kept only because
+  /// e2ebench/main.cc assigns it; it goes when the benchmark stops naming
+  /// it.
   lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;
   /// Work budget: maximum fresh OD evaluations one query may spend; 0 is
   /// unlimited. A query whose next lattice level would exceed it returns
@@ -284,8 +276,8 @@ class HosMiner {
   // CommitLearning / RefreshLearning mutate the miner and must be
   // externally serialized against the const query path; PrepareRebuild
   // and PrepareLearning only read, so they may run concurrently with
-  // queries (but not with mutations). service::QueryService implements
-  // exactly this discipline with its ingest lock.
+  // queries (but not with mutations). The serving layer's QueryService
+  // implements exactly this discipline with its ingest lock.
   // -------------------------------------------------------------------
 
   /// Appends rows given in *raw* (pre-normalisation) coordinates; they are
@@ -368,7 +360,7 @@ class HosMiner {
   };
 
   /// Re-runs the sampling-based learning process on the current live rows
-  /// (same skip rule as Build past the dense-lattice cap; fresh
+  /// (same skip rule as Build past learning::kMaxLearningDims; fresh
   /// Rng(config.seed)). Heavy; read-only.
   LearningArtifacts PrepareLearning() const;
 
@@ -441,6 +433,11 @@ class HosMiner {
   HosMiner(HosMinerConfig config, std::unique_ptr<data::Dataset> dataset,
            data::Normalizer normalizer);
 
+  /// Every live row with its full-space OD (ScreenBatch), descending by
+  /// OD, ties by ascending id; empty while k or fewer rows are live.
+  /// ScreenOutliers is its OD >= T prefix, TopOutliers its first n.
+  std::vector<ScreenedOutlier> RankByFullSpaceOd() const;
+
   /// OK when at least k live rows remain besides the query's own
   /// (`query_is_row`: the query is itself a live row); FailedPrecondition,
   /// naming k and the live count, otherwise.
@@ -456,9 +453,9 @@ class HosMiner {
       std::span<search::OdEvaluator> ods, const QueryOptions& options) const;
 
   /// The one learning step shared by Build and PrepareLearning: runs the
-  /// sampling-based learner (skipped — flat priors — past the dense
-  /// lattice cap, where each sample would cost a full sparse search) over
-  /// the live rows with the given rng.
+  /// sampling-based learner (skipped — flat priors — past
+  /// learning::kMaxLearningDims, where each sample would cost a full
+  /// lattice search) over the live rows with the given rng.
   LearningArtifacts LearnPriors(Rng* rng) const;
 
   HosMinerConfig config_;

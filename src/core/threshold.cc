@@ -43,12 +43,14 @@ Result<double> EstimateThreshold(const data::Dataset& dataset,
   rank = std::min(std::max<size_t>(rank, 1), od_values.size());
   const double threshold = od_values[rank - 1];
   // T = 0 makes OD >= T hold in every subspace of every point (identical
-  // rows give exactly that), so such an estimate is refused, not returned.
-  if (!(threshold > 0.0)) {
+  // rows give exactly that), and so does T = +inf once every distance
+  // overflows (finite coordinates near 1e200 square past a double's
+  // range), so neither estimate is returned.
+  if (!(threshold > 0.0) || !std::isfinite(threshold)) {
     return Status::FailedPrecondition(
         "estimated threshold is " + std::to_string(threshold) +
-        " (the sampled full-space ODs are not positive); set the "
-        "threshold explicitly");
+        " (the sampled full-space ODs must be positive and finite); set "
+        "the threshold explicitly");
   }
   return threshold;
 }

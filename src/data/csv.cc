@@ -47,6 +47,8 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
   std::vector<std::vector<double>> rows;
   size_t line_no = 0;
   int num_dims = -1;
+  // The first non-blank line is the header, blank lines before it too.
+  bool header_pending = options.has_header;
 
   while (std::getline(in, line)) {
     if (line.empty() || line == "\r") {
@@ -54,7 +56,8 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
       continue;
     }
     auto fields = SplitLine(line, options.delimiter);
-    if (line_no == 0 && options.has_header) {
+    if (header_pending) {
+      header_pending = false;
       header = std::move(fields);
       num_dims = static_cast<int>(header.size());
       ++line_no;

@@ -57,8 +57,8 @@ using PointId = uint32_t;
 /// ingest path appends).
 ///
 /// Thread safety: none. Mutations (Append/AppendRows/Set/DeleteRows/
-/// Evict*) must be externally serialized against readers —
-/// service::QueryService does this with its ingest lock.
+/// Evict*) must be externally serialized against readers — the serving
+/// layer's QueryService does this with its ingest lock.
 class Dataset {
  public:
   /// Rows per storage chunk. A power of two so Row() indexing is a

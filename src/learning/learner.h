@@ -19,6 +19,13 @@
 
 namespace hos::learning {
 
+/// The widest dataset HosMiner learns priors for (Build and
+/// PrepareLearning sample nothing past it, and use flat priors). Each
+/// sample is a full lattice search, whose cost at high d depends on the
+/// data being frontier-band shaped; calling LearnPruningPriors directly
+/// still learns at any d.
+inline constexpr int kMaxLearningDims = 22;
+
 /// Everything the learning phase produced.
 struct LearningReport {
   lattice::PruningPriors priors;
@@ -33,9 +40,8 @@ struct LearningReport {
 
 struct LearnerOptions {
   /// Number of sample points S. 0 disables learning (flat priors). In the
-  /// high-d regime (d > lattice::kDenseMaxDims) each sample costs a full
-  /// sparse lattice search — keep S small, or 0 unless the data prunes
-  /// aggressively.
+  /// high-d regime (d > kMaxLearningDims) each sample costs a full lattice
+  /// search — keep S small, or 0 unless the data prunes aggressively.
   int sample_size = 20;
   /// k of the OD measure.
   int k = 5;

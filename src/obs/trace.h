@@ -1,8 +1,8 @@
 // Per-query tracing: where did one query spend its time?
 //
 // A QueryTracer collects named, timed spans into a tree (explicit parent
-// ids — no thread-local span stacks, because the frontier runner's pool
-// workers record concurrently into the same trace). The serving path opens
+// ids rather than thread-local span stacks, so spans nest correctly
+// whichever thread records them). The serving path opens
 // a "service" (or fused "batch") root, HosMiner a "search" child, the
 // strategy span ("dynamic") a "wave" child per frontier round, and each
 // wave a "knn" leaf per distinct subspace it evaluates — so a finished
@@ -58,9 +58,11 @@ struct QueryTrace {
   std::string ToJson() const;
 };
 
-/// Collects spans for one query. Thread-safe: frontier workers call
-/// BeginSpan/EndSpan concurrently. Span ids are only meaningful within the
-/// tracer that issued them.
+/// Collects spans for one query. A search records from the one thread
+/// that runs it, but the tracer stays thread-safe (a short mutex per span)
+/// so a caller may share one external tracer (QueryOptions::tracer) across
+/// threads. Span ids are only meaningful within the tracer that issued
+/// them.
 class QueryTracer {
  public:
   /// Default cap keeps a worst-case trace around tens of kilobytes; the

@@ -1,12 +1,10 @@
 #include "src/search/batch_frontier.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -20,7 +18,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/search/frontier_support.h"
-#include "src/service/thread_pool.h"
 
 namespace hos::search {
 namespace {
@@ -73,7 +70,7 @@ struct MaskGroup {
   double margin;  // widest member margin
 };
 
-/// Buffers one evaluating thread reuses across the groups it serves.
+/// Buffers reused across every group of every round.
 struct GroupBuffers {
   std::vector<size_t> probe;
   std::vector<SharedOdStore::OdKey> keys;
@@ -91,11 +88,10 @@ std::string KnnDetail(uint64_t mask, size_t points) {
 }
 
 /// Resolves one distinct mask for every member of `group`, writing only
-/// the group's pending entries — so distinct groups may be evaluated
-/// concurrently: the engine is const and the shared store is thread-safe
-/// by contract. Each mask takes one multi-probe of the store, ONE fused
-/// kNN pass for the misses and one multi-store write-back — the fusion
-/// recovers B-1 index traversals per coinciding subspace.
+/// the group's pending entries. Each mask takes one multi-probe of the
+/// store, ONE fused kNN pass for the misses and one multi-store
+/// write-back — the fusion recovers B-1 index traversals per coinciding
+/// subspace.
 void EvaluateGroup(const MaskGroup& group, std::span<Pending> pending,
                    std::span<const PointRun> runs, obs::QueryTracer* tracer,
                    int trace_parent, GroupBuffers* s) {
@@ -159,64 +155,6 @@ void EvaluateGroup(const MaskGroup& group, std::span<Pending> pending,
   if (!s->keys.empty()) store->StoreMulti(s->keys, s->values);
 }
 
-/// Evaluates every group: inline without a pool (reusing `buffers`), or on
-/// exec.pool in deterministic chunks of about four per worker, so a
-/// straggling chunk rebalances. Chunk boundaries depend only on the group
-/// count and the concurrency, and each group writes only its own pending
-/// entries, so which task runs which chunk cannot reach any result.
-void EvaluateGroups(std::span<const MaskGroup> groups,
-                    std::span<Pending> pending,
-                    std::span<const PointRun> runs,
-                    const SearchExecution& exec, int trace_parent,
-                    GroupBuffers* buffers) {
-  size_t workers = 1;
-  if (exec.pool != nullptr) {
-    const int width = exec.pool->num_threads();
-    workers = static_cast<size_t>(std::max(
-        1, exec.max_threads > 0 ? std::min(exec.max_threads, width) : width));
-  }
-  if (workers <= 1 || groups.size() < 2) {
-    for (const MaskGroup& group : groups) {
-      EvaluateGroup(group, pending, runs, exec.tracer, trace_parent, buffers);
-    }
-    return;
-  }
-  const size_t chunk =
-      std::max<size_t>(1, (groups.size() + workers * 4 - 1) / (workers * 4));
-  const size_t num_chunks = (groups.size() + chunk - 1) / chunk;
-  std::atomic<size_t> next_chunk{0};
-  auto drain_chunks = [&]() {
-    GroupBuffers local;
-    for (size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-         c < num_chunks;
-         c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
-      const size_t end = std::min(groups.size(), (c + 1) * chunk);
-      for (size_t g = c * chunk; g < end; ++g) {
-        EvaluateGroup(groups[g], pending, runs, exec.tracer, trace_parent,
-                      &local);
-      }
-    }
-  };
-  const size_t num_tasks = std::min(workers, num_chunks);
-  std::vector<std::future<void>> done;
-  done.reserve(num_tasks);
-  // Submission must not unwind while earlier tasks still reference this
-  // frame; on failure, drain what was queued before rethrowing.
-  try {
-    for (size_t t = 0; t < num_tasks; ++t) {
-      done.push_back(exec.pool->SubmitWithResult(drain_chunks));
-    }
-  } catch (...) {
-    next_chunk.store(num_chunks, std::memory_order_relaxed);
-    for (std::future<void>& f : done) f.wait();
-    throw;
-  }
-  // wait() everything before get(): get() can rethrow, and unwinding while
-  // other workers still write into `pending` would be a use-after-free.
-  for (std::future<void>& f : done) f.wait();
-  for (std::future<void>& f : done) f.get();
-}
-
 }  // namespace
 
 std::string_view BatchFrontierRunner::name() const {
@@ -268,11 +206,9 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       exec.frontier_ordering == FrontierOrdering::kBoundMargin &&
       filter_active;
 
-  // Every walk starts on the shared fresh lattice. The configuration is
-  // still checked by MakeLatticeStore's rules, so a forced dense backend
-  // past its cap fails each point before any evaluation.
-  const Status lattice_config =
-      lattice::ValidateLatticeStoreConfig(num_dims_, exec.lattice_backend);
+  // Every walk starts on the shared fresh lattice; a dimensionality no
+  // lattice store takes fails each point before any evaluation.
+  const Status lattice_config = lattice::ValidateLatticeDims(num_dims_);
 
   Timer timer;
   std::vector<std::optional<Result<SearchOutcome>>> slots(ods.size());
@@ -399,7 +335,7 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     // Phase 2 — per distinct mask. Entries sort into canonical (mask,
     // point) order, so each mask's members are contiguous and the engine,
     // the tracer and the store see a deterministic order. Under the
-    // bound-margin ordering, groups dispatch widest margin first (stable on
+    // bound-margin ordering, groups run widest margin first (stable on
     // mask); per-mask work is self-contained, so the order only schedules
     // execution.
     std::sort(pending.begin(), pending.end(),
@@ -422,11 +358,13 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
                          return a.margin > b.margin;
                        });
     }
-    EvaluateGroups(groups, pending, runs, exec, wave_span.id(), &buffers);
+    for (const MaskGroup& group : groups) {
+      EvaluateGroup(group, pending, runs, exec.tracer, wave_span.id(),
+                    &buffers);
+    }
 
-    // Every value lands in its point's memo on this thread, in canonical
-    // mask order: a point's memo is not thread-safe, and two of its masks
-    // may have been evaluated by different pool tasks.
+    // Every value lands in its point's memo in canonical mask order,
+    // whatever order the groups ran in.
     for (const Pending& p : pending) {
       PointRun& run = runs[p.point];
       run.od->Deposit(p.mask, p.value, p.source);
@@ -451,8 +389,7 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
           run.state = &lattice::FullSpaceInlierLattice(num_dims_);
           continue;
         }
-        run.own =
-            lattice::MakeLatticeStore(num_dims_, exec.lattice_backend).value();
+        run.own = std::make_unique<lattice::LatticeStore>(num_dims_);
         run.state = run.own.get();
       }
       run.own->MarkEvaluatedBatch(run.wave, run.values, threshold);

@@ -4,9 +4,9 @@
 // next level, resolves what its memo and the density filter can, and the
 // rest of the block's undecided subspaces are evaluated once per distinct
 // mask. Each mask is served by ONE call of the kNN engine's batched
-// entry point (KnnEngine::SearchBatch), however many points need it. A single query is a block of one:
-// DynamicSubspaceSearch, BottomUpSearch and TopDownSearch each run this
-// runner over their one point.
+// entry point (KnnEngine::SearchBatch), however many points need it. A
+// single query is a block of one: DynamicSubspaceSearch, BottomUpSearch
+// and TopDownSearch each run this runner over their one point.
 //
 // Level order. The rule that picks each point's next level comes from the
 // strategy that builds the runner: the highest Total Saving Factor over
@@ -25,8 +25,8 @@
 // per-point forms (held by the backend batch tests). So every round
 // advances each live point by exactly the level its own walk picks next,
 // while the engine serves coinciding evaluations fused.
-// tests/search/batch_differential_test.cc holds this across backends,
-// lattice stores and filter modes.
+// tests/search/batch_differential_test.cc holds this across kNN engine
+// layouts, level orders and filter modes.
 //
 // Copy on first write. A walk does not build a lattice store up front: it
 // starts on lattice::FreshLattice(d), a shared immutable store, and reads
@@ -40,21 +40,16 @@
 // inlier (paper §3.1, Property 1: an outlier in no subspace) is thus
 // answered by its one OD probe, without constructing, marking or
 // propagating a store. Any other first merge builds the walk's own store
-// (MakeLatticeStore with the requested backend) and merges into it as
-// before. Each lattice state a walk reads is therefore the state its
-// private sparse store would hold. A kDense request reads the sparse
-// reference lattices until its first write; the two backends are answer-
-// and counter-identical, held by strategy_differential_test. The rounds
-// themselves are untouched: the full space still goes through the memo,
-// the filter and the batched kNN call, so values, bound decisions, steps
-// and the strategy, wave and kNN spans are what they were.
+// and merges into it. Each lattice state a walk reads is therefore the
+// state its private store would hold. The rounds themselves are
+// untouched: the full space still goes through the memo, the filter and
+// the batched kNN call, so values, bound decisions, steps and the
+// strategy, wave and kNN spans are what they were.
 //
-// Parallel fan-out. With SearchExecution::pool set, a round's distinct
-// masks are evaluated on the pool in deterministic chunks (about four per
-// worker). Each mask's values land in pre-assigned slots, and every
-// OdEvaluator::Deposit happens afterwards on the calling thread in
-// canonical mask order, so neither scheduling nor completion order can
-// reach an answer or a counter. Without a pool the same loop runs inline.
+// One thread. Every round runs on the calling thread: a block's
+// coinciding subspaces share one engine pass, and its distinct masks are
+// evaluated one after another. OdEvaluator::Deposit then records each
+// value in canonical mask order.
 //
 // What is NOT identical across block widths (monitoring values only):
 //  * counters.distance_computations / elapsed_seconds — the engine's work

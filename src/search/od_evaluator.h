@@ -65,12 +65,10 @@ class SharedOdStore {
 /// probes of the same subspace (e.g. by different search strategies in
 /// tests) cost one kNN query only.
 ///
-/// Thread safety: not thread-safe. BatchFrontierRunner fans the
-/// *computation* of a round's subspaces out across pool workers — the
-/// workers only read the evaluator's immutable query parameters (engine,
-/// point, k, exclude, store) — and then deposits the results back through
-/// Deposit() on the search thread. Concurrent calls to Evaluate/Deposit
-/// themselves are not allowed.
+/// Thread safety: not thread-safe; an evaluator belongs to one walk on one
+/// thread. BatchFrontierRunner reads its immutable query parameters
+/// (engine, point, k, exclude, store) to fuse a round's kNN calls across
+/// its block, then records the values through Deposit().
 class OdEvaluator {
  public:
   /// `point` and `engine` must outlive the evaluator. `exclude` removes the
@@ -105,7 +103,7 @@ class OdEvaluator {
 
   /// Records an externally produced OD value (BatchFrontierRunner's merge
   /// path). The value must be exactly what Evaluate(mask) would return —
-  /// OD is a pure function, so values computed on worker threads qualify.
+  /// OD is a pure function, so values from a fused batch call qualify.
   /// No-op when the mask is already memoised.
   void Deposit(uint64_t mask, double od, ValueSource source);
 

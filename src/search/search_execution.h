@@ -1,6 +1,6 @@
-// SearchExecution: how a lattice search runs — on which pool, under which
-// work budget, over which lattice store, with which density pre-filter
-// and trace sink. None of these knobs changes an answer (the filter's
+// SearchExecution: how a lattice search runs — under which work budget,
+// with which density pre-filter and trace sink. A search runs on the
+// calling thread. None of these knobs changes an answer (the filter's
 // opt-in kSpeculative mode excepted, which reports every risky decision).
 
 #ifndef HOS_SEARCH_SEARCH_EXECUTION_H_
@@ -9,12 +9,7 @@
 #include <cstdint>
 
 #include "src/filter/density_filter.h"
-#include "src/lattice/lattice_store.h"
 #include "src/obs/trace.h"
-
-namespace hos::service {
-class ThreadPool;
-}  // namespace hos::service
 
 namespace hos::obs {
 class Histogram;
@@ -31,30 +26,16 @@ enum class FrontierOrdering : uint8_t {
   /// Canonical mask order — the pre-scheduling behaviour.
   kNone,
   /// Exact-path masks sorted by descending bound margin (widest straddle
-  /// first), so the hardest evaluations start earliest in a parallel wave
-  /// and stragglers shrink. Lattice merges stay in canonical mask order,
-  /// so answers are bitwise identical to kNone in conservative mode (held
-  /// by tests/filter/filter_differential_test.cc). No-op when the filter
-  /// is off (no bounds ⇒ no margins).
+  /// first), so the hardest evaluations run earliest. Lattice merges stay
+  /// in canonical mask order, so answers are bitwise identical to kNone in
+  /// conservative mode (held by tests/filter/filter_differential_test.cc).
+  /// No-op when the filter is off (no bounds ⇒ no margins).
   kBoundMargin,
 };
 
-/// How a search strategy executes its frontier rounds. The default runs
-/// everything sequentially on the calling thread; attaching a pool fans
-/// each round's distinct masks out across it. Answers are identical either
-/// way (tested by tests/search/strategy_differential_test.cc).
+/// How a search strategy executes its frontier rounds, all of them on the
+/// calling thread.
 struct SearchExecution {
-  /// Borrowed worker pool; null ⇒ sequential. Must NOT be the pool the
-  /// calling task itself runs on: frontier rounds block on their chunk
-  /// futures, and a pool whose workers all wait on tasks queued behind
-  /// them deadlocks. QueryService therefore keeps a dedicated search pool
-  /// next to its query pool. ExhaustiveSearch ignores it.
-  service::ThreadPool* pool = nullptr;
-
-  /// Caps the pool tasks one round runs; 0 ⇒ the pool's full width.
-  /// Values <= 1 with a pool still evaluate sequentially (on the caller).
-  int max_threads = 0;
-
   /// Work budget: the maximum number of fresh OD evaluations (kNN
   /// searches) one Run may spend; 0 means unlimited. Checked before each
   /// level batch — against the batch's undecided count, so an
@@ -65,14 +46,6 @@ struct SearchExecution {
   /// not), but the pre-batch check conservatively charges a level's whole
   /// undecided count.
   uint64_t max_od_evaluations = 0;
-
-  /// Which lattice storage backend the search builds its state in. kAuto
-  /// picks the hash-map sparse store at every d; kDense forces the flat
-  /// array. Both are answer-identical (held bitwise by
-  /// tests/search/strategy_differential_test.cc), differing only in memory
-  /// footprint and the reachable dimensionality. Forcing kDense past its
-  /// cap makes the search return InvalidArgument.
-  lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;
 
   /// Density-bound pre-filter consulted by the pruning strategies before
   /// dispatching a frontier mask to the exact kNN path; null or kOff ⇒
@@ -106,10 +79,9 @@ struct SearchExecution {
   obs::Histogram* margin_histogram = nullptr;
 
   /// Per-query trace sink; null ⇒ tracing off (the default, and the only
-  /// cost disabled tracing pays is this null check). The tracer must
-  /// tolerate concurrent BeginSpan/EndSpan — pool workers record their
-  /// kNN spans from pool threads. Tracing never changes answers: spans
-  /// are observations only (held by the trace differential test).
+  /// cost disabled tracing pays is this null check). Tracing never changes
+  /// answers: spans are observations only (held by the trace differential
+  /// test).
   obs::QueryTracer* tracer = nullptr;
   /// Span id the search strategy's spans attach under (-1 = root).
   int trace_parent = -1;

@@ -24,8 +24,9 @@ struct SearchCounters {
   /// Point-to-point distance computations inside the kNN engine. Measured
   /// as a before/after delta of the engine's process-wide counter, so it is
   /// exact only when the engine serves one query at a time; concurrent
-  /// queries (service::QueryService) bleed into each other's deltas, and
-  /// so do the points of one fused block (search::BatchFrontierRunner).
+  /// queries (the serving layer's QueryService) bleed into each other's
+  /// deltas, and so do the points of one fused block
+  /// (search::BatchFrontierRunner).
   uint64_t distance_computations = 0;
   /// Subspaces decided by the density-bound pre-filter without any kNN
   /// call (SearchExecution::filter_mode != kOff). These are "evaluated" as

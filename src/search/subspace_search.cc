@@ -50,9 +50,8 @@ Result<SearchOutcome> ExhaustiveSearch::RunImpl(
   Timer timer;
   const uint64_t od_before = od->num_evaluations();
   const uint64_t dist_before = od->engine().distance_computations();
-  HOS_ASSIGN_OR_RETURN(
-      std::unique_ptr<lattice::LatticeStore> state,
-      lattice::MakeLatticeStore(num_dims_, exec.lattice_backend));
+  HOS_ASSIGN_OR_RETURN(std::unique_ptr<lattice::LatticeStore> state,
+                       lattice::MakeLatticeStore(num_dims_));
   obs::ScopedSpan strategy_span(exec.tracer, name(), exec.trace_parent);
   // Every subspace is evaluated explicitly, so nothing is left for
   // Propagate() to infer.

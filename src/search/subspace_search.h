@@ -14,14 +14,12 @@
 //
 // The three pruning strategies share one runner: each runs
 // search::BatchFrontierRunner over a block of one point with its own
-// level order, so SearchExecution::pool fans a level's masks out across a
-// service::ThreadPool with the same chunking and canonical-order merge at
-// every width. The lattice itself lives behind lattice::LatticeStore
-// (SearchExecution::lattice_backend: lazy hash-map sparse by default at
-// every d, flat-array dense on request up to d = 22).
-// tests/search/strategy_differential_test.cc holds every strategy ×
-// execution mode × backend to bitwise-identical answers against the
-// exhaustive oracle.
+// level order, on the calling thread. The lattice itself is a
+// lattice::LatticeStore, which holds only the evaluated masks and
+// classifies the rest against its seeds, so one store serves every d up
+// to lattice::kMaxLatticeDims. tests/search/strategy_differential_test.cc
+// holds every strategy to bitwise-identical answers and OD values against
+// the exhaustive oracle.
 
 #ifndef HOS_SEARCH_SUBSPACE_SEARCH_H_
 #define HOS_SEARCH_SUBSPACE_SEARCH_H_
@@ -46,12 +44,11 @@ class SubspaceSearch {
 
   /// Runs a complete search for the evaluator's query point: on return
   /// every subspace is decided. `threshold` is the paper's T; a subspace s
-  /// is outlying iff OD(p, s) >= T. `exec` selects sequential or pooled
-  /// frontier evaluation and the lattice storage backend; neither changes
-  /// the answer. Returns InvalidArgument when the strategy's configuration
-  /// is inconsistent (e.g. priors sized for a different dimensionality,
-  /// num_dims outside 1..lattice::kMaxLatticeDims, or a forced dense
-  /// backend past lattice::kDenseMaxDims), and ResourceExhausted when
+  /// is outlying iff OD(p, s) >= T. `exec` sets the work budget, the
+  /// density filter and the trace sink. Returns InvalidArgument when the
+  /// strategy's configuration is inconsistent (priors sized for a
+  /// different dimensionality, or num_dims outside
+  /// 1..lattice::kMaxLatticeDims), and ResourceExhausted when
   /// `exec.max_od_evaluations` is set and the next level batch would push
   /// fresh OD evaluations past it (the guard for runaway exhaustive /
   /// non-band queries at high d).
@@ -88,8 +85,8 @@ class DynamicSubspaceSearch : public SubspaceSearch {
   lattice::PruningPriors priors_;
 };
 
-/// Evaluates all 2^d - 1 subspaces, level by level on the calling thread.
-/// No pruning; ignores exec.pool and exec.filter.
+/// Evaluates all 2^d - 1 subspaces, level by level. No pruning; ignores
+/// exec.filter.
 class ExhaustiveSearch : public SubspaceSearch {
  public:
   explicit ExhaustiveSearch(int num_dims) : num_dims_(num_dims) {}

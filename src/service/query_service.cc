@@ -17,9 +17,6 @@ QueryService::QueryService(core::HosMiner miner, QueryServiceConfig config)
       cache_(config.enable_od_cache ? std::make_unique<OdCache>(config.cache)
                                     : nullptr),
       stats_(&registry_),
-      search_pool_(config.search_threads > 1
-                       ? std::make_unique<ThreadPool>(config.search_threads)
-                       : nullptr),
       maintenance_worker_(config.ingest.rebuild_delta_fraction > 0.0 ||
                                   config.ingest.relearn_staleness_threshold >
                                       0.0

@@ -38,12 +38,10 @@
 //    (CommitRebuild, CommitLearning) under the writer side — a pause of
 //    microseconds, reported for rebuilds as ServiceStats
 //    last_rebuild_pause_seconds.
-//  * The maintenance worker is NOT the intra-query search pool: the task
-//    must take the epoch lock, and parking it on the search pool could
-//    deadlock — with a writer waiting, a reader-priority-blocked
-//    maintenance task at the head of the search queue would starve the
-//    frontier waves of an in-flight query that still holds the reader lock
-//    the writer is waiting out.
+//  * The maintenance task runs on its own worker, never the query pool,
+//    so a rebuild's long prepare phase never takes a slot from queries.
+//    Each query and fused block runs its whole search on the query worker
+//    that picked it up.
 //
 // The miner snapshot's kNN engine holds one SoA view of the dataset,
 // shared by every worker, so their OD evaluations run through the batched
@@ -133,21 +131,17 @@ struct ObservabilityConfig {
 struct QueryServiceConfig {
   /// Worker threads executing queries.
   int num_threads = 4;
-  /// Intra-query parallelism: when > 1, a second pool of this many threads
-  /// is shared by all in-flight queries and fused blocks for parallel
-  /// frontier evaluation (each frontier round's distinct subspaces fan out
-  /// across it). A separate pool — never the query pool — because frontier
-  /// rounds block on their chunk futures, and a pool waiting on itself
-  /// deadlocks. Answers are identical at any setting.
+  /// Read by nothing: each query's search runs on the worker that picked
+  /// it up. Kept only because e2ebench/main.cc assigns it; it goes when
+  /// the benchmark stops naming it.
   int search_threads = 1;
   /// When false, no cross-query OD cache is attached (each query still has
   /// OdEvaluator's per-query memo).
   bool enable_od_cache = true;
   OdCacheConfig cache;
-  /// Lattice storage backend for every query this service runs; kAuto
-  /// picks the sparse store at every d. Answers are
-  /// identical either way; per-query memory is 2^d bytes on dense vs the
-  /// touched frontier band on sparse.
+  /// Read by nothing: there is one lattice store. Kept only because
+  /// e2ebench/main.cc reads and assigns it; it goes when the benchmark
+  /// stops naming it.
   lattice::LatticeBackend lattice_backend = lattice::LatticeBackend::kAuto;
   /// Per-query work budget (fresh OD evaluations); 0 = unlimited. Queries
   /// that would exceed it fail with ResourceExhausted instead of occupying
@@ -292,9 +286,6 @@ class QueryService {
   core::QueryOptions MakeOptions(search::SharedOdStore* od_store) {
     core::QueryOptions options;
     options.od_store = od_store;
-    options.search_pool = search_pool_.get();
-    options.search_threads = config_.search_threads;
-    options.lattice_backend = config_.lattice_backend;
     options.max_od_evaluations = config_.max_od_evaluations;
     options.filter_mode = config_.filter_mode;
     options.filter_speculative_slack = config_.filter_speculative_slack;
@@ -389,11 +380,8 @@ class QueryService {
   /// True while a maintenance task is scheduled or running (single-flight).
   std::atomic<bool> maintenance_scheduled_{false};
 
-  /// Shared by every in-flight query's frontier rounds; null when
-  /// search_threads <= 1. Declared before the pools so workers die first.
-  std::unique_ptr<ThreadPool> search_pool_;
   /// Dedicated single-thread worker for the maintenance task (see the
-  /// header comment for why it must not share the search pool). Created
+  /// header comment for why it does not share the query pool). Created
   /// in the constructor when either policy is active, so no lazy-creation
   /// synchronization is needed; null otherwise (no policy can want work).
   std::unique_ptr<ThreadPool> maintenance_worker_;

@@ -1,10 +1,9 @@
 // High-dimensional smoke test (tier-1): a complete d = 32 query through
-// HosMiner::Query on the sparse lattice backend. The dense backend cannot
-// even allocate its state here (2^32 bytes per query); the sparse store
-// only ever materialises the frontier the search touches.
+// HosMiner::Query. A flat state array would need 2^32 bytes per query here;
+// the lattice store only ever materialises the frontier the search touches.
 //
-// The dataset is built so the search stays in the frontier band the sparse
-// backend is designed for: a very tight cluster plus one point displaced
+// The dataset is built so the search stays in the frontier band the
+// lattice store is designed for: a very tight cluster plus one point displaced
 // in every dimension. For that point every singleton subspace is outlying
 // (and by monotonicity so is everything else), so whichever levels TSF
 // ranks first, the search only ever evaluates the boundary band — the
@@ -114,16 +113,6 @@ TEST(HighDimSparseSmokeTest, CapDimensionalityInlierQueryIsOneEvaluation) {
   EXPECT_EQ(counters.od_evaluations + counters.pruned_upward +
                 counters.pruned_downward,
             (uint64_t{1} << d) - 1);
-}
-
-TEST(HighDimSparseSmokeTest, ForcedDenseBackendIsRejected) {
-  auto miner = HosMiner::Build(MakeHighDimDataset(), HighDimConfig());
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
-  QueryOptions options;
-  options.lattice_backend = lattice::LatticeBackend::kDense;
-  auto result = miner->Query(120, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

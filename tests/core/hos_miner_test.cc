@@ -97,9 +97,8 @@ TEST(HosMinerBuildTest, RejectsAZScoreColumnWhoseSpreadOverflows) {
 }
 
 TEST(HosMinerBuildTest, RejectsTooManyDims) {
-  // The hard cap is now lattice::kMaxLatticeDims (58), not the dense
-  // backend's 22: d = 23 builds fine (queries auto-select the sparse
-  // lattice), d = 59 is rejected with the range in the message.
+  // The hard cap is lattice::kMaxLatticeDims (58): d = 23 builds fine,
+  // d = 59 is rejected with the range in the message.
   const int too_many = lattice::kMaxLatticeDims + 1;
   data::Dataset wide(too_many);
   wide.Append(std::vector<double>(too_many, 0.0));
@@ -111,21 +110,22 @@ TEST(HosMinerBuildTest, RejectsTooManyDims) {
             std::string::npos);
 }
 
-TEST(HosMinerBuildTest, AcceptsDimsPastTheDenseCap) {
-  // Regression: d = 23 used to be refused outright; with the sparse
-  // lattice backend Build succeeds (learning disabled — at this width each
-  // sample search is a full sparse lattice walk).
-  const int d = lattice::kDenseMaxDims + 1;
+TEST(HosMinerBuildTest, AcceptsDimsPastTheLearningCap) {
+  // Regression: d = 23 used to be refused outright. Build succeeds, and
+  // skips learning even though a sample size is set: past
+  // learning::kMaxLearningDims each sample would be a full lattice walk.
+  const int d = learning::kMaxLearningDims + 1;
   Rng rng(99);
   data::Dataset ds = data::GenerateUniform(40, d, &rng);
   HosMinerConfig config;
   config.k = 3;
   config.threshold = 5.0;
-  config.sample_size = 0;
+  config.sample_size = 5;
   config.index = IndexKind::kLinearScan;
   auto miner = HosMiner::Build(std::move(ds), config);
   ASSERT_TRUE(miner.ok()) << miner.status().ToString();
   EXPECT_EQ(miner->num_dims(), d);
+  EXPECT_TRUE(miner->learning_report().sample_ids.empty());
 }
 
 // A dataset handed to Build after a window slid over it: its first chunk

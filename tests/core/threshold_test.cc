@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -161,19 +162,37 @@ TEST(ThresholdTest, AutoThresholdBuildIgnoresReclaimedRows) {
 // hold in every subspace of every point. The estimate is refused instead,
 // and an auto-threshold build reports it.
 TEST(ThresholdTest, RefusesANonPositiveEstimate) {
-  data::Dataset ds(3);
-  for (int i = 0; i < 20; ++i) ds.Append(std::vector<double>{0.5, 0.5, 0.5});
-  knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
-  Rng rng(6);
-  EXPECT_TRUE(EstimateThreshold(ds, engine, {}, &rng)
-                  .status()
-                  .IsFailedPrecondition());
+  // Identical rows make every sampled OD 0. Finite coordinates near 1e200
+  // make every sampled OD +inf, since their squared differences overflow.
+  // T = 0 or T = +inf would make every subspace of every point outlying
+  // (OD >= T), so both estimates are refused, by EstimateThreshold and by
+  // an auto-threshold Build alike.
+  std::vector<data::Dataset> inputs;
+  inputs.emplace_back(3);
+  for (int i = 0; i < 20; ++i) {
+    inputs.back().Append(std::vector<double>{0.5, 0.5, 0.5});
+  }
+  inputs.emplace_back(3);
+  Rng data_rng(11);
+  for (int i = 0; i < 200; ++i) {
+    inputs.back().Append(std::vector<double>{data_rng.Uniform(0.0, 1e200),
+                                             data_rng.Uniform(0.0, 1e200),
+                                             data_rng.Uniform(0.0, 1e200)});
+  }
+  for (data::Dataset& ds : inputs) {
+    SCOPED_TRACE("rows=" + std::to_string(ds.size()));
+    knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
+    Rng rng(6);
+    EXPECT_TRUE(EstimateThreshold(ds, engine, {}, &rng)
+                    .status()
+                    .IsFailedPrecondition());
 
-  HosMinerConfig config;
-  config.normalization = data::NormalizationKind::kNone;
-  auto miner = HosMiner::Build(std::move(ds), config);
-  EXPECT_TRUE(miner.status().IsFailedPrecondition())
-      << miner.status().ToString();
+    HosMinerConfig config;
+    config.normalization = data::NormalizationKind::kNone;
+    auto miner = HosMiner::Build(std::move(ds), config);
+    EXPECT_TRUE(miner.status().IsFailedPrecondition())
+        << miner.status().ToString();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 namespace hos::data {
 namespace {
@@ -40,6 +42,14 @@ TEST(CsvTest, SkipsBlankLines) {
   auto result = ParseCsv("x,y\n1,2\n\n3,4\n\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 2u);
+
+  // A blank line before the header is skipped too: the first non-blank
+  // line is the header, not a data row.
+  auto leading = ParseCsv("\nx,y\n1,2\n3,4\n");
+  ASSERT_TRUE(leading.ok()) << leading.status().ToString();
+  EXPECT_EQ(leading->size(), 2u);
+  EXPECT_EQ(leading->column_names(), (std::vector<std::string>{"x", "y"}));
+  EXPECT_DOUBLE_EQ(leading->At(1, 1), 4.0);
 }
 
 TEST(CsvTest, HandlesCrLf) {

@@ -135,95 +135,89 @@ TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOffAndSpeculativeIsHonest) {
     const int d = scenario.miner.num_dims();
     const uint64_t lattice = (uint64_t{1} << d) - 1;
 
-    for (lattice::LatticeBackend backend :
-         {lattice::LatticeBackend::kDense, lattice::LatticeBackend::kSparse}) {
-      SCOPED_TRACE(backend == lattice::LatticeBackend::kDense ? "dense"
-                                                              : "sparse");
-      uint64_t total_bound_decisions = 0;
+    uint64_t total_bound_decisions = 0;
 
-      for (data::PointId id : scenario.queries) {
-        SCOPED_TRACE("query id=" + std::to_string(id));
-        core::QueryOptions off_opts;
-        off_opts.lattice_backend = backend;
-        core::QueryOptions cons_opts = off_opts;
-        cons_opts.filter_mode = filter::FilterMode::kConservative;
-        core::QueryOptions spec_opts = off_opts;
-        spec_opts.filter_mode = filter::FilterMode::kSpeculative;
+    for (data::PointId id : scenario.queries) {
+      SCOPED_TRACE("query id=" + std::to_string(id));
+      core::QueryOptions off_opts;
+      core::QueryOptions cons_opts = off_opts;
+      cons_opts.filter_mode = filter::FilterMode::kConservative;
+      core::QueryOptions spec_opts = off_opts;
+      spec_opts.filter_mode = filter::FilterMode::kSpeculative;
 
-        auto off = scenario.miner.Query(id, off_opts);
-        auto cons = scenario.miner.Query(id, cons_opts);
-        auto spec = scenario.miner.Query(id, spec_opts);
-        ASSERT_TRUE(off.ok()) << off.status().ToString();
-        ASSERT_TRUE(cons.ok()) << cons.status().ToString();
-        ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      auto off = scenario.miner.Query(id, off_opts);
+      auto cons = scenario.miner.Query(id, cons_opts);
+      auto spec = scenario.miner.Query(id, spec_opts);
+      ASSERT_TRUE(off.ok()) << off.status().ToString();
+      ASSERT_TRUE(cons.ok()) << cons.status().ToString();
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
-        // --- kOff sanity: the filter counters stay untouched.
-        EXPECT_EQ(off->outcome.counters.bound_decisions, 0u);
-        EXPECT_EQ(off->outcome.counters.risky_decisions, 0u);
-        EXPECT_EQ(off->outcome.counters.bound_gap, 0.0);
+      // --- kOff sanity: the filter counters stay untouched.
+      EXPECT_EQ(off->outcome.counters.bound_decisions, 0u);
+      EXPECT_EQ(off->outcome.counters.risky_decisions, 0u);
+      EXPECT_EQ(off->outcome.counters.bound_gap, 0.0);
 
-        // --- Conservative: bitwise identical answers.
-        EXPECT_EQ(cons->outcome.minimal_outlying_subspaces,
-                  off->outcome.minimal_outlying_subspaces);
-        EXPECT_EQ(cons->outcome.evaluated_outliers,
-                  off->outcome.evaluated_outliers);
-        EXPECT_EQ(cons->outcome.outlier_fraction,
-                  off->outcome.outlier_fraction);
-        EXPECT_EQ(VerdictVector(*cons, d), VerdictVector(*off, d));
-        // Order-independent counters unchanged; exact evaluations drop by
-        // exactly the bound-decided count (the sum identity).
-        EXPECT_EQ(cons->outcome.counters.pruned_upward,
-                  off->outcome.counters.pruned_upward);
-        EXPECT_EQ(cons->outcome.counters.pruned_downward,
-                  off->outcome.counters.pruned_downward);
-        EXPECT_EQ(cons->outcome.counters.steps, off->outcome.counters.steps);
-        EXPECT_EQ(off->outcome.counters.od_evaluations,
-                  cons->outcome.counters.od_evaluations +
-                      cons->outcome.counters.bound_decisions);
-        // Conservative decisions are proofs, never risks.
-        EXPECT_EQ(cons->outcome.counters.risky_decisions, 0u);
-        EXPECT_EQ(cons->outcome.counters.bound_gap, 0.0);
-        // Closure identity with the filter in the loop.
-        EXPECT_EQ(cons->outcome.counters.od_evaluations +
-                      cons->outcome.counters.pruned_upward +
-                      cons->outcome.counters.pruned_downward +
-                      cons->outcome.counters.bound_decisions,
-                  lattice);
-        total_bound_decisions += cons->outcome.counters.bound_decisions;
+      // --- Conservative: bitwise identical answers.
+      EXPECT_EQ(cons->outcome.minimal_outlying_subspaces,
+                off->outcome.minimal_outlying_subspaces);
+      EXPECT_EQ(cons->outcome.evaluated_outliers,
+                off->outcome.evaluated_outliers);
+      EXPECT_EQ(cons->outcome.outlier_fraction,
+                off->outcome.outlier_fraction);
+      EXPECT_EQ(VerdictVector(*cons, d), VerdictVector(*off, d));
+      // Order-independent counters unchanged; exact evaluations drop by
+      // exactly the bound-decided count (the sum identity).
+      EXPECT_EQ(cons->outcome.counters.pruned_upward,
+                off->outcome.counters.pruned_upward);
+      EXPECT_EQ(cons->outcome.counters.pruned_downward,
+                off->outcome.counters.pruned_downward);
+      EXPECT_EQ(cons->outcome.counters.steps, off->outcome.counters.steps);
+      EXPECT_EQ(off->outcome.counters.od_evaluations,
+                cons->outcome.counters.od_evaluations +
+                    cons->outcome.counters.bound_decisions);
+      // Conservative decisions are proofs, never risks.
+      EXPECT_EQ(cons->outcome.counters.risky_decisions, 0u);
+      EXPECT_EQ(cons->outcome.counters.bound_gap, 0.0);
+      // Closure identity with the filter in the loop.
+      EXPECT_EQ(cons->outcome.counters.od_evaluations +
+                    cons->outcome.counters.pruned_upward +
+                    cons->outcome.counters.pruned_downward +
+                    cons->outcome.counters.bound_decisions,
+                lattice);
+      total_bound_decisions += cons->outcome.counters.bound_decisions;
 
-        // --- Speculative: closure still holds, and the report is honest.
-        EXPECT_EQ(spec->outcome.counters.od_evaluations +
-                      spec->outcome.counters.pruned_upward +
-                      spec->outcome.counters.pruned_downward +
-                      spec->outcome.counters.bound_decisions,
-                  lattice);
-        EXPECT_GE(spec->outcome.counters.bound_decisions,
-                  spec->outcome.counters.risky_decisions);
-        const bool answers_differ =
-            VerdictVector(*spec, d) != VerdictVector(*off, d) ||
-            spec->outcome.minimal_outlying_subspaces !=
-                off->outcome.minimal_outlying_subspaces;
-        if (answers_differ) {
-          // A flipped answer must be accompanied by a nonzero reported gap
-          // and at least one declared risky decision.
-          EXPECT_GT(spec->outcome.counters.risky_decisions, 0u);
-          EXPECT_GT(spec->outcome.counters.bound_gap, 0.0);
-        }
-        if (spec->outcome.counters.bound_gap == 0.0) {
-          // gap == 0 certifies bitwise equality with kOff.
-          EXPECT_EQ(spec->outcome.counters.risky_decisions, 0u);
-          EXPECT_FALSE(answers_differ);
-          EXPECT_EQ(spec->outcome.evaluated_outliers,
-                    off->outcome.evaluated_outliers);
-        }
+      // --- Speculative: closure still holds, and the report is honest.
+      EXPECT_EQ(spec->outcome.counters.od_evaluations +
+                    spec->outcome.counters.pruned_upward +
+                    spec->outcome.counters.pruned_downward +
+                    spec->outcome.counters.bound_decisions,
+                lattice);
+      EXPECT_GE(spec->outcome.counters.bound_decisions,
+                spec->outcome.counters.risky_decisions);
+      const bool answers_differ =
+          VerdictVector(*spec, d) != VerdictVector(*off, d) ||
+          spec->outcome.minimal_outlying_subspaces !=
+              off->outcome.minimal_outlying_subspaces;
+      if (answers_differ) {
+        // A flipped answer must be accompanied by a nonzero reported gap
+        // and at least one declared risky decision.
+        EXPECT_GT(spec->outcome.counters.risky_decisions, 0u);
+        EXPECT_GT(spec->outcome.counters.bound_gap, 0.0);
       }
-
-      // The contract must not hold vacuously: across the query set the
-      // conservative filter decided at least some subspaces without a kNN
-      // call.
-      EXPECT_GT(total_bound_decisions, 0u)
-          << "the pre-filter never fired on scenario " << scenario.name;
+      if (spec->outcome.counters.bound_gap == 0.0) {
+        // gap == 0 certifies bitwise equality with kOff.
+        EXPECT_EQ(spec->outcome.counters.risky_decisions, 0u);
+        EXPECT_FALSE(answers_differ);
+        EXPECT_EQ(spec->outcome.evaluated_outliers,
+                  off->outcome.evaluated_outliers);
+      }
     }
+
+    // The contract must not hold vacuously: across the query set the
+    // conservative filter decided at least some subspaces without a kNN
+    // call.
+    EXPECT_GT(total_bound_decisions, 0u)
+        << "the pre-filter never fired on scenario " << scenario.name;
   }
 }
 

@@ -19,7 +19,6 @@
 #include "src/core/hos_miner.h"
 #include "src/core/result_json.h"
 #include "src/data/csv.h"
-#include "src/service/thread_pool.h"
 
 namespace hos {
 namespace {
@@ -64,70 +63,6 @@ TEST(GoldenQueryTest, ResultJsonMatchesCheckedInAnswer) {
       << "actual JSON (use to regenerate golden_result.json after an "
          "intentional change):\n"
       << core::QueryResultToJson(*result);
-}
-
-// The same query with its lattice frontier fanned out across a 4-thread
-// pool must serialise byte-identically to the single-threaded golden
-// answer — answers, OD-derived fields AND work counters (same subspaces
-// evaluated, same kNN calls, zero speculation), so any scheduling leak
-// into the result surfaces as a diff against the same fixture.
-TEST(GoldenQueryTest, ParallelSearchMatchesGoldenByteForByte) {
-  const std::string dir =
-      std::string(HOS_SOURCE_DIR) + "/tests/integration/testdata";
-  auto dataset = data::ReadCsvFile(dir + "/golden.csv");
-  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
-
-  core::HosMinerConfig config;
-  config.k = 4;
-  config.threshold = 1.1;
-  config.seed = 7;
-  auto miner = core::HosMiner::Build(std::move(dataset).value(), config);
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
-
-  service::ThreadPool search_pool(4);
-  core::QueryOptions options;
-  options.search_pool = &search_pool;
-  options.search_threads = 4;
-  auto result = miner->Query(kPlantedId, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  result->outcome.counters.elapsed_seconds = 0.0;
-
-  std::string want = ReadFile(dir + "/golden_result.json");
-  while (!want.empty() && (want.back() == '\n' || want.back() == '\r')) {
-    want.pop_back();
-  }
-  EXPECT_EQ(core::QueryResultToJson(*result), want);
-}
-
-// The same query on the sparse lattice backend (forced — at d = 4 the
-// automatic choice is dense) must also serialise byte-identically:
-// storage is an implementation detail, so answers, OD-derived fields AND
-// work counters (evaluations, pruning tallies, steps) all match the
-// fixture produced by the flat-array backend.
-TEST(GoldenQueryTest, SparseLatticeBackendMatchesGoldenByteForByte) {
-  const std::string dir =
-      std::string(HOS_SOURCE_DIR) + "/tests/integration/testdata";
-  auto dataset = data::ReadCsvFile(dir + "/golden.csv");
-  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
-
-  core::HosMinerConfig config;
-  config.k = 4;
-  config.threshold = 1.1;
-  config.seed = 7;
-  auto miner = core::HosMiner::Build(std::move(dataset).value(), config);
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
-
-  core::QueryOptions options;
-  options.lattice_backend = lattice::LatticeBackend::kSparse;
-  auto result = miner->Query(kPlantedId, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  result->outcome.counters.elapsed_seconds = 0.0;
-
-  std::string want = ReadFile(dir + "/golden_result.json");
-  while (!want.empty() && (want.back() == '\n' || want.back() == '\r')) {
-    want.pop_back();
-  }
-  EXPECT_EQ(core::QueryResultToJson(*result), want);
 }
 
 }  // namespace

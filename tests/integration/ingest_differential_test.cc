@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -138,25 +137,11 @@ void ExpectBitwiseOdValues(const core::HosMiner& streamed,
   }
 }
 
-using IngestParam = std::tuple<core::IndexKind, lattice::LatticeBackend>;
-
-class IngestDifferentialTest : public ::testing::TestWithParam<IngestParam> {
-};
-
-std::string IngestParamName(const ::testing::TestParamInfo<IngestParam>& info) {
-  std::string name;
-  switch (std::get<0>(info.param)) {
-    case core::IndexKind::kLinearScan: name = "LinearScan"; break;
-    case core::IndexKind::kXTree: name = "XTree"; break;
-  }
-  name += std::get<1>(info.param) == lattice::LatticeBackend::kDense
-              ? "Dense"
-              : "Sparse";
-  return name;
-}
+class IngestDifferentialTest
+    : public ::testing::TestWithParam<core::IndexKind> {};
 
 TEST_P(IngestDifferentialTest, AppendEqualsRebuildEqualsFreshBuild) {
-  const auto [index, backend] = GetParam();
+  const core::IndexKind index = GetParam();
   const data::Dataset all = MakeData(/*seed=*/1234);
   const auto base_rows = RowsOf(all, 0, kBaseRows);
   const auto delta_rows = RowsOf(all, kBaseRows, all.size());
@@ -177,9 +162,6 @@ TEST_P(IngestDifferentialTest, AppendEqualsRebuildEqualsFreshBuild) {
   core::HosMiner reference = BuildOn(all_rows, index);
   ASSERT_EQ(streamed.dataset().size(), reference.dataset().size());
 
-  core::QueryOptions options;
-  options.lattice_backend = backend;
-
   // Probe base rows, background delta rows, and the planted outliers that
   // live in the delta.
   const std::vector<data::PointId> probes = {
@@ -191,8 +173,8 @@ TEST_P(IngestDifferentialTest, AppendEqualsRebuildEqualsFreshBuild) {
   for (data::PointId id : probes) {
     ExpectBitwiseOdValues(streamed, reference, id,
                           "append vs fresh, point " + std::to_string(id));
-    auto got = streamed.Query(id, options);
-    auto want = reference.Query(id, options);
+    auto got = streamed.Query(id);
+    auto want = reference.Query(id);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     EXPECT_EQ(got->dataset_version, streamed.version());
@@ -208,8 +190,8 @@ TEST_P(IngestDifferentialTest, AppendEqualsRebuildEqualsFreshBuild) {
   for (data::PointId id : probes) {
     ExpectBitwiseOdValues(streamed, reference, id,
                           "rebuild vs fresh, point " + std::to_string(id));
-    auto got = streamed.Query(id, options);
-    auto want = reference.Query(id, options);
+    auto got = streamed.Query(id);
+    auto want = reference.Query(id);
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());
     ExpectBitwiseOutcome(*got, *want,
@@ -230,13 +212,14 @@ TEST_P(IngestDifferentialTest, AppendEqualsRebuildEqualsFreshBuild) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, IngestDifferentialTest,
-    ::testing::Combine(::testing::Values(core::IndexKind::kLinearScan,
-                                         core::IndexKind::kXTree),
-                       ::testing::Values(lattice::LatticeBackend::kDense,
-                                         lattice::LatticeBackend::kSparse)),
-    IngestParamName);
+INSTANTIATE_TEST_SUITE_P(AllBackends, IngestDifferentialTest,
+                         ::testing::Values(core::IndexKind::kLinearScan,
+                                           core::IndexKind::kXTree),
+                         [](const auto& info) {
+                           return info.param == core::IndexKind::kXTree
+                                      ? "XTree"
+                                      : "LinearScan";
+                         });
 
 }  // namespace
 }  // namespace hos

@@ -103,13 +103,10 @@ core::HosMiner BuildFreshMiner(const core::HosMiner& windowed,
 
 void ExpectSameAnswers(const core::HosMiner& windowed,
                        const core::HosMiner& fresh,
-                       const std::vector<data::PointId>& survivors,
-                       lattice::LatticeBackend backend) {
-  core::QueryOptions options;
-  options.lattice_backend = backend;
+                       const std::vector<data::PointId>& survivors) {
   for (size_t j = 0; j < survivors.size(); ++j) {
-    auto w = windowed.Query(survivors[j], options);
-    auto f = fresh.Query(static_cast<data::PointId>(j), options);
+    auto w = windowed.Query(survivors[j]);
+    auto f = fresh.Query(static_cast<data::PointId>(j));
     ASSERT_TRUE(w.ok()) << w.status().ToString();
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     EXPECT_EQ(AnswerMasks(*w), AnswerMasks(*f))
@@ -153,10 +150,7 @@ TEST_P(WindowDifferentialTest, WindowedEqualsFreshBuildOnSurvivors) {
 
   // Tombstone-filtered serving (delta + tombstones unsealed).
   ExpectBitwiseOds(windowed, fresh, survivors);
-  ExpectSameAnswers(windowed, fresh, survivors,
-                    lattice::LatticeBackend::kDense);
-  ExpectSameAnswers(windowed, fresh, survivors,
-                    lattice::LatticeBackend::kSparse);
+  ExpectSameAnswers(windowed, fresh, survivors);
 
   // Dead ids answer NotFound (never a stale value, never a crash).
   auto dead = windowed.Query(3);
@@ -184,8 +178,7 @@ TEST_P(WindowDifferentialTest, WindowedEqualsFreshBuildOnSurvivors) {
   EXPECT_EQ(windowed.delta_rows(), 0u);
   EXPECT_EQ(windowed.dataset().unsealed_tombstones(), 0u);
   ExpectBitwiseOds(windowed, fresh, survivors);
-  ExpectSameAnswers(windowed, fresh, survivors,
-                    lattice::LatticeBackend::kDense);
+  ExpectSameAnswers(windowed, fresh, survivors);
   EXPECT_TRUE(windowed.Query(3).status().IsNotFound());
 }
 
@@ -224,16 +217,12 @@ TEST_P(WindowDifferentialTest, AdversarialWindowedEqualsFresh) {
   core::HosMiner fresh = BuildFreshMiner(windowed, survivors, GetParam());
 
   ExpectBitwiseOds(windowed, fresh, survivors);
-  ExpectSameAnswers(windowed, fresh, survivors,
-                    lattice::LatticeBackend::kDense);
-  ExpectSameAnswers(windowed, fresh, survivors,
-                    lattice::LatticeBackend::kSparse);
+  ExpectSameAnswers(windowed, fresh, survivors);
 
   // And after the tombstones are folded physically.
   ASSERT_TRUE(windowed.Rebuild().ok());
   ExpectBitwiseOds(windowed, fresh, survivors);
-  ExpectSameAnswers(windowed, fresh, survivors,
-                    lattice::LatticeBackend::kDense);
+  ExpectSameAnswers(windowed, fresh, survivors);
 }
 
 }  // namespace

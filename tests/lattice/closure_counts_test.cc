@@ -1,4 +1,4 @@
-// The sparse backend's closed-form closure counting, checked exhaustively
+// The lattice store's closed-form closure counting, checked exhaustively
 // against brute-force enumeration: for random seed families over small d,
 // AvoidingSubsetCounts / Up- / DownClosureLevelCounts must equal a direct
 // sweep over all 2^d masks — including degenerate families (empty, single

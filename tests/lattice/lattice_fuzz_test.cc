@@ -2,20 +2,19 @@
 // but monotone ground truth (an up-closed outlier set) to the lattice
 // store in a random evaluation order and verify that the inferred states
 // always agree with the ground truth, whatever the order of
-// MarkEvaluated/Propagate. Runs against both storage backends.
+// MarkEvaluated/Propagate.
 //
 // The tally oracle below holds the per-level counters and undecided
 // enumerations to a full 2^d recount through StateOf after every
-// Propagate, for d in 4..16: the sparse store derives them from closed-form
-// closure sizes and a seed-pruned descent, the dense one from its
-// propagation sweeps, so the recount is the reference both must reproduce.
+// Propagate, for d in 4..16: the store derives them from closed-form
+// closure sizes and a seed-pruned descent, so the recount is the reference
+// it must reproduce.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/common/combinatorics.h"
@@ -53,17 +52,16 @@ std::vector<bool> RandomUpClosedTruth(int d, int num_seeds, Rng* rng) {
   return UpClosedTruth(d, seeds);
 }
 
-class LatticeFuzzTest
-    : public ::testing::TestWithParam<std::tuple<int, LatticeBackend>> {};
+class LatticeFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LatticeFuzzTest, RandomOrderEvaluationNeverContradictsTruth) {
   const int d = 6;
-  const auto [num_seeds, backend] = GetParam();
+  const int num_seeds = GetParam();
   Rng rng(1000 + num_seeds);
 
   for (int trial = 0; trial < 20; ++trial) {
     auto truth = RandomUpClosedTruth(d, num_seeds, &rng);
-    auto state = MakeLatticeStore(d, backend).value();
+    auto state = MakeLatticeStore(d).value();
 
     // Random evaluation order over all masks; skip already-decided ones and
     // propagate at random batch boundaries.
@@ -141,16 +139,11 @@ TEST_P(LatticeFuzzTest, RandomOrderEvaluationNeverContradictsTruth) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedCounts, LatticeFuzzTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 4, 8),
-                       ::testing::Values(LatticeBackend::kDense,
-                                         LatticeBackend::kSparse)),
-    [](const auto& info) {
-      return "seeds" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == LatticeBackend::kDense ? "_dense"
-                                                                : "_sparse");
-    });
+INSTANTIATE_TEST_SUITE_P(SeedCounts, LatticeFuzzTest,
+                         ::testing::Values(0, 1, 2, 4, 8),
+                         [](const auto& info) {
+                           return "seeds" + std::to_string(info.param);
+                         });
 
 /// Per-level state counts of every one of the 2^d - 1 masks, classified
 /// one by one through StateOf, and the undecided masks in ascending order.
@@ -205,9 +198,7 @@ uint64_t RandomSeed(int d, Rng* rng) {
   return seed;
 }
 
-class TallyOracleTest : public ::testing::TestWithParam<LatticeBackend> {};
-
-TEST_P(TallyOracleTest, TalliesMatchFullRecountAfterEveryPropagate) {
+TEST(TallyOracleTest, TalliesMatchFullRecountAfterEveryPropagate) {
   Rng rng(7100);
   for (int d = 4; d <= 16; ++d) {
     const int trials = d <= 12 ? 4 : 1;
@@ -216,7 +207,7 @@ TEST_P(TallyOracleTest, TalliesMatchFullRecountAfterEveryPropagate) {
       const int num_seeds = static_cast<int>(rng.UniformInt(0, 6));
       for (int i = 0; i < num_seeds; ++i) seeds.push_back(RandomSeed(d, &rng));
       const std::vector<bool> truth = UpClosedTruth(d, seeds);
-      auto state = MakeLatticeStore(d, GetParam()).value();
+      auto state = MakeLatticeStore(d).value();
 
       // Level waves in random level order (not TSF's): each wave is the
       // level's undecided masks in random order, merged in one to three
@@ -264,15 +255,6 @@ TEST_P(TallyOracleTest, TalliesMatchFullRecountAfterEveryPropagate) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, TallyOracleTest,
-                         ::testing::Values(LatticeBackend::kDense,
-                                           LatticeBackend::kSparse),
-                         [](const auto& info) {
-                           return info.param == LatticeBackend::kDense
-                                      ? "dense"
-                                      : "sparse";
-                         });
 
 }  // namespace
 }  // namespace hos::lattice

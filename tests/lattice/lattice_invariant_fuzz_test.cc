@@ -1,6 +1,5 @@
 // Fuzz suite for the lattice pruning invariants (paper Properties 1-2)
-// under the batch-marking path the parallel frontier merge uses, run
-// against both storage backends:
+// under the batch-marking path the frontier merge uses:
 //
 //   Property 1 (downward): a subset of a non-outlying subspace is
 //   non-outlying — so the lattice must never hold a subset of a decided
@@ -10,10 +9,9 @@
 //   non-outlier.
 //
 // Random monotone ground truths are fed in random evaluation orders and
-// random batch partitions; verdicts for each batch are computed
-// concurrently on a ThreadPool into pre-assigned slots and merged in batch
-// order through MarkEvaluatedBatch — exactly the parallel search's
-// pipeline. After every propagation, every decided subspace must agree
+// random batch partitions, each batch's verdicts merged in batch order
+// through MarkEvaluatedBatch — the frontier runner's merge. After every
+// propagation, every decided subspace must agree
 // with the ground truth, and every *inferred* state must be justified by
 // an *evaluated* seed in the right direction. A final counter-closure
 // check pins evaluated + inferred == 2^d - 1.
@@ -21,16 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "src/common/combinatorics.h"
 #include "src/common/rng.h"
 #include "src/lattice/lattice_store.h"
-#include "src/service/thread_pool.h"
 
 namespace hos::lattice {
 namespace {
@@ -115,14 +110,11 @@ void CheckInvariants(const LatticeStore& state, const std::vector<bool>& truth,
   }
 }
 
-/// Drives one full random-order, random-batch fill of a d-dim lattice,
-/// computing each batch's verdicts concurrently on `pool` (slot-per-mask,
-/// merged in batch order) when non-null.
-void RunRandomBatchTrial(int d, LatticeBackend backend,
-                         const std::vector<bool>& truth, Rng* rng,
-                         service::ThreadPool* pool, bool check_each_step) {
+/// Drives one full random-order, random-batch fill of a d-dim lattice.
+void RunRandomBatchTrial(int d, const std::vector<bool>& truth, Rng* rng,
+                         bool check_each_step) {
   const uint64_t size = uint64_t{1} << d;
-  std::unique_ptr<LatticeStore> state = MakeLatticeStore(d, backend).value();
+  std::unique_ptr<LatticeStore> state = MakeLatticeStore(d).value();
 
   std::vector<uint64_t> order;
   for (uint64_t mask = 1; mask < size; ++mask) order.push_back(mask);
@@ -144,21 +136,10 @@ void RunRandomBatchTrial(int d, LatticeBackend backend,
     }
     if (batch.empty()) continue;
 
-    // "OD values" for the batch against threshold 0.5: computed
-    // concurrently into pre-assigned slots, as the frontier merge does.
+    // "OD values" for the batch against threshold 0.5.
     std::vector<double> values(batch.size(), 0.0);
-    if (pool != nullptr) {
-      std::vector<std::future<void>> done;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        done.push_back(pool->SubmitWithResult([&values, &truth, &batch, i]() {
-          values[i] = truth[batch[i]] ? 1.0 : 0.0;
-        }));
-      }
-      for (auto& f : done) f.wait();
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        values[i] = truth[batch[i]] ? 1.0 : 0.0;
-      }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      values[i] = truth[batch[i]] ? 1.0 : 0.0;
     }
     state->MarkEvaluatedBatch(batch, values, /*threshold=*/0.5);
     state->Propagate();
@@ -178,66 +159,42 @@ void RunRandomBatchTrial(int d, LatticeBackend backend,
   ASSERT_EQ(decided, size - 1);
 }
 
-class LatticeInvariantFuzzTest
-    : public ::testing::TestWithParam<std::tuple<int, LatticeBackend>> {};
+class LatticeInvariantFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LatticeInvariantFuzzTest, RandomBatchMarkingPreservesProperties12) {
   const int d = 6;
-  const auto [num_seeds, backend] = GetParam();
+  const int num_seeds = GetParam();
   Rng rng(7000 + num_seeds);
   for (int trial = 0; trial < 12; ++trial) {
     auto truth = RandomUpClosedTruth(d, num_seeds, &rng);
-    RunRandomBatchTrial(d, backend, truth, &rng, /*pool=*/nullptr,
-                        /*check_each_step=*/true);
+    RunRandomBatchTrial(d, truth, &rng, /*check_each_step=*/true);
   }
 }
 
-TEST_P(LatticeInvariantFuzzTest, ConcurrentBatchVerdictsPreserveProperties12) {
-  const int d = 6;
-  const auto [num_seeds, backend] = GetParam();
-  Rng rng(9000 + num_seeds);
-  service::ThreadPool pool(4);
-  for (int trial = 0; trial < 8; ++trial) {
-    auto truth = RandomUpClosedTruth(d, num_seeds, &rng);
-    RunRandomBatchTrial(d, backend, truth, &rng, &pool,
-                        /*check_each_step=*/true);
-  }
-}
-
-// Many lattices filled concurrently, each via pool-computed batch verdicts
-// on its own state: catches any hidden shared/static state in the lattice
-// bookkeeping under TSan (the parallel search runs exactly this shape —
-// per-query lattices, shared verdict pool). Drivers alternate backends so
-// dense and sparse stores interleave on the same pool.
+// Many lattices filled concurrently, each on its own thread and state:
+// catches any hidden shared/static state in the lattice bookkeeping under
+// TSan (the service runs exactly this shape — one walk per query worker,
+// each on a lattice of its own).
 TEST(LatticeInvariantFuzzTest, IndependentLatticesUnderConcurrentMarking) {
   const int d = 6;
-  service::ThreadPool verdict_pool(4);
-  std::vector<std::thread> drivers;
+  std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    drivers.emplace_back([t, &verdict_pool]() {
-      const LatticeBackend backend =
-          t % 2 == 0 ? LatticeBackend::kDense : LatticeBackend::kSparse;
+    threads.emplace_back([t]() {
       Rng rng(11000 + static_cast<uint64_t>(t));
       for (int trial = 0; trial < 4; ++trial) {
         auto truth = RandomUpClosedTruth(d, 2 + t, &rng);
-        RunRandomBatchTrial(d, backend, truth, &rng, &verdict_pool,
-                            /*check_each_step=*/false);
+        RunRandomBatchTrial(d, truth, &rng, /*check_each_step=*/false);
       }
     });
   }
-  for (auto& th : drivers) th.join();
+  for (auto& th : threads) th.join();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedCounts, LatticeInvariantFuzzTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 4, 8),
-                       ::testing::Values(LatticeBackend::kDense,
-                                         LatticeBackend::kSparse)),
-    [](const auto& info) {
-      return "seeds" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == LatticeBackend::kDense ? "_dense"
-                                                                : "_sparse");
-    });
+INSTANTIATE_TEST_SUITE_P(SeedCounts, LatticeInvariantFuzzTest,
+                         ::testing::Values(0, 1, 2, 4, 8),
+                         [](const auto& info) {
+                           return "seeds" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hos::lattice

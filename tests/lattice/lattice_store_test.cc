@@ -1,8 +1,7 @@
-// Property suite for the lattice store, run identically against both
-// backends: every behavioural test below is parameterised over
-// {dense, sparse}, so the hash-map backend is held to the exact observable
-// contract of the flat-array one — states, seeds, per-level tallies,
-// undecided enumeration order, and the workload counters feeding TSF.
+// Property suite for the lattice store: states, seeds, per-level tallies,
+// undecided enumeration order, and the workload counters feeding TSF, on
+// small lattices worked by hand and on high-d seed shapes whose tallies
+// are plain binomials.
 
 #include "src/lattice/lattice_store.h"
 
@@ -12,8 +11,6 @@
 #include <string>
 
 #include "src/common/combinatorics.h"
-#include "src/lattice/dense_lattice_store.h"
-#include "src/lattice/sparse_lattice_store.h"
 
 namespace hos::lattice {
 namespace {
@@ -22,16 +19,13 @@ Subspace S(std::initializer_list<int> one_based) {
   return Subspace::FromOneBased(std::vector<int>(one_based));
 }
 
-class LatticeStoreTest : public ::testing::TestWithParam<LatticeBackend> {
- protected:
-  static std::unique_ptr<LatticeStore> Make(int d) {
-    auto store = MakeLatticeStore(d, GetParam());
-    EXPECT_TRUE(store.ok()) << store.status().ToString();
-    return std::move(store).value();
-  }
-};
+std::unique_ptr<LatticeStore> Make(int d) {
+  auto store = MakeLatticeStore(d);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(store).value();
+}
 
-TEST_P(LatticeStoreTest, FreshStateAllUndecided) {
+TEST(LatticeStoreTest, FreshStateAllUndecided) {
   auto state = Make(4);
   EXPECT_EQ(state->num_dims(), 4);
   for (int m = 1; m <= 4; ++m) {
@@ -41,7 +35,7 @@ TEST_P(LatticeStoreTest, FreshStateAllUndecided) {
   EXPECT_EQ(state->StateOf(S({1, 2})), SubspaceState::kUndecided);
 }
 
-TEST_P(LatticeStoreTest, MarkEvaluatedOutlier) {
+TEST(LatticeStoreTest, MarkEvaluatedOutlier) {
   auto state = Make(4);
   state->MarkEvaluated(S({1, 3}), /*outlier=*/true);
   EXPECT_EQ(state->StateOf(S({1, 3})), SubspaceState::kEvaluatedOutlier);
@@ -51,7 +45,7 @@ TEST_P(LatticeStoreTest, MarkEvaluatedOutlier) {
   ASSERT_EQ(state->minimal_outlier_seeds().size(), 1u);
 }
 
-TEST_P(LatticeStoreTest, UpwardPruningMarksSupersets) {
+TEST(LatticeStoreTest, UpwardPruningMarksSupersets) {
   auto state = Make(4);
   state->MarkEvaluated(S({1, 3}), true);
   state->Propagate();
@@ -67,7 +61,7 @@ TEST_P(LatticeStoreTest, UpwardPruningMarksSupersets) {
   EXPECT_EQ(state->InferredOutliers(4), 1u);
 }
 
-TEST_P(LatticeStoreTest, DownwardPruningMarksSubsets) {
+TEST(LatticeStoreTest, DownwardPruningMarksSubsets) {
   auto state = Make(4);
   state->MarkEvaluated(S({1, 2, 3}), false);
   state->Propagate();
@@ -82,9 +76,9 @@ TEST_P(LatticeStoreTest, DownwardPruningMarksSubsets) {
   EXPECT_EQ(state->StateOf(S({1, 4})), SubspaceState::kUndecided);
 }
 
-TEST_P(LatticeStoreTest, PendingSeedsApplyOnlyAtPropagate) {
+TEST(LatticeStoreTest, PendingSeedsApplyOnlyAtPropagate) {
   // Between MarkEvaluated and Propagate a covered mask must still read
-  // undecided — both backends defer inference to the propagation barrier.
+  // undecided — inference waits for the propagation barrier.
   auto state = Make(4);
   state->MarkEvaluated(S({1}), true);
   EXPECT_EQ(state->StateOf(S({1, 2})), SubspaceState::kUndecided);
@@ -93,7 +87,7 @@ TEST_P(LatticeStoreTest, PendingSeedsApplyOnlyAtPropagate) {
   EXPECT_EQ(state->StateOf(S({1, 2})), SubspaceState::kInferredOutlier);
 }
 
-TEST_P(LatticeStoreTest, PrioritisesOutlierOverNonOutlierResolution) {
+TEST(LatticeStoreTest, PrioritisesOutlierOverNonOutlierResolution) {
   // A subspace can be superset of an outlier seed and subset of a
   // non-outlier seed only if the lattice is inconsistent; with consistent
   // OD monotonicity this cannot happen. Here we merely check both pending
@@ -107,7 +101,7 @@ TEST_P(LatticeStoreTest, PrioritisesOutlierOverNonOutlierResolution) {
   EXPECT_EQ(state->StateOf(S({3})), SubspaceState::kInferredNonOutlier);
 }
 
-TEST_P(LatticeStoreTest, MinimalSeedSetStaysMinimal) {
+TEST(LatticeStoreTest, MinimalSeedSetStaysMinimal) {
   auto state = Make(4);
   state->MarkEvaluated(S({1, 2, 3}), true);
   EXPECT_EQ(state->minimal_outlier_seeds().size(), 1u);
@@ -123,7 +117,7 @@ TEST_P(LatticeStoreTest, MinimalSeedSetStaysMinimal) {
   EXPECT_EQ(state->minimal_outlier_seeds().size(), 2u);
 }
 
-TEST_P(LatticeStoreTest, MaximalNonOutlierSeedsStayMaximal) {
+TEST(LatticeStoreTest, MaximalNonOutlierSeedsStayMaximal) {
   auto state = Make(4);
   state->MarkEvaluated(S({1, 2}), false);
   state->MarkEvaluated(S({1, 2, 3}), false);  // superset replaces subset
@@ -133,7 +127,7 @@ TEST_P(LatticeStoreTest, MaximalNonOutlierSeedsStayMaximal) {
   EXPECT_EQ(state->maximal_non_outlier_seeds().size(), 2u);
 }
 
-TEST_P(LatticeStoreTest, UndecidedMasksFiltersDecidedMasks) {
+TEST(LatticeStoreTest, UndecidedMasksFiltersDecidedMasks) {
   auto state = Make(3);
   state->MarkEvaluated(S({1}), true);
   state->Propagate();
@@ -144,7 +138,7 @@ TEST_P(LatticeStoreTest, UndecidedMasksFiltersDecidedMasks) {
   EXPECT_EQ(state->UndecidedCount(2), 1u);
 }
 
-TEST_P(LatticeStoreTest, UndecidedMasksIsAStableSnapshot) {
+TEST(LatticeStoreTest, UndecidedMasksIsAStableSnapshot) {
   // Regression for the old LatticeState::Undecided() reference-invalidation
   // hazard: the returned vector is owned by the caller and must survive
   // arbitrary later mutation of the store.
@@ -163,7 +157,7 @@ TEST_P(LatticeStoreTest, UndecidedMasksIsAStableSnapshot) {
   EXPECT_LT(state->UndecidedMasks(2).size(), before.size());
 }
 
-TEST_P(LatticeStoreTest, UndecidedEnumerationIsAscending) {
+TEST(LatticeStoreTest, UndecidedEnumerationIsAscending) {
   auto state = Make(5);
   state->MarkEvaluated(S({2}), false);
   state->Propagate();
@@ -176,7 +170,7 @@ TEST_P(LatticeStoreTest, UndecidedEnumerationIsAscending) {
   }
 }
 
-TEST_P(LatticeStoreTest, WorkloadCounters) {
+TEST(LatticeStoreTest, WorkloadCounters) {
   auto state = Make(4);
   // Initially: C_down_left(3) = C(4,1)*1 + C(4,2)*2 = 16,
   //            C_up_left(3)   = C(4,4)*4 = 4.
@@ -189,7 +183,7 @@ TEST_P(LatticeStoreTest, WorkloadCounters) {
   EXPECT_EQ(state->RemainingWorkloadAbove(3), 0u);
 }
 
-TEST_P(LatticeStoreTest, FullyDecidedLattice) {
+TEST(LatticeStoreTest, FullyDecidedLattice) {
   auto state = Make(3);
   state->MarkEvaluated(S({1}), true);
   state->MarkEvaluated(S({2}), false);
@@ -206,7 +200,7 @@ TEST_P(LatticeStoreTest, FullyDecidedLattice) {
   EXPECT_EQ(state->OutliersAtLevel(3), 1u);
 }
 
-TEST_P(LatticeStoreTest, CounterClosureOverFullLattice) {
+TEST(LatticeStoreTest, CounterClosureOverFullLattice) {
   // evals + inferred == 2^d - 1 once everything is decided, level by level.
   for (int d = 2; d <= 8; ++d) {
     auto state = Make(d);
@@ -229,26 +223,14 @@ TEST_P(LatticeStoreTest, CounterClosureOverFullLattice) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, LatticeStoreTest,
-                         ::testing::Values(LatticeBackend::kDense,
-                                           LatticeBackend::kSparse),
-                         [](const auto& info) {
-                           return info.param == LatticeBackend::kDense
-                                      ? "dense"
-                                      : "sparse";
-                         });
-
-TEST(MakeLatticeStoreTest, AutoSelectsSparseAtEveryDimensionality) {
-  for (int d : {1, 4, kDenseMaxDims, kDenseMaxDims + 1, 32, kMaxLatticeDims}) {
-    EXPECT_EQ(MakeLatticeStore(d).value()->name(), "sparse") << "d=" << d;
+TEST(MakeLatticeStoreTest, BuildsAFreshStoreAtEveryDimensionality) {
+  for (int d : {1, 4, 22, 23, 32, kMaxLatticeDims}) {
+    auto store = MakeLatticeStore(d);
+    ASSERT_TRUE(store.ok()) << "d=" << d;
+    EXPECT_EQ(store.value()->num_dims(), d);
+    EXPECT_EQ(store.value()->UndecidedCount(1), static_cast<uint64_t>(d));
+    EXPECT_EQ(store.value()->allocated_states(), 0u);
   }
-}
-
-TEST(MakeLatticeStoreTest, ForcedBackendsRespected) {
-  EXPECT_EQ(MakeLatticeStore(6, LatticeBackend::kSparse).value()->name(),
-            "sparse");
-  EXPECT_EQ(MakeLatticeStore(6, LatticeBackend::kDense).value()->name(),
-            "dense");
 }
 
 TEST(MakeLatticeStoreTest, RejectsOutOfRangeDims) {
@@ -263,23 +245,13 @@ TEST(MakeLatticeStoreTest, RejectsOutOfRangeDims) {
   }
 }
 
-TEST(MakeLatticeStoreTest, DenseBackendRejectsPastItsCap) {
-  auto store = MakeLatticeStore(kDenseMaxDims + 1, LatticeBackend::kDense);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(store.status().ToString().find(
-                "1.." + std::to_string(kDenseMaxDims)),
-            std::string::npos);
-}
-
-TEST(SparseLatticeStoreTest, HighDimensionalLatticeIsCheap) {
-  // d = 32: the dense backend would need a 2^32-byte state array; the
-  // sparse one allocates only what is touched. All 32 singletons outlying
-  // decides the whole lattice in one propagation.
+TEST(HighDimLatticeStoreTest, HighDimensionalLatticeIsCheap) {
+  // d = 32: a flat state array would need 2^32 bytes; the store allocates
+  // only what is touched. All 32 singletons outlying decides the whole
+  // lattice in one propagation.
   auto made = MakeLatticeStore(32);
   ASSERT_TRUE(made.ok());
   auto& state = *made.value();
-  EXPECT_EQ(state.name(), "sparse");
   EXPECT_EQ(state.UndecidedCount(16), Binomial(32, 16));
 
   for (uint64_t mask : state.UndecidedMasks(1)) {
@@ -290,11 +262,10 @@ TEST(SparseLatticeStoreTest, HighDimensionalLatticeIsCheap) {
   EXPECT_EQ(state.OutliersAtLevel(16), Binomial(32, 16));
   EXPECT_EQ(state.minimal_outlier_seeds().size(), 32u);
   EXPECT_TRUE(state.IsOutlying(Subspace::Full(32)));
-  const auto& sparse = static_cast<const SparseLatticeStore&>(state);
-  EXPECT_EQ(sparse.allocated_states(), 32u);  // only the evaluated band
+  EXPECT_EQ(state.allocated_states(), 32u);  // only the evaluated band
 }
 
-TEST(SparseLatticeStoreTest, HighDimensionalMixedSeeds) {
+TEST(HighDimLatticeStoreTest, HighDimensionalMixedSeeds) {
   // d = 40, a monotone band: the pair {1,2} outlying (so its up-closure
   // is outlying) and the 38-dim subspace {3..40} non-outlying (so its
   // down-closure is non-outlying). The two closures are disjoint; what is

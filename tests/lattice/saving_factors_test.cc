@@ -88,16 +88,12 @@ int ReferenceBestLevel(const PruningPriors& priors,
   return best;
 }
 
-// The TSF inputs come entirely from the lattice store's per-level tallies,
-// so every test below runs against both storage backends.
-class SavingFactorsTest : public ::testing::TestWithParam<LatticeBackend> {
- protected:
-  static std::unique_ptr<LatticeStore> Make(int d) {
-    return MakeLatticeStore(d, GetParam()).value();
-  }
-};
+// The TSF inputs come entirely from the lattice store's per-level tallies.
+std::unique_ptr<LatticeStore> Make(int d) {
+  return MakeLatticeStore(d).value();
+}
 
-TEST_P(SavingFactorsTest, FreshLatticeUsesFullFractions) {
+TEST(SavingFactorsTest, FreshLatticeUsesFullFractions) {
   // On a fresh lattice f_down = f_up = 1, so Definition 3 reduces to
   // p_down*DSF + p_up*USF with the boundary cases at m = 1 and m = d.
   const int d = 4;
@@ -118,7 +114,7 @@ TEST_P(SavingFactorsTest, FreshLatticeUsesFullFractions) {
   }
 }
 
-TEST_P(SavingFactorsTest, DecidedLevelScoresZero) {
+TEST(SavingFactorsTest, DecidedLevelScoresZero) {
   const int d = 3;
   auto state = Make(d);
   for (uint64_t mask : MasksOfLevel(d, 2)) {
@@ -128,7 +124,7 @@ TEST_P(SavingFactorsTest, DecidedLevelScoresZero) {
   EXPECT_DOUBLE_EQ(TotalSavingFactor(2, priors, *state), 0.0);
 }
 
-TEST_P(SavingFactorsTest, FractionsShrinkAsLatticeResolves) {
+TEST(SavingFactorsTest, FractionsShrinkAsLatticeResolves) {
   const int d = 4;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
@@ -145,7 +141,7 @@ TEST_P(SavingFactorsTest, FractionsShrinkAsLatticeResolves) {
                    0.5 * static_cast<double>(UpwardSavingFactor(2, d)));
 }
 
-TEST_P(SavingFactorsTest, FreshLatticePrefersExpectedLevel) {
+TEST(SavingFactorsTest, FreshLatticePrefersExpectedLevel) {
   // With flat priors the best level maximises the Definition-3 mix; verify
   // BestLevel agrees with a direct argmax.
   for (int d = 2; d <= 10; ++d) {
@@ -160,7 +156,7 @@ TEST_P(SavingFactorsTest, FreshLatticePrefersExpectedLevel) {
   }
 }
 
-TEST_P(SavingFactorsTest, SkipsDecidedLevels) {
+TEST(SavingFactorsTest, SkipsDecidedLevels) {
   const int d = 3;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
@@ -173,7 +169,7 @@ TEST_P(SavingFactorsTest, SkipsDecidedLevels) {
   EXPECT_NE(second, first);
 }
 
-TEST_P(SavingFactorsTest, ReturnsZeroWhenAllDecided) {
+TEST(SavingFactorsTest, ReturnsZeroWhenAllDecided) {
   const int d = 2;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
@@ -183,7 +179,7 @@ TEST_P(SavingFactorsTest, ReturnsZeroWhenAllDecided) {
   EXPECT_EQ(BestLevel(priors, *state), 0);
 }
 
-TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
+TEST(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
   // The TSF inputs (per-level undecided counts, the f_down/f_up remaining
   // workloads) are maintained incrementally by MarkEvaluated[Batch] and
   // Propagate. Replay random batch merges and verify every increment
@@ -247,7 +243,7 @@ TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
   }
 }
 
-TEST_P(SavingFactorsTest, BestLevelMatchesDefinitionReferenceOnRandomWalks) {
+TEST(SavingFactorsTest, BestLevelMatchesDefinitionReferenceOnRandomWalks) {
   // Random priors (learned ones are arbitrary in [0, 1]) and a random
   // monotone truth; at every step of a TSF-driven walk, BestLevel and
   // every level's TSF must equal the definition-based reference bit for
@@ -289,7 +285,7 @@ TEST_P(SavingFactorsTest, BestLevelMatchesDefinitionReferenceOnRandomWalks) {
   }
 }
 
-TEST_P(SavingFactorsTest, LearnedPriorsSteerTheChoice) {
+TEST(SavingFactorsTest, LearnedPriorsSteerTheChoice) {
   // Push all upward probability to level 2: it should win on a fresh
   // 5-d lattice against interior levels with zero priors.
   const int d = 5;
@@ -300,15 +296,6 @@ TEST_P(SavingFactorsTest, LearnedPriorsSteerTheChoice) {
   priors.up[2] = 1.0;
   EXPECT_EQ(BestLevel(priors, *state), 2);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, SavingFactorsTest,
-                         ::testing::Values(LatticeBackend::kDense,
-                                           LatticeBackend::kSparse),
-                         [](const auto& info) {
-                           return info.param == LatticeBackend::kDense
-                                      ? "dense"
-                                      : "sparse";
-                         });
 
 }  // namespace
 }  // namespace hos::lattice

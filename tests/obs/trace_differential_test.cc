@@ -1,12 +1,12 @@
 // The tracing differential: collecting a trace must never change what a
 // query answers — bitwise-identical outcomes and order-independent work
-// counters, across every kNN backend and both lattice stores — and the
+// counters, across both kNN engine layouts — and the
 // trace that comes back must name every span level (service → search →
 // strategy → wave → knn), with the same names for a single query and a
 // fused block.
 //
 // Also covers the service-level integration: traced batches through
-// QueryService (worker pool × shared search pool, the TSan shape), the
+// QueryService (four workers tracing at once, the TSan shape), the
 // slow-query counter, and the unified metrics snapshot carrying service,
 // cache, ingest and per-backend kNN series at once.
 
@@ -65,61 +65,51 @@ void ExpectIdentical(const core::QueryResult& off, const core::QueryResult& on,
   EXPECT_EQ(off.outcome.counters.steps, on.outcome.counters.steps);
 }
 
-TEST(TraceDifferentialTest, TracingChangesNoAnswerOnAnyBackendOrLattice) {
+TEST(TraceDifferentialTest, TracingChangesNoAnswerOnAnyBackend) {
   const std::pair<core::IndexKind, const char*> kBackends[] = {
       {core::IndexKind::kLinearScan, "linear_scan"},
       {core::IndexKind::kXTree, "xtree"},
   };
-  const std::pair<lattice::LatticeBackend, const char*> kLattices[] = {
-      {lattice::LatticeBackend::kDense, "dense"},
-      {lattice::LatticeBackend::kSparse, "sparse"},
-  };
   for (const auto& [index, index_name] : kBackends) {
     core::HosMiner miner = BuildMiner(31, index);
-    for (const auto& [lattice_backend, lattice_name] : kLattices) {
-      for (data::PointId id = 0; id < 12; ++id) {
-        const std::string context = std::string(index_name) + "/" +
-                                    lattice_name + "/point " +
-                                    std::to_string(id);
-        core::QueryOptions off_options;
-        off_options.lattice_backend = lattice_backend;
-        auto off = miner.Query(id, off_options);
-        ASSERT_TRUE(off.ok()) << context;
-        EXPECT_EQ(off->trace, nullptr) << context;
+    for (data::PointId id = 0; id < 12; ++id) {
+      const std::string context =
+          std::string(index_name) + "/point " + std::to_string(id);
+      auto off = miner.Query(id);
+      ASSERT_TRUE(off.ok()) << context;
+      EXPECT_EQ(off->trace, nullptr) << context;
 
-        core::QueryOptions on_options;
-        on_options.lattice_backend = lattice_backend;
-        on_options.collect_trace = true;
-        auto on = miner.Query(id, on_options);
-        ASSERT_TRUE(on.ok()) << context;
-        ExpectIdentical(*off, *on, context);
+      core::QueryOptions on_options;
+      on_options.collect_trace = true;
+      auto on = miner.Query(id, on_options);
+      ASSERT_TRUE(on.ok()) << context;
+      ExpectIdentical(*off, *on, context);
 
-        // The trace names every level of the span hierarchy.
-        ASSERT_NE(on->trace, nullptr) << context;
-        const obs::QueryTrace& trace = *on->trace;
-        EXPECT_EQ(trace.dropped_spans, 0u) << context;
-        const obs::TraceSpan* search = trace.Find("search");
-        ASSERT_NE(search, nullptr) << context;
-        EXPECT_EQ(search->parent, -1) << context;
-        const obs::TraceSpan* strategy = trace.Find("dynamic");
-        ASSERT_NE(strategy, nullptr) << context;
-        EXPECT_EQ(strategy->parent, search->id) << context;
-        EXPECT_EQ(trace.CountByName("wave"), on->outcome.counters.steps)
-            << context;
-        const obs::TraceSpan* wave = trace.Find("wave");
-        ASSERT_NE(wave, nullptr) << context;
-        EXPECT_EQ(wave->parent, strategy->id) << context;
-        EXPECT_EQ(trace.CountByName("knn"),
-                  on->outcome.counters.od_evaluations)
-            << context;
-        const obs::TraceSpan* knn = trace.Find("knn");
-        ASSERT_NE(knn, nullptr) << context;
-        EXPECT_EQ(trace.spans[static_cast<size_t>(knn->parent)].name, "wave")
-            << context;
-        EXPECT_EQ(knn->detail.rfind("mask=0x", 0), 0u) << context;
-        EXPECT_NE(knn->detail.find(" points=1"), std::string::npos)
-            << context;
-      }
+      // The trace names every level of the span hierarchy.
+      ASSERT_NE(on->trace, nullptr) << context;
+      const obs::QueryTrace& trace = *on->trace;
+      EXPECT_EQ(trace.dropped_spans, 0u) << context;
+      const obs::TraceSpan* search = trace.Find("search");
+      ASSERT_NE(search, nullptr) << context;
+      EXPECT_EQ(search->parent, -1) << context;
+      const obs::TraceSpan* strategy = trace.Find("dynamic");
+      ASSERT_NE(strategy, nullptr) << context;
+      EXPECT_EQ(strategy->parent, search->id) << context;
+      EXPECT_EQ(trace.CountByName("wave"), on->outcome.counters.steps)
+          << context;
+      const obs::TraceSpan* wave = trace.Find("wave");
+      ASSERT_NE(wave, nullptr) << context;
+      EXPECT_EQ(wave->parent, strategy->id) << context;
+      EXPECT_EQ(trace.CountByName("knn"),
+                on->outcome.counters.od_evaluations)
+          << context;
+      const obs::TraceSpan* knn = trace.Find("knn");
+      ASSERT_NE(knn, nullptr) << context;
+      EXPECT_EQ(trace.spans[static_cast<size_t>(knn->parent)].name, "wave")
+          << context;
+      EXPECT_EQ(knn->detail.rfind("mask=0x", 0), 0u) << context;
+      EXPECT_NE(knn->detail.find(" points=1"), std::string::npos)
+          << context;
     }
   }
 }
@@ -130,15 +120,14 @@ TEST(TraceDifferentialTest, ServiceTracingMatchesUntracedService) {
 
   service::QueryServiceConfig untraced_config;
   untraced_config.num_threads = 4;
-  untraced_config.search_threads = 4;
   service::QueryService untraced(
       BuildMiner(32, core::IndexKind::kXTree), untraced_config);
   auto expected = untraced.QueryBatch(ids);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  // Tracing on, same pools, same cache: answers must be identical and every
-  // result must carry a full span tree. Worker threads record into their
-  // own tracer while sharing the search pool — the TSan shape.
+  // Tracing on, same pool, same cache: answers must be identical and every
+  // result must carry a full span tree. Each worker records into its own
+  // block's tracer while the others do the same — the TSan shape.
   service::QueryServiceConfig traced_config = untraced_config;
   traced_config.observability.trace_queries = true;
   service::QueryService traced(BuildMiner(32, core::IndexKind::kXTree),

@@ -7,9 +7,10 @@
 // subspaces, the order-sensitive evaluated_outliers list, bitwise outlier
 // fractions and OD values, and identical lattice-derived work counters —
 // and the runner-level answers to the ExhaustiveSearch oracle, across kNN
-// backends {linear scan, X-tree}, lattice stores {dense, sparse},
-// density-filter modes {kOff, kConservative}, planted and adversarial
-// datasets, mixed valid/invalid id slots, and per-point budget exhaustion.
+// backends {linear scan, X-tree}, level orders {dynamic, bottom-up,
+// top-down}, density-filter modes {kOff, kConservative}, planted and
+// adversarial datasets, mixed valid/invalid id slots, and per-point budget
+// exhaustion.
 
 #include <gtest/gtest.h>
 
@@ -82,7 +83,8 @@ data::GeneratedData MakePlanted(uint64_t seed, int d) {
   return std::move(generated).value();
 }
 
-/// A thread-safe, map-backed SharedOdStore.
+/// A thread-safe, map-backed SharedOdStore that keeps every value written
+/// to it, so two runs' fresh evaluations can be compared mask by mask.
 class MapStore : public SharedOdStore {
  public:
   bool Lookup(data::PointId id, uint64_t mask, double* od) override {
@@ -96,9 +98,13 @@ class MapStore : public SharedOdStore {
     std::lock_guard<std::mutex> lock(mu_);
     values_[{id, mask}] = od;
   }
+  std::map<std::pair<data::PointId, uint64_t>, double> values() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return values_;
+  }
 
  private:
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::map<std::pair<data::PointId, uint64_t>, double> values_;
 };
 
@@ -122,45 +128,62 @@ std::set<std::string> SpanNames(const obs::QueryTrace& trace) {
   return names;
 }
 
-// Direct runner-level differential: BatchFrontierRunner blocks against
-// DynamicSubspaceSearch (the runner at width 1) per point, and both against
-// the exhaustive oracle, over both lattice backends and batch sizes from 1
-// to well past the planted outlier count.
-TEST(BatchFrontierTest, RunnerMatchesSequentialDynamicSearch) {
+// Direct runner-level differential under every level order:
+// BatchFrontierRunner blocks against the one-point strategy of the same
+// order (the runner at width 1), and both against the exhaustive oracle,
+// for batch sizes from 1 to past the planted outlier count. Each point's
+// memo must hold exactly the masks and doubles of its one-point walk.
+TEST(BatchFrontierTest, RunnerMatchesSequentialWalksUnderEveryOrder) {
   const int d = 7;
   auto generated = MakePlanted(9001, d);
   const data::Dataset& ds = generated.dataset;
   knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
   const lattice::PruningPriors priors = lattice::PruningPriors::Flat(d);
-  const DynamicSubspaceSearch sequential(d, priors);
-  const BatchFrontierRunner runner(d, &priors);
   constexpr int kK = 4;
   constexpr double kThreshold = 0.9;
+  const uint64_t lattice_top = (uint64_t{1} << d) - 1;
 
-  for (lattice::LatticeBackend backend :
-       {lattice::LatticeBackend::kDense, lattice::LatticeBackend::kSparse}) {
+  const DynamicSubspaceSearch dynamic(d, priors);
+  const BottomUpSearch bottom_up(d);
+  const TopDownSearch top_down(d);
+  const std::pair<BatchFrontierRunner, const SubspaceSearch*> orders[] = {
+      {BatchFrontierRunner(d, &priors), &dynamic},
+      {BatchFrontierRunner(d, BatchFrontierRunner::LevelOrder::kBottomUp),
+       &bottom_up},
+      {BatchFrontierRunner(d, BatchFrontierRunner::LevelOrder::kTopDown),
+       &top_down},
+  };
+
+  for (const auto& [runner, strategy] : orders) {
+    EXPECT_EQ(runner.name(), strategy->name());
     for (size_t batch : {1u, 3u, 16u}) {
-      SCOPED_TRACE("backend=" +
-                   std::to_string(static_cast<int>(backend)) +
+      SCOPED_TRACE(std::string(runner.name()) +
                    " batch=" + std::to_string(batch));
-      SearchExecution exec;
-      exec.lattice_backend = backend;
-
+      // Strided background rows, plus the planted outliers (whose walks
+      // go deepest) in every block wider than one.
+      std::vector<data::PointId> ids;
+      for (size_t b = 0; b < batch; ++b) {
+        ids.push_back(static_cast<data::PointId>(b * 13 % ds.size()));
+      }
+      if (batch > 1) {
+        for (const auto& outlier : generated.outliers) {
+          ids.push_back(outlier.id);
+        }
+      }
       std::vector<OdEvaluator> evaluators;
       std::vector<OdEvaluator*> pointers;
-      evaluators.reserve(batch);
-      for (size_t b = 0; b < batch; ++b) {
-        const auto id = static_cast<data::PointId>(b * 13 % ds.size());
+      evaluators.reserve(ids.size());
+      for (data::PointId id : ids) {
         evaluators.emplace_back(engine, ds.Row(id), kK, id);
         pointers.push_back(&evaluators.back());
       }
-      auto fused = runner.Run(pointers, kThreshold, exec);
-      ASSERT_EQ(fused.size(), batch);
+      auto fused = runner.Run(pointers, kThreshold, SearchExecution{});
+      ASSERT_EQ(fused.size(), ids.size());
 
-      for (size_t b = 0; b < batch; ++b) {
-        const auto id = static_cast<data::PointId>(b * 13 % ds.size());
+      for (size_t b = 0; b < ids.size(); ++b) {
+        const data::PointId id = ids[b];
         OdEvaluator seq_od(engine, ds.Row(id), kK, id);
-        auto seq = sequential.Run(&seq_od, kThreshold, exec);
+        auto seq = strategy->Run(&seq_od, kThreshold);
         ASSERT_TRUE(seq.ok());
         ASSERT_TRUE(fused[b].ok()) << fused[b].status().ToString();
         OdEvaluator oracle_od(engine, ds.Row(id), kK, id);
@@ -170,10 +193,10 @@ TEST(BatchFrontierTest, RunnerMatchesSequentialDynamicSearch) {
                   oracle->minimal_outlying_subspaces);
         EXPECT_EQ(fused[b]->outlier_fraction, oracle->outlier_fraction);
         ExpectOutcomeIdentical(fused[b].value(), seq.value(),
-                               "point " + std::to_string(b));
+                               "id " + std::to_string(id));
+        EXPECT_EQ(pointers[b]->num_evaluations(), seq_od.num_evaluations());
         // The fused evaluator memoised exactly the sequential masks with
         // exactly the sequential doubles.
-        const uint64_t lattice_top = (uint64_t{1} << d) - 1;
         for (uint64_t mask = 1; mask <= lattice_top; ++mask) {
           double fused_value = 0.0, seq_value = 0.0;
           const bool fused_has =
@@ -289,81 +312,72 @@ TEST(BatchFrontierTest, InliersRetireOnTheSharedLatticeBesideAnOutlier) {
       return store;
     };
 
-    std::vector<lattice::LatticeBackend> backends = {
-        lattice::LatticeBackend::kAuto};
-    if (d <= lattice::kDenseMaxDims) {
-      backends.push_back(lattice::LatticeBackend::kDense);
+    SCOPED_TRACE("d=" + std::to_string(d));
+    const auto store = seeded_store();
+    obs::QueryTracer tracer;
+    SearchExecution exec;
+    exec.tracer = &tracer;
+    std::vector<OdEvaluator> evaluators;
+    std::vector<OdEvaluator*> pointers;
+    evaluators.reserve(ids.size());
+    for (data::PointId id : ids) {
+      evaluators.emplace_back(engine, ds.Row(id), kK, id, store.get());
+      pointers.push_back(&evaluators.back());
     }
-    for (lattice::LatticeBackend backend : backends) {
-      SCOPED_TRACE("d=" + std::to_string(d) + " backend=" +
-                   std::to_string(static_cast<int>(backend)));
-      const auto store = seeded_store();
-      obs::QueryTracer tracer;
-      SearchExecution exec;
-      exec.lattice_backend = backend;
-      exec.tracer = &tracer;
-      std::vector<OdEvaluator> evaluators;
-      std::vector<OdEvaluator*> pointers;
-      evaluators.reserve(ids.size());
-      for (data::PointId id : ids) {
-        evaluators.emplace_back(engine, ds.Row(id), kK, id, store.get());
-        pointers.push_back(&evaluators.back());
-      }
-      auto fused = runner.Run(pointers, kFarThreshold, exec);
-      const obs::QueryTrace fused_trace = tracer.Finish();
-      ASSERT_EQ(fused.size(), ids.size());
+    auto fused = runner.Run(pointers, kFarThreshold, exec);
+    const obs::QueryTrace fused_trace = tracer.Finish();
+    ASSERT_EQ(fused.size(), ids.size());
 
-      uint64_t max_steps = 0;
-      std::set<std::string> alone_names;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        SCOPED_TRACE("id " + std::to_string(ids[i]));
-        const auto alone_store = seeded_store();
-        obs::QueryTracer alone_tracer;
-        SearchExecution alone_exec = exec;
-        alone_exec.tracer = &alone_tracer;
-        OdEvaluator od(engine, ds.Row(ids[i]), kK, ids[i], alone_store.get());
-        auto seq = alone.Run(&od, kFarThreshold, alone_exec);
-        const obs::QueryTrace alone_trace = alone_tracer.Finish();
-        ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-        ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
-        ExpectOutcomeIdentical(fused[i].value(), seq.value(), "fused");
-        EXPECT_EQ(alone_trace.CountByName("dynamic"), 1u);
-        EXPECT_EQ(alone_trace.CountByName("wave"), seq->counters.steps);
-        const std::set<std::string> names = SpanNames(alone_trace);
-        alone_names.insert(names.begin(), names.end());
-        max_steps = std::max(max_steps, seq->counters.steps);
+    uint64_t max_steps = 0;
+    std::set<std::string> alone_names;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      SCOPED_TRACE("id " + std::to_string(ids[i]));
+      const auto alone_store = seeded_store();
+      obs::QueryTracer alone_tracer;
+      SearchExecution alone_exec = exec;
+      alone_exec.tracer = &alone_tracer;
+      OdEvaluator od(engine, ds.Row(ids[i]), kK, ids[i], alone_store.get());
+      auto seq = alone.Run(&od, kFarThreshold, alone_exec);
+      const obs::QueryTrace alone_trace = alone_tracer.Finish();
+      ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+      ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
+      ExpectOutcomeIdentical(fused[i].value(), seq.value(), "fused");
+      EXPECT_EQ(alone_trace.CountByName("dynamic"), 1u);
+      EXPECT_EQ(alone_trace.CountByName("wave"), seq->counters.steps);
+      const std::set<std::string> names = SpanNames(alone_trace);
+      alone_names.insert(names.begin(), names.end());
+      max_steps = std::max(max_steps, seq->counters.steps);
 
-        const SearchCounters& c = fused[i]->counters;
-        if (ids[i] == far) {
-          EXPECT_EQ(fused[i]->minimal_outlying_subspaces.size(),
-                    static_cast<size_t>(d));
-          EXPECT_EQ(c.steps, d == 1 ? 1u : 2u);
-        } else {
-          EXPECT_TRUE(fused[i]->minimal_outlying_subspaces.empty());
-          EXPECT_EQ(c.od_evaluations, ids[i] == hit ? 0u : 1u);
-          EXPECT_EQ(c.pruned_upward, 0u);
-          EXPECT_EQ(c.pruned_downward, (uint64_t{1} << d) - 2);
-          EXPECT_EQ(c.steps, 1u);
-          EXPECT_EQ(fused[i]->TotalOutlyingCount(), 0u);
-        }
-        if (d <= 8) {
-          OdEvaluator oracle_od(engine, ds.Row(ids[i]), kK, ids[i]);
-          auto oracle = ExhaustiveSearch(d).Run(&oracle_od, kFarThreshold);
-          ASSERT_TRUE(oracle.ok());
-          EXPECT_EQ(fused[i]->minimal_outlying_subspaces,
-                    oracle->minimal_outlying_subspaces);
-          EXPECT_EQ(fused[i]->outlier_fraction, oracle->outlier_fraction);
-        }
+      const SearchCounters& c = fused[i]->counters;
+      if (ids[i] == far) {
+        EXPECT_EQ(fused[i]->minimal_outlying_subspaces.size(),
+                  static_cast<size_t>(d));
+        EXPECT_EQ(c.steps, d == 1 ? 1u : 2u);
+      } else {
+        EXPECT_TRUE(fused[i]->minimal_outlying_subspaces.empty());
+        EXPECT_EQ(c.od_evaluations, ids[i] == hit ? 0u : 1u);
+        EXPECT_EQ(c.pruned_upward, 0u);
+        EXPECT_EQ(c.pruned_downward, (uint64_t{1} << d) - 2);
+        EXPECT_EQ(c.steps, 1u);
+        EXPECT_EQ(fused[i]->TotalOutlyingCount(), 0u);
       }
-      // One strategy span, one wave per round of the longest walk, and one
-      // fused kNN pass per distinct computed mask: the full space (the
-      // `hit` row's comes from the store), then the far row's singletons.
-      EXPECT_EQ(SpanNames(fused_trace), alone_names);
-      EXPECT_EQ(fused_trace.CountByName("dynamic"), 1u);
-      EXPECT_EQ(fused_trace.CountByName("wave"), max_steps);
-      EXPECT_EQ(fused_trace.CountByName("knn"),
-                1u + (d == 1 ? 0u : static_cast<size_t>(d)));
+      if (d <= 8) {
+        OdEvaluator oracle_od(engine, ds.Row(ids[i]), kK, ids[i]);
+        auto oracle = ExhaustiveSearch(d).Run(&oracle_od, kFarThreshold);
+        ASSERT_TRUE(oracle.ok());
+        EXPECT_EQ(fused[i]->minimal_outlying_subspaces,
+                  oracle->minimal_outlying_subspaces);
+        EXPECT_EQ(fused[i]->outlier_fraction, oracle->outlier_fraction);
+      }
     }
+    // One strategy span, one wave per round of the longest walk, and one
+    // fused kNN pass per distinct computed mask: the full space (the
+    // `hit` row's comes from the store), then the far row's singletons.
+    EXPECT_EQ(SpanNames(fused_trace), alone_names);
+    EXPECT_EQ(fused_trace.CountByName("dynamic"), 1u);
+    EXPECT_EQ(fused_trace.CountByName("wave"), max_steps);
+    EXPECT_EQ(fused_trace.CountByName("knn"),
+              1u + (d == 1 ? 0u : static_cast<size_t>(d)));
   }
 }
 
@@ -468,8 +482,9 @@ TEST(BatchFrontierTest, FilterDecidedFullSpaceStillRetiresTheInlier) {
 }
 
 // Miner-level differential: QueryBatchFused against per-point Query across
-// all three KnnEngine backends, both lattice stores, and both
-// answer-preserving filter modes. This is the exact contract the service
+// both kNN engine layouts and both answer-preserving filter modes, each
+// side writing through a store of its own, so their fresh evaluations are
+// compared value by value too. This is the exact contract the service
 // layer's fused QueryBatch relies on.
 class QueryBatchFusedTest : public ::testing::TestWithParam<core::IndexKind> {
 };
@@ -486,37 +501,41 @@ TEST_P(QueryBatchFusedTest, MatchesPerPointQueries) {
   for (data::PointId id = 0; id < 40; ++id) ids.push_back(id);
   ids.push_back(generated.outliers[0].id);
 
-  for (lattice::LatticeBackend backend :
-       {lattice::LatticeBackend::kDense, lattice::LatticeBackend::kSparse}) {
-    for (filter::FilterMode mode :
-         {filter::FilterMode::kOff, filter::FilterMode::kConservative}) {
-      // The bound-margin frontier ordering only applies with the filter
-      // on; it is stateless, so the fused/sequential counter identity must
-      // survive it unchanged. (The learned gate is *stateful* across
-      // queries on one miner and gets its own answers-only test below.)
-      for (bool ordered : {false, true}) {
-        if (ordered && mode == filter::FilterMode::kOff) continue;
-        SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
-                     " filter=" + std::to_string(static_cast<int>(mode)) +
-                     " ordered=" + std::to_string(ordered));
-        core::QueryOptions options;
-        options.lattice_backend = backend;
-        options.filter_mode = mode;
-        if (ordered) {
-          options.frontier_ordering = FrontierOrdering::kBoundMargin;
-        }
-
-        auto fused = miner->QueryBatchFused(ids, options);
-        ASSERT_EQ(fused.size(), ids.size());
-        for (size_t i = 0; i < ids.size(); ++i) {
-          auto seq = miner->Query(ids[i], options);
-          ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-          ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
-          ExpectOutcomeIdentical(fused[i].value().outcome, seq->outcome,
-                                 "id " + std::to_string(ids[i]));
-          EXPECT_EQ(fused[i].value().dataset_version, seq->dataset_version);
-        }
+  for (filter::FilterMode mode :
+       {filter::FilterMode::kOff, filter::FilterMode::kConservative}) {
+    // The bound-margin frontier ordering only applies with the filter
+    // on; it is stateless, so the fused/sequential counter identity must
+    // survive it unchanged. (The learned gate is *stateful* across
+    // queries on one miner and gets its own answers-only test below.)
+    for (bool ordered : {false, true}) {
+      if (ordered && mode == filter::FilterMode::kOff) continue;
+      SCOPED_TRACE("filter=" + std::to_string(static_cast<int>(mode)) +
+                   " ordered=" + std::to_string(ordered));
+      core::QueryOptions options;
+      options.filter_mode = mode;
+      if (ordered) {
+        options.frontier_ordering = FrontierOrdering::kBoundMargin;
       }
+      MapStore fused_store;
+      core::QueryOptions fused_options = options;
+      fused_options.od_store = &fused_store;
+      MapStore seq_store;
+      core::QueryOptions seq_options = options;
+      seq_options.od_store = &seq_store;
+
+      auto fused = miner->QueryBatchFused(ids, fused_options);
+      ASSERT_EQ(fused.size(), ids.size());
+      for (size_t i = 0; i < ids.size(); ++i) {
+        auto seq = miner->Query(ids[i], seq_options);
+        ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+        ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
+        ExpectOutcomeIdentical(fused[i].value().outcome, seq->outcome,
+                               "id " + std::to_string(ids[i]));
+        EXPECT_EQ(fused[i].value().dataset_version, seq->dataset_version);
+      }
+      // Every fresh evaluation reached the store once per (point, mask),
+      // with bitwise-identical values.
+      EXPECT_EQ(fused_store.values(), seq_store.values());
     }
   }
 }
@@ -656,12 +675,10 @@ TEST(QueryBatchFusedAdversarialTest, ProbesMatchPerPointQueries) {
   std::vector<data::PointId> ids = scenario.probes;
   ids.push_back(5);  // background row amid the correlated cloud
 
-  core::QueryOptions options;
-  options.lattice_backend = lattice::LatticeBackend::kSparse;
-  auto fused = miner->QueryBatchFused(ids, options);
+  auto fused = miner->QueryBatchFused(ids, {});
   ASSERT_EQ(fused.size(), ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto seq = miner->Query(ids[i], options);
+    auto seq = miner->Query(ids[i]);
     ASSERT_TRUE(seq.ok()) << seq.status().ToString();
     ASSERT_TRUE(fused[i].ok()) << fused[i].status().ToString();
     ExpectOutcomeIdentical(fused[i].value().outcome, seq->outcome,

@@ -1,10 +1,9 @@
 // Regression tests for SearchExecution::max_od_evaluations — the guard
-// that turns runaway searches (exhaustive / non-band data past the dense
-// lattice cap) into fast ResourceExhausted failures instead of hours of
-// kNN work. The key property: the check fires *before* a level batch is
-// materialised, so a d = 26 exhaustive query dies in milliseconds even
-// though its third level alone holds C(26, 3) = 2600 subspaces and its
-// middle levels ~10^7.
+// that turns runaway searches (exhaustive / non-band data at high d) into
+// fast ResourceExhausted failures instead of hours of kNN work. The key
+// property: the check fires *before* a level batch is materialised, so a
+// d = 26 exhaustive query dies in milliseconds even though its third level
+// alone holds C(26, 3) = 2600 subspaces and its middle levels ~10^7.
 
 #include <gtest/gtest.h>
 
@@ -55,8 +54,8 @@ TEST(SearchBudgetTest, ExhaustiveOverBudgetFailsWithResourceExhausted) {
   EXPECT_LE(od.num_evaluations(), 40u);
 }
 
-// The ROADMAP scenario: d > 22 forces the sparse lattice store, and an
-// exhaustive walk over uniform (non-band) data is intractable. The budget
+// The high-d scenario: at d = 26 an exhaustive walk over uniform
+// (non-band) data is intractable. The budget
 // must kill it before the wave for a C(26, m) level is even allocated.
 TEST(SearchBudgetTest, HighDimensionalExhaustiveFailsFast) {
   const int d = 26;

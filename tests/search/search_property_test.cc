@@ -15,7 +15,6 @@
 #include "src/learning/learner.h"
 #include "src/search/od_evaluator.h"
 #include "src/search/subspace_search.h"
-#include "src/service/thread_pool.h"
 
 namespace hos::search {
 namespace {
@@ -131,24 +130,17 @@ TEST_P(SearchPropertyTest, EveryStrategyAccountsForTheWholeLattice) {
   strategies.push_back(std::make_unique<TopDownSearch>(d));
   strategies.push_back(std::make_unique<ExhaustiveSearch>(d));
 
-  service::ThreadPool pool(3);
-  std::vector<SearchExecution> modes(2);
-  modes[1].pool = &pool;
-
   for (const auto& strategy : strategies) {
-    for (const SearchExecution& exec : modes) {
-      SCOPED_TRACE(std::string(strategy->name()) +
-                   (exec.pool ? " parallel" : " sequential"));
-      OdEvaluator od(engine, ds.Row(query), 4, query);
-      auto outcome = strategy->Run(&od, threshold, exec);
-      ASSERT_TRUE(outcome.ok());
-      EXPECT_EQ(outcome->counters.od_evaluations +
-                    outcome->counters.pruned_upward +
-                    outcome->counters.pruned_downward,
-                lattice);
-      // Every fresh evaluation is reported, none twice.
-      EXPECT_EQ(od.num_evaluations(), outcome->counters.od_evaluations);
-    }
+    SCOPED_TRACE(std::string(strategy->name()));
+    OdEvaluator od(engine, ds.Row(query), 4, query);
+    auto outcome = strategy->Run(&od, threshold);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->counters.od_evaluations +
+                  outcome->counters.pruned_upward +
+                  outcome->counters.pruned_downward,
+              lattice);
+    // Every fresh evaluation is reported, none twice.
+    EXPECT_EQ(od.num_evaluations(), outcome->counters.od_evaluations);
   }
 }
 

@@ -117,26 +117,6 @@ TEST(SearchValidationTest, NonPositiveDimsReturnInvalidArgument) {
   }
 }
 
-TEST(SearchValidationTest, ForcedDenseBackendPastCapReturnsInvalidArgument) {
-  // Regression: the dense flat-array store cannot represent d > 22; a
-  // query forcing it must fail with the supported range in the message,
-  // not assert or allocate 2^d bytes.
-  const int d = lattice::kDenseMaxDims + 1;
-  Fixture f = Fixture::MakePlanted(7, 4);
-  auto row = f.dataset.Row(f.query_id);
-  OdEvaluator od(*f.engine, row, kK, f.query_id);
-  SearchExecution exec;
-  exec.lattice_backend = lattice::LatticeBackend::kDense;
-  BottomUpSearch search(d);
-  auto outcome = search.Run(&od, kThreshold, exec);
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(outcome.status().ToString().find(
-                "1.." + std::to_string(lattice::kDenseMaxDims)),
-            std::string::npos);
-  EXPECT_EQ(od.num_evaluations(), 0u);  // rejected before any kNN work
-}
-
 TEST(DynamicSearchTest, VisitsEachLevelAtMostOnce) {
   Fixture f = Fixture::MakePlanted(4, 6);
   auto row = f.dataset.Row(f.query_id);

@@ -86,38 +86,6 @@ TEST(QueryServiceTest, EightThreadBatchIdenticalToSerial) {
   }
 }
 
-// Inter-query (worker pool) and intra-query (shared search pool)
-// parallelism composed: every in-flight query fans its lattice frontier
-// across the same dedicated search pool, and the answers must still be
-// exactly the serial ones. This is the shape the TSan CI job leans on —
-// concurrent queries issuing concurrent frontier waves against one engine
-// and one OD cache.
-TEST(QueryServiceTest, ParallelFrontierBatchIdenticalToSerial) {
-  core::HosMiner serial_miner = BuildMiner(19);
-  std::vector<data::PointId> ids(120);
-  std::iota(ids.begin(), ids.end(), 0);
-
-  std::vector<core::QueryResult> expected;
-  for (data::PointId id : ids) {
-    auto r = serial_miner.Query(id);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected.push_back(std::move(r).value());
-  }
-
-  QueryServiceConfig config;
-  config.num_threads = 4;
-  config.search_threads = 4;
-  config.enable_od_cache = true;
-  QueryService service(BuildMiner(19), config);
-
-  auto batch = service.QueryBatch(ids);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ExpectSameAnswer((*batch)[i], expected[i], i);
-  }
-}
-
 TEST(QueryServiceTest, CacheOffBatchAlsoIdenticalToSerial) {
   core::HosMiner serial_miner = BuildMiner(13);
   std::vector<data::PointId> ids(100);
